@@ -17,15 +17,11 @@ from .detection import (
 from .fock import (
     KetState,
     Mode,
-    apply_two_mode_unitary,
-    inner_product,
     make_basis_state,
     normally_ordered_moment,
     projection_probability,
-    two_mode_unitary_subspace_matrix,
 )
-from .medium import Geometry, MediumSpec, apply_mor, rotation_matrix, two_photon_closed_form
-from .oracles import OracleId, oracle
+from .medium import Geometry, MediumSpec, apply_mor
 from .sources import (
     SourceKind,
     SourceSpec,
@@ -49,13 +45,11 @@ __all__ = [
     "Mode",
     "ObservableKind",
     "ObservableSpec",
-    "OracleId",
     "SourceKind",
     "SourceSpec",
     "TruncationError",
     "VisibilityResult",
     "apply_mor",
-    "apply_two_mode_unitary",
     "build_state",
     "coherent_intensity_pair",
     "collinear_state",
@@ -63,7 +57,6 @@ __all__ = [
     "evaluate",
     "fringe_period",
     "fringe_scan",
-    "inner_product",
     "make_basis_state",
     "mean_photon_number",
     "min_detectable_angle",
@@ -71,12 +64,8 @@ __all__ = [
     "nd_variance",
     "noncollinear_state",
     "normally_ordered_moment",
-    "oracle",
     "projection_probability",
-    "rotation_matrix",
     "select_n_max",
     "truncation_tail",
-    "two_mode_unitary_subspace_matrix",
-    "two_photon_closed_form",
     "visibility",
 ]

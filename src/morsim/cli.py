@@ -17,6 +17,7 @@ from .detection import (
     FringeSeries,
     ObservableKind,
     ObservableSpec,
+    check_pairing,
     evaluate,
     fringe_scan,
     min_detectable_angle,
@@ -105,61 +106,38 @@ def _observable_from_args(args, geometry: Geometry) -> ObservableSpec:
     return ObservableSpec(kind=kind)
 
 
-def _exact_oracle(source: SourceSpec, obs: ObservableSpec, geometry: Geometry):
-    """theta -> closed-form value for combinations the model has in closed form."""
-    kind, skind = obs.kind, source.kind
-    if skind is SourceKind.COHERENT:
-        if kind is ObservableKind.INTENSITY and obs.mode == Mode.AH:
-            return lambda t: oracles.coherent_intensity_x(abs(source.alpha) ** 2, t)
-        if kind is ObservableKind.INTENSITY and obs.mode == Mode.AV:
-            return lambda t: oracles.coherent_intensity_y(abs(source.alpha) ** 2, t)
-        if kind is ObservableKind.ND_VARIANCE:
-            return lambda t: oracles.coherent_nd_variance(abs(source.alpha) ** 2, t)
-    if skind is SourceKind.COLLINEAR_PDC:
-        if kind is ObservableKind.TWO_PHOTON_COINCIDENCE:
-            return lambda t: oracles.collinear_two_photon(source.r, t)
-        if kind is ObservableKind.FOUR_PHOTON_GLAUBER:
-            return lambda t: oracles.collinear_four_photon_counts(source.r, t)
-        if kind is ObservableKind.ND_VARIANCE:
-            return lambda t: oracles.collinear_nd_variance(source.r, t)
-        if kind is ObservableKind.FOUR_PHOTON_PROJECTION and obs.target == (2, 2, 0, 0):
-            return lambda t: oracles.collinear_four_photon_probability(source.r, t)
-    if skind is SourceKind.NONCOLLINEAR_PDC:
-        if kind is ObservableKind.FOUR_PHOTON_PROJECTION and obs.target == (1, 1, 1, 1):
-            return lambda t: oracles.noncollinear_four_photon_probability(source.r, t)
-    raise ValueError(f"no closed form for source={source.kind.value} "
-                     f"observable={obs.kind.value}; use --mode numeric")
+def _closed_form(source: SourceSpec, obs: ObservableSpec, theta: float) -> float:
+    detail = obs.mode.name if obs.kind is ObservableKind.INTENSITY else obs.target
+    return oracles.closed_form(source.kind.value, obs.kind.value, detail, theta,
+                               r=source.r, alpha_sq=abs(source.alpha) ** 2)
 
 
-def _grid(lo: float, hi: float, points: int, name: str) -> np.ndarray:
+def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> np.ndarray:
     if points < 2:
         raise ValueError(f"{name} grid needs at least 2 points, got {points}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} grid bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"{name} grid needs min < max, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, points)
+    return spacing(lo, hi, points)
 
 
 def cmd_fringe(args) -> int:
     source = _source_from_args(args)
-    geometry = _geometry_from_args(args, source)
+    geometry = check_pairing(source, _geometry_from_args(args, source))
     obs = _observable_from_args(args, geometry)
     thetas = _grid(args.theta_min, args.theta_max, args.points, "theta")
+    # closed forms ignore theta_plus, but a non-finite one is still bad input
+    MediumSpec(theta=0.0, theta_plus=args.theta_plus)
 
-    numeric = None
+    columns = [thetas]
     if args.mode in ("numeric", "both"):
-        numeric = fringe_scan(source, thetas, geometry, obs,
-                              theta_plus=args.theta_plus).values
-    exact = None
+        columns.append(fringe_scan(source, thetas, geometry, obs,
+                                   theta_plus=args.theta_plus).values)
     if args.mode in ("exact", "both"):
-        fn = _exact_oracle(source, obs, geometry)
-        exact = [fn(float(t)) for t in thetas]
-
-    if args.mode == "numeric":
-        _write_csv(args.out, "theta,value", zip(thetas, numeric))
-    elif args.mode == "exact":
-        _write_csv(args.out, "theta,value", zip(thetas, exact))
-    else:
-        _write_csv(args.out, "theta,value,value_exact", zip(thetas, numeric, exact))
+        columns.append([_closed_form(source, obs, float(t)) for t in thetas])
+    header = "theta,value,value_exact" if args.mode == "both" else "theta,value"
+    _write_csv(args.out, header, zip(*columns))
     return 0
 
 
@@ -168,20 +146,16 @@ def cmd_visibility(args) -> int:
     if args.r_min <= 0:
         raise ValueError("visibility sweep needs r > 0")
     thetas = np.linspace(0.0, math.pi, args.theta_points)
-    obs_kind = OBSERVABLE_NAMES[args.observable]
+    obs = ObservableSpec(kind=OBSERVABLE_NAMES[args.observable])
     rows = []
     for r in map(float, r_grid):
+        source = SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
         if args.mode == "exact":
-            if obs_kind is ObservableKind.TWO_PHOTON_COINCIDENCE:
-                values = [oracles.collinear_two_photon(r, float(t)) for t in thetas]
-            else:
-                values = [oracles.collinear_four_photon_counts(r, float(t)) for t in thetas]
+            values = [_closed_form(source, obs, float(t)) for t in thetas]
             series = FringeSeries(theta_grid=tuple(map(float, thetas)),
                                   values=tuple(values))
         else:
-            source = SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
-            series = fringe_scan(source, thetas, Geometry.COLLINEAR,
-                                 ObservableSpec(kind=obs_kind))
+            series = fringe_scan(source, thetas, Geometry.COLLINEAR, obs)
         rows.append((r, visibility(series).v))
     _write_csv(args.out, "r,visibility", rows)
     return 0
@@ -212,19 +186,17 @@ def cmd_envelope(args) -> int:
     geometry = Geometry(args.geometry)
     if geometry is Geometry.NONCOLLINEAR:
         target, kind = (1, 1, 1, 1), SourceKind.NONCOLLINEAR_PDC
-        exact = lambda r: oracles.noncollinear_four_photon_probability(r, 0.0)
     else:
         target, kind = (2, 2, 0, 0), SourceKind.COLLINEAR_PDC
-        exact = lambda r: oracles.collinear_four_photon_probability(r, 0.0)
     obs = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target)
 
-    if args.mode == "exact":
-        value_at = exact
-    else:
-        def value_at(r: float) -> float:
-            # the projection only sees the four-photon sector, so this is
-            # exact at any r without a deep truncation
-            return evaluate(SourceSpec(kind=kind, r=r), MediumSpec(theta=0.0), geometry, obs)
+    def value_at(r: float) -> float:
+        source = SourceSpec(kind=kind, r=r)
+        if args.mode == "exact":
+            return _closed_form(source, obs, 0.0)
+        # the projection only sees the four-photon sector, so this is exact
+        # at any r without a deep truncation
+        return evaluate(source, MediumSpec(theta=0.0), geometry, obs)
 
     values = [value_at(float(r)) for r in r_grid]
     best = int(np.argmax(values))
@@ -237,13 +209,9 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    if args.points < 2:
-        raise ValueError(f"mean_n grid needs at least 2 points, got {args.points}")
+    mean_n = _grid(args.mean_n_min, args.mean_n_max, args.points, "mean_n", np.geomspace)
     if args.mean_n_min <= 1.0:
         raise ValueError("sensitivity sweep needs mean photon numbers above 1")
-    if not args.mean_n_min < args.mean_n_max:
-        raise ValueError("mean_n grid needs min < max")
-    mean_n = np.geomspace(args.mean_n_min, args.mean_n_max, args.points)
     kind = SOURCE_NAMES[args.source]
     if kind is SourceKind.NONCOLLINEAR_PDC:
         raise ValueError("sensitivity sweep supports coherent and collinear sources")

@@ -24,6 +24,7 @@ from .sources import (
     build_state,
     coherent_intensity_pair,
     collinear_state,
+    mean_photon_number,
     noncollinear_state,
 )
 
@@ -165,41 +166,47 @@ def _coherent_value(source: SourceSpec, theta: float, obs: ObservableSpec) -> fl
                      f"not {obs.kind.value}")
 
 
+def check_pairing(source: SourceSpec, geometry) -> Geometry:
+    """Reject a source that cannot pass through the geometry.
+
+    Coherent light is modelled in the a beam only, and the non-collinear
+    source fills the counter-propagating b beam, so each needs its own
+    geometry; collinear PDC leaves the b beam empty and fits either.
+    """
+    geometry = Geometry(geometry)
+    if source.kind is SourceKind.COHERENT and geometry is not Geometry.COLLINEAR:
+        raise ValueError("coherent sources use the collinear geometry")
+    if source.kind is SourceKind.NONCOLLINEAR_PDC and geometry is not Geometry.NONCOLLINEAR:
+        raise ValueError("noncollinear PDC sources use the noncollinear geometry")
+    return geometry
+
+
 def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSpec) -> float:
-    """One observable value for a source evolved through the medium.
+    """One observable value for a source evolved through the medium; a
+    one-point fringe_scan."""
+    return fringe_scan(source, (medium.theta,), geometry, obs, medium.theta_plus).values[0]
+
+
+def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
+                theta_plus: float = 0.0) -> FringeSeries:
+    """Evaluate an observable over a theta grid.
 
     Coherent sources are evaluated in closed form.  PDC sources use the
     truncated Fock state: moments carry the source's documented truncation
     error, projections are exact because only one photon-number sector
     contributes.
     """
-    geometry = Geometry(geometry)
-    if source.kind is SourceKind.COHERENT:
-        if geometry is not Geometry.COLLINEAR:
-            raise ValueError("coherent sources use the collinear geometry")
-        return _coherent_value(source, medium.theta, obs)
-    state = _prepare_state(source, obs)
-    return _measure(apply_mor(state, medium, geometry), obs)
-
-
-def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
-                theta_plus: float = 0.0) -> FringeSeries:
-    """Evaluate an observable over a theta grid; pointwise equal to evaluate()."""
-    geometry = Geometry(geometry)
-    thetas = [float(t) for t in thetas]
+    geometry = check_pairing(source, geometry)
+    media = [MediumSpec(theta=float(t), theta_plus=theta_plus) for t in thetas]
     meta = {"source": source, "observable": obs, "geometry": geometry,
             "theta_plus": theta_plus}
     if source.kind is SourceKind.COHERENT:
-        if geometry is not Geometry.COLLINEAR:
-            raise ValueError("coherent sources use the collinear geometry")
-        values = [_coherent_value(source, t, obs) for t in thetas]
-        return FringeSeries(theta_grid=tuple(thetas), values=tuple(values), meta=meta)
-    state = _prepare_state(source, obs)
-    values = [
-        _measure(apply_mor(state, MediumSpec(theta=t, theta_plus=theta_plus), geometry), obs)
-        for t in thetas
-    ]
-    return FringeSeries(theta_grid=tuple(thetas), values=tuple(values), meta=meta)
+        values = [_coherent_value(source, m.theta, obs) for m in media]
+    else:
+        state = _prepare_state(source, obs)
+        values = [_measure(apply_mor(state, m, geometry), obs) for m in media]
+    return FringeSeries(theta_grid=tuple(m.theta for m in media), values=tuple(values),
+                        meta=meta)
 
 
 def visibility(series: FringeSeries) -> VisibilityResult:
@@ -228,7 +235,10 @@ def min_detectable_angle(source: SourceSpec) -> float:
     Coherent: arcsin(1/|alpha|).  Collinear PDC: arcsin(1/sinh 2r).  Requires
     a mean photon number above one.
     """
-    n_mean = _mean_n(source)
+    if source.kind is SourceKind.NONCOLLINEAR_PDC:
+        raise ValueError("minimum detectable angle is defined for coherent and "
+                         "collinear PDC sources")
+    n_mean = mean_photon_number(source)
     if n_mean <= 1.0:
         raise ValueError("no solution: the number-difference fluctuation never "
                          f"reaches 1 for mean photon number {n_mean:g} <= 1")
@@ -252,15 +262,6 @@ def min_detectable_angle_error_propagation(source: SourceSpec) -> float:
     if source.kind is SourceKind.COLLINEAR_PDC:
         return math.inf
     raise ValueError("error-propagation estimator is defined for coherent and "
-                     "collinear PDC sources")
-
-
-def _mean_n(source: SourceSpec) -> float:
-    if source.kind is SourceKind.COHERENT:
-        return abs(source.alpha) ** 2
-    if source.kind is SourceKind.COLLINEAR_PDC:
-        return 2.0 * math.sinh(source.r) ** 2
-    raise ValueError("minimum detectable angle is defined for coherent and "
                      "collinear PDC sources")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +36,11 @@ class MediumSpec:
     theta: float
     theta_plus: float = 0.0
 
+    def __post_init__(self):
+        for name in ("theta", "theta_plus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
     @classmethod
     def from_susceptibilities(cls, chi_plus: float, chi_minus: float,
                               k: float, l: float) -> "MediumSpec":
@@ -44,65 +48,30 @@ class MediumSpec:
             raise ValueError("medium length must be nonnegative")
         return cls(theta=k * l * (chi_plus - chi_minus), theta_plus=k * l * chi_plus)
 
-    @classmethod
-    def from_parameters(cls, theta: float | None = None, theta_plus: float | None = None,
-                        chi_plus: float | None = None, chi_minus: float | None = None,
-                        k: float | None = None, l: float | None = None) -> "MediumSpec":
-        """Build from direct angles or raw susceptibilities; direct values win."""
-        raw = [chi_plus, chi_minus, k, l]
-        have_raw = any(v is not None for v in raw)
-        if theta is not None:
-            if have_raw:
-                warnings.warn("both direct angles and susceptibilities given; "
-                              "using the direct theta/theta_plus values")
-            return cls(theta=theta, theta_plus=theta_plus if theta_plus is not None else 0.0)
-        if not all(v is not None for v in raw):
-            raise ValueError("provide either theta (and optionally theta_plus) "
-                             "or all of chi_plus, chi_minus, k, l")
-        return cls.from_susceptibilities(chi_plus, chi_minus, k, l)
-
-
-def rotation_matrix(theta: float, theta_plus: float = 0.0) -> np.ndarray:
-    """Polarization rotation acting on the (H, V) creation operators.
-
-    e^{i theta_plus} e^{i theta/2} [[cos(theta/2), -sin(theta/2)],
-                                    [sin(theta/2),  cos(theta/2)]]
-    """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    phase = cmath.exp(1j * (theta_plus + theta / 2.0))
-    return phase * np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def two_photon_closed_form(theta: float) -> tuple[float, float, float]:
-    """Amplitudes on (|2,0>, |0,2>, |1,1>) for an evolved |1,1> pair,
-    with the unobservable global phase stripped."""
-    s = math.sin(theta) / math.sqrt(2.0)
-    return (s, -s, math.cos(theta))
-
 
 def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     """Evolve a state through the medium.
 
-    Applies the rotation (theta, theta_plus) to the aH/aV pair; in the
-    non-collinear geometry additionally applies (-theta, -theta_plus) to the
-    bH/bV pair.  Photon numbers are conserved per spatial pair, so the state
-    is evolved sector by (n_a, n_b) sector with the stable lift machinery.
+    Rotates the aH/aV pair by e^{i theta_plus} e^{i theta/2} R(theta/2),
+    R(x) = [[cos x, -sin x], [sin x, cos x]] acting on the creation
+    operators; in the non-collinear geometry additionally rotates the bH/bV
+    pair by (-theta, -theta_plus).  Photon numbers are conserved per spatial
+    pair, so the state is evolved sector by (n_a, n_b) sector.
     """
     geometry = Geometry(geometry)
     theta, theta_plus = medium.theta, medium.theta_plus
 
     sectors: dict[tuple[int, int], dict] = {}
     for occ, amp in state.amplitudes.items():
-        n_a, n_b = occ[0] + occ[1], occ[2] + occ[3]
-        if geometry is Geometry.COLLINEAR and n_b:
-            raise ValueError("collinear geometry requires empty b modes; "
-                             f"found component {occ}")
-        sectors.setdefault((n_a, n_b), {})[(occ[1], occ[3])] = amp
+        sectors.setdefault((occ[0] + occ[1], occ[2] + occ[3]), {})[(occ[1], occ[3])] = amp
 
     # e^{i(theta_plus + theta/2)} per photon in a, conjugate per photon in b
     unit_phase = cmath.exp(1j * (theta_plus + theta / 2.0))
     out: dict[Occupation, complex] = {}
     for (n_a, n_b) in sorted(sectors):
+        if geometry is Geometry.COLLINEAR and n_b:
+            raise ValueError("collinear geometry requires empty b modes; "
+                             f"found {n_b} photons in the b beam")
         entries = sectors[(n_a, n_b)]
         a_idx = sorted({ka for ka, _ in entries})
         b_idx = sorted({kb for _, kb in entries})

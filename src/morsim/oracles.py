@@ -8,20 +8,6 @@ the numeric Fock engine cannot leak into the reference values.
 from __future__ import annotations
 
 import math
-from enum import Enum
-
-
-class OracleId(str, Enum):
-    COH_IX = "coh_ix"
-    COH_IY = "coh_iy"
-    COH_VAR = "coh_var"
-    COL_IHV = "col_ihv"
-    COL_VAR = "col_var"
-    P_NON = "p_non"
-    P_COL = "p_col"
-    I_HHVV = "i_hhvv"
-    TWO_PHOTON_AMPLITUDES = "two_photon_amplitudes"
-    VIS2_CLOSED = "vis2_closed"
 
 
 def coherent_intensity_x(alpha_sq: float, theta: float) -> float:
@@ -72,36 +58,41 @@ def two_photon_visibility_closed(r: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.tanh(r) ** 2)
 
 
-_SCALAR = {
-    OracleId.COH_IX: lambda a2, r, th: coherent_intensity_x(a2, th),
-    OracleId.COH_IY: lambda a2, r, th: coherent_intensity_y(a2, th),
-    OracleId.COH_VAR: lambda a2, r, th: coherent_nd_variance(a2, th),
-    OracleId.COL_IHV: lambda a2, r, th: collinear_two_photon(r, th),
-    OracleId.COL_VAR: lambda a2, r, th: collinear_nd_variance(r, th),
-    OracleId.P_NON: lambda a2, r, th: noncollinear_four_photon_probability(r, th),
-    OracleId.P_COL: lambda a2, r, th: collinear_four_photon_probability(r, th),
-    OracleId.I_HHVV: lambda a2, r, th: collinear_four_photon_counts(r, th),
-    OracleId.VIS2_CLOSED: lambda a2, r, th: two_photon_visibility_closed(r),
+# (source kind, observable kind, detector mode or projection target) ->
+# (closed form f(parameter, theta), name of the source parameter it takes)
+_CLOSED_FORMS = {
+    ("coherent", "intensity", "AH"): (coherent_intensity_x, "alpha_sq"),
+    ("coherent", "intensity", "AV"): (coherent_intensity_y, "alpha_sq"),
+    ("coherent", "nd_variance", None): (coherent_nd_variance, "alpha_sq"),
+    ("collinear_pdc", "two_photon_coincidence", None): (collinear_two_photon, "r"),
+    ("collinear_pdc", "four_photon_glauber", None): (collinear_four_photon_counts, "r"),
+    ("collinear_pdc", "nd_variance", None): (collinear_nd_variance, "r"),
+    ("collinear_pdc", "four_photon_projection", (2, 2, 0, 0)):
+        (collinear_four_photon_probability, "r"),
+    ("noncollinear_pdc", "four_photon_projection", (1, 1, 1, 1)):
+        (noncollinear_four_photon_probability, "r"),
 }
 
 
-def oracle(oracle_id, *, r: float | None = None, alpha: complex | None = None,
-           theta: float = 0.0):
-    """Evaluate one closed form; returns a float (or a triple for the
-    two-photon amplitude oracle)."""
-    try:
-        oid = OracleId(oracle_id)
-    except ValueError:
-        raise ValueError(f"unknown oracle id: {oracle_id!r}") from None
-    if oid is OracleId.TWO_PHOTON_AMPLITUDES:
-        return two_photon_pair_amplitudes(theta)
-    if r is not None and r < 0:
+def closed_form(source: str, observable: str, detail, theta: float, *,
+                r: float | None = None, alpha_sq: float | None = None) -> float:
+    """Closed-form value of one observable at rotation angle theta.
+
+    ``source`` and ``observable`` are the kind names (e.g. "collinear_pdc",
+    "two_photon_coincidence"); ``detail`` is the detector mode name ("AH",
+    "AV") for intensities, the target occupation tuple for projections and
+    None otherwise.  PDC forms take the interaction parameter ``r``, coherent
+    forms the squared amplitude ``alpha_sq``.
+    """
+    entry = _CLOSED_FORMS.get((source, observable, detail))
+    if entry is None:
+        where = "" if detail is None else f" detail={detail}"
+        raise ValueError(f"no closed form for source={source} observable={observable}"
+                         f"{where}; use the numeric engine")
+    fn, parameter = entry
+    value = r if parameter == "r" else alpha_sq
+    if value is None:
+        raise ValueError(f"closed form for {source} {observable} requires {parameter}")
+    if parameter == "r" and value < 0:
         raise ValueError("interaction parameter r must be nonnegative")
-    needs_r = oid in (OracleId.COL_IHV, OracleId.COL_VAR, OracleId.P_NON,
-                      OracleId.P_COL, OracleId.I_HHVV, OracleId.VIS2_CLOSED)
-    if needs_r and r is None:
-        raise ValueError(f"oracle {oid.value} requires r")
-    if not needs_r and alpha is None:
-        raise ValueError(f"oracle {oid.value} requires alpha")
-    alpha_sq = abs(alpha) ** 2 if alpha is not None else 0.0
-    return _SCALAR[oid](alpha_sq, r if r is not None else 0.0, theta)
+    return fn(value, theta)

@@ -49,6 +49,9 @@ class SourceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SourceKind(self.kind))
+        for name in ("alpha", "r", "phi", "epsilon"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.r < 0:
             raise ValueError("interaction parameter r must be nonnegative")
         if self.n_max is not None and self.n_max < 1:

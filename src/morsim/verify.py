@@ -18,6 +18,7 @@ from .detection import (
     FringeSeries,
     ObservableKind,
     ObservableSpec,
+    _measure,
     dominant_frequency,
     fringe_scan,
     min_detectable_angle,
@@ -28,7 +29,7 @@ from .fock import (
     normally_ordered_moment,
     projection_probability,
 )
-from .medium import Geometry, MediumSpec, apply_mor, two_photon_closed_form
+from .medium import Geometry, MediumSpec, apply_mor
 from .sources import SourceKind, SourceSpec, collinear_state, noncollinear_state
 
 # truncation depths with fourth-moment tail bounds far below the 1e-8
@@ -37,6 +38,7 @@ ORACLE_N_MAX = {0.01: 8, 0.1: 24, 0.5: 48, 1.0: 96, 1.3: 128}
 ORACLE_R_VALUES = (0.1, 0.5, 1.0, 1.3)
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
+ND_VARIANCE = ObservableSpec(kind=ObservableKind.ND_VARIANCE)
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,9 @@ def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
             worst["four"] = max(worst["four"], _tolerance_ratio(
                 ihhvv, oracles.collinear_four_photon_counts(r, theta)))
 
-            mean = 0.0
-            second = 0.0
-            for occ, amp in evolved.amplitudes.items():
-                p = amp.real * amp.real + amp.imag * amp.imag
-                d = occ[1] - occ[0]
-                mean += p * d
-                second += p * d * d
             worst["var"] = max(worst["var"], _tolerance_ratio(
-                second - mean * mean, oracles.collinear_nd_variance(r, theta), rel=1e-6))
+                _measure(evolved, ND_VARIANCE), oracles.collinear_nd_variance(r, theta),
+                rel=1e-6))
 
             p_col = projection_probability(
                 apply_mor_fn(col4, medium, Geometry.COLLINEAR), (2, 2, 0, 0))
@@ -118,7 +114,7 @@ def check_two_photon_closed_form(apply_mor_fn=apply_mor) -> CheckResult:
                            Geometry.COLLINEAR)
         got = [out.amplitude((2, 0, 0, 0)), out.amplitude((0, 2, 0, 0)),
                out.amplitude((1, 1, 0, 0))]
-        expected = two_photon_closed_form(theta)
+        expected = oracles.two_photon_pair_amplitudes(theta)
         overlap = sum(e * g for e, g in zip(expected, got))
         phase = overlap / abs(overlap)
         worst = max(worst, max(abs(g / phase - e) for g, e in zip(got, expected)))

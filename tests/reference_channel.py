@@ -1,0 +1,89 @@
+"""Independent reference for the polarization-rotation channel.
+
+Each (n_a, n_b) photon-number sector is evolved by scipy's ``expm`` of the
+generator lifted from the 2x2 rotation generator; nothing is shared with the
+engine's cached J_y eigenbasis.  Sector index k <-> |n-k, k> (k photons in
+the V mode), as in the engine.  ``sector_matrix`` and ``max_difference`` are
+the helpers that put the engine's output next to the reference.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from scipy.linalg import expm
+
+from morsim import Geometry, KetState, MediumSpec, apply_mor, make_basis_state
+
+
+def rotation_matrix(theta, theta_plus=0.0):
+    """e^{i theta_plus} e^{i theta/2} [[cos, -sin], [sin, cos]](theta/2), acting
+    on the (H, V) creation operators: rows are the images."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return cmath.exp(1j * (theta_plus + theta / 2.0)) * np.array([[c, -s], [s, c]])
+
+
+def rotation_generator(theta, theta_plus=0.0):
+    """Hermitian g with expm(1j * g) == rotation_matrix(theta, theta_plus)."""
+    return ((theta_plus + theta / 2.0) * np.eye(2)
+            + (theta / 2.0) * np.array([[0.0, 1j], [-1j, 0.0]]))
+
+
+def lifted_generator(g, n):
+    """sum_kl (g^T)_kl a_k^dag a_l on the n-photon subspace of a mode pair."""
+    ks = np.arange(n + 1)
+    out = np.diag(g[0, 0] * (n - ks) + g[1, 1] * ks).astype(complex)
+    for k in range(1, n + 1):
+        hop = math.sqrt((n - k + 1) * k)
+        out[k - 1, k] = g[1, 0] * hop
+        out[k, k - 1] = g[0, 1] * hop
+    return out
+
+
+def sector_unitary(theta, theta_plus, n):
+    """The pair rotation on n photons; column k is the image of |n-k, k>."""
+    return expm(1j * lifted_generator(rotation_generator(theta, theta_plus), n))
+
+
+def reference_channel(state, a_angles, b_angles=(0.0, 0.0)):
+    """Rotate the aH/aV pair by a_angles = (theta, theta_plus) and the bH/bV
+    pair by b_angles; every output component is kept."""
+    sectors = {}
+    for occ, amp in state.amplitudes.items():
+        sectors.setdefault((occ[0] + occ[1], occ[2] + occ[3]), {})[(occ[1], occ[3])] = amp
+    out = {}
+    for (n_a, n_b), entries in sectors.items():
+        x = np.zeros((n_a + 1, n_b + 1), dtype=complex)
+        for (ka, kb), amp in entries.items():
+            x[ka, kb] = amp
+        y = sector_unitary(*a_angles, n_a) @ x @ sector_unitary(*b_angles, n_b).T
+        for ka in range(n_a + 1):
+            for kb in range(n_b + 1):
+                out[(n_a - ka, ka, n_b - kb, kb)] = complex(y[ka, kb])
+    return KetState(amplitudes=out, truncation_tail=state.truncation_tail)
+
+
+def reference_mor(state, medium, geometry):
+    """The MOR channel: the b beam counter-propagates and sees (-theta,
+    -theta_plus) in the non-collinear geometry, nothing in the collinear one."""
+    b_angles = (0.0, 0.0)
+    if Geometry(geometry) is Geometry.NONCOLLINEAR:
+        b_angles = (-medium.theta, -medium.theta_plus)
+    return reference_channel(state, (medium.theta, medium.theta_plus), b_angles)
+
+
+def sector_matrix(theta, theta_plus, n):
+    """The engine's matrix on the n-photon aH/aV subspace, read off apply_mor
+    one basis state at a time: column k is the image of |n-k, k>."""
+    medium = MediumSpec(theta=theta, theta_plus=theta_plus)
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    for k in range(n + 1):
+        out = apply_mor(make_basis_state((n - k, k, 0, 0)), medium, Geometry.COLLINEAR)
+        for j in range(n + 1):
+            m[j, k] = out.amplitude((n - j, j, 0, 0))
+    return m
+
+
+def max_difference(left, right):
+    keys = set(left.amplitudes) | set(right.amplitudes)
+    return max((abs(left.amplitude(k) - right.amplitude(k)) for k in keys), default=0.0)

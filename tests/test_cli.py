@@ -104,6 +104,51 @@ def test_fringe_exact_mode_without_closed_form_exits_1(capsys):
     assert "closed form" in capsys.readouterr().err
 
 
+# command -> what the single error line must blame
+NON_FINITE = {
+    "fringe --theta-plus nan": "theta_plus",
+    "fringe --theta-plus inf --mode exact": "theta_plus",
+    "fringe --r nan --n-max 4": "r",
+    "fringe --r inf --n-max 4": "r",
+    "fringe --r nan": "r",
+    "fringe --phi=-inf --n-max 4": "phi",
+    "fringe --epsilon nan": "epsilon",
+    "fringe --source coherent --observable intensity --alpha nan": "alpha",
+    "fringe --theta-max inf": "theta grid bounds",
+    "visibility --r-max nan": "r grid bounds",
+    "envelope --r-max inf": "r grid bounds",
+    "sensitivity --mean-n-max inf": "mean_n grid bounds",
+}
+
+
+@pytest.mark.parametrize("command", NON_FINITE)
+def test_non_finite_input_exits_1(capsys, command):
+    assert run_cli(*command.split(), "--points", "5") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {NON_FINITE[command]} must be finite")
+
+
+def test_fringe_exact_mode_checks_source_geometry_pairing(capsys):
+    # numeric mode rejects coherent light in the noncollinear geometry; exact
+    # mode must not print a fringe for it either
+    for mode in ("exact", "numeric", "both"):
+        assert run_cli("fringe", "--source", "coherent", "--geometry", "noncollinear",
+                       "--observable", "intensity", "--mode", mode, "--points", "5") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "coherent sources use the collinear geometry" in err
+
+
+def test_fringe_noncollinear_source_in_collinear_geometry_exits_1(capsys):
+    # the default collinear target (2,2,0,0) selects a sector the noncollinear
+    # source leaves empty; it must not pass as an all-zero fringe
+    for extra in ([], ["--target", "1,1,1,1"]):
+        assert run_cli("fringe", "--source", "noncollinear", "--geometry", "collinear",
+                       "--observable", "four-photon-projection", "--points", "5", *extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "noncollinear geometry" in err
+
+
 def test_bad_flag_exits_1(capsys):
     assert run_cli("fringe", "--no-such-flag") == 1
     assert run_cli("no-such-command") == 1

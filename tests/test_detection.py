@@ -18,7 +18,7 @@ from morsim import (
     min_detectable_angle,
     min_detectable_angle_error_propagation,
     nd_variance,
-    oracle,
+    oracles,
     visibility,
 )
 
@@ -58,9 +58,9 @@ def test_evaluate_projection_is_exact_at_any_r():
     # only the four-photon sector contributes, so no truncation cap applies
     for r in (0.5, 1.3, 3.0):
         got = evaluate(noncollinear(r), MediumSpec(theta=0.3), Geometry.NONCOLLINEAR, PROJ_NON)
-        assert got == pytest.approx(oracle("p_non", r=r, theta=0.3), rel=1e-12)
+        assert got == pytest.approx(oracles.noncollinear_four_photon_probability(r, 0.3), rel=1e-12)
         got = evaluate(collinear(r), MediumSpec(theta=0.3), Geometry.COLLINEAR, PROJ_COL)
-        assert got == pytest.approx(oracle("p_col", r=r, theta=0.3), rel=1e-12)
+        assert got == pytest.approx(oracles.collinear_four_photon_probability(r, 0.3), rel=1e-12)
 
 
 def test_evaluate_collinear_projection_quarter_turn_anchor():
@@ -168,7 +168,7 @@ def test_visibility_two_photon_closed_form():
     grid = np.linspace(0.0, math.pi, 65)
     series = fringe_scan(src, grid, Geometry.COLLINEAR, TWO_PHOTON)
     res = visibility(series)
-    assert res.v == pytest.approx(oracle("vis2_closed", r=1.0), rel=1e-8)
+    assert res.v == pytest.approx(oracles.two_photon_visibility_closed(1.0), rel=1e-8)
     assert abs(res.v - 0.46295) < 1e-3
     assert res.theta_at_max == 0.0
     assert res.theta_at_min == pytest.approx(math.pi / 2, abs=1e-12)
@@ -212,7 +212,7 @@ def test_nd_variance_collinear_matches_closed_form():
     assert abs(expected - 13.1539) < 1e-3
     for theta in (0.3, 1.1, 2.5):
         got = nd_variance(src, MediumSpec(theta=theta), Geometry.COLLINEAR)
-        assert got == pytest.approx(oracle("col_var", r=1.0, theta=theta), rel=1e-8)
+        assert got == pytest.approx(oracles.collinear_nd_variance(1.0, theta), rel=1e-8)
 
 
 def test_min_detectable_angle():

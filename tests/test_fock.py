@@ -6,19 +6,17 @@ import pytest
 from scipy.linalg import expm
 
 from morsim import (
+    Geometry,
     KetState,
+    MediumSpec,
     Mode,
-    apply_two_mode_unitary,
-    inner_product,
+    apply_mor,
     make_basis_state,
     noncollinear_state,
     normally_ordered_moment,
     projection_probability,
-    rotation_matrix,
-    two_mode_unitary_subspace_matrix,
 )
-
-AH, AV, BH, BV = Mode.AH, Mode.AV, Mode.BH, Mode.BV
+from reference_channel import lifted_generator, rotation_generator, rotation_matrix, sector_matrix
 
 
 def lift_by_expansion(u, n):
@@ -44,13 +42,6 @@ def lift_by_expansion(u, n):
     return m
 
 
-def random_unitary(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(a)
-    return q
-
-
 def test_make_basis_state_examples():
     for occ in [(1, 1, 1, 1), (0, 0, 0, 0), (2, 0, 0, 0)]:
         state = make_basis_state(occ)
@@ -65,43 +56,45 @@ def test_make_basis_state_rejects_negative():
 
 
 def test_inner_product_normalization_and_orthogonality():
+    # basis states are orthonormal, and the overlaps <occ|psi> of a source
+    # with every stored occupation add up to its norm 1 - tail
+    occs = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]
+    for bra in occs:
+        for ket in occs:
+            assert make_basis_state(ket).amplitude(bra) == (1.0 if bra == ket else 0.0)
     psi = noncollinear_state(0.7, n_max=12)
-    norm = inner_product(psi, psi)
-    assert abs(norm - psi.norm_squared()) < 1e-15
-    assert abs(norm.imag) < 1e-15
-    assert inner_product(make_basis_state((1, 0, 0, 0)), make_basis_state((0, 1, 0, 0))) == 0
-
-
-def test_inner_product_conjugate_linear_in_bra():
-    bra = KetState(amplitudes={(1, 0, 0, 0): 0.6 + 0.8j})
-    ket = KetState(amplitudes={(1, 0, 0, 0): 1.0 + 0j})
-    assert inner_product(bra, ket) == pytest.approx(0.6 - 0.8j)
+    total = sum(abs(psi.amplitude(occ)) ** 2 for occ in psi.amplitudes)
+    assert abs(total + psi.truncation_tail - 1.0) < 1e-15
 
 
 def test_inner_product_noncollinear_four_photon_component():
     # |1111> sits in the n=2, m=1 term: amplitude -tanh^2 r / cosh^2 r
-    amp = inner_product(make_basis_state((1, 1, 1, 1)), noncollinear_state(1.0, n_max=8))
+    psi = noncollinear_state(1.0, n_max=8)
+    amp = psi.amplitude((1, 1, 1, 1))
     expected = math.tanh(1.0) ** 2 / math.cosh(1.0) ** 2
     assert abs(amp + expected) < 1e-15
-    assert abs(abs(amp) ** 2 - math.tanh(1.0) ** 4 / math.cosh(1.0) ** 4) < 1e-15
+    assert abs(projection_probability(psi, (1, 1, 1, 1))
+               - math.tanh(1.0) ** 4 / math.cosh(1.0) ** 4) < 1e-15
 
 
 def test_subspace_matrix_identity_lift():
-    m = two_mode_unitary_subspace_matrix(np.eye(2), 3)
+    m = sector_matrix(0.0, 0.0, 3)
     assert np.max(np.abs(m - np.eye(4))) < 1e-14
 
 
 def test_subspace_matrix_hong_ou_mandel():
-    u = np.array([[1, 1], [-1, 1]], dtype=complex) / math.sqrt(2)
-    col = two_mode_unitary_subspace_matrix(u, 2)[:, 1]  # image of |1,1>
-    assert abs(col[0] + 1 / math.sqrt(2)) < 1e-14
+    # theta = pi/2 turns the pair into a balanced beam splitter: |1,1> never
+    # leaves as one photon per mode
+    col = sector_matrix(math.pi / 2, 0.0, 2)[:, 1]  # image of |1,1>
+    phase = col[0] / abs(col[0])
+    assert abs(col[0] / phase - 1 / math.sqrt(2)) < 1e-14
     assert abs(col[1]) < 1e-14
-    assert abs(col[2] - 1 / math.sqrt(2)) < 1e-14
+    assert abs(col[2] / phase + 1 / math.sqrt(2)) < 1e-14
 
 
 def test_subspace_matrix_rotation_on_one_one_matches_closed_form():
     theta = 0.9
-    col = two_mode_unitary_subspace_matrix(rotation_matrix(theta), 2)[:, 1]
+    col = sector_matrix(theta, 0.3, 2)[:, 1]
     phase = col[1] / abs(col[1])
     col = col / phase
     assert abs(col[0] - math.sin(theta) / math.sqrt(2)) < 1e-13
@@ -111,98 +104,74 @@ def test_subspace_matrix_rotation_on_one_one_matches_closed_form():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_subspace_matrix_matches_binomial_expansion(n):
-    for seed in range(4):
-        u = random_unitary(seed)
-        got = two_mode_unitary_subspace_matrix(u, n)
-        assert np.max(np.abs(got - lift_by_expansion(u, n))) < 1e-12
+    rng = np.random.default_rng(n)
+    for theta, theta_plus in rng.uniform(-2 * math.pi, 2 * math.pi, size=(4, 2)):
+        got = sector_matrix(theta, theta_plus, n)
+        assert np.max(np.abs(got - lift_by_expansion(rotation_matrix(theta, theta_plus), n))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 40, 120])
 def test_subspace_matrix_unitary(n):
-    m = two_mode_unitary_subspace_matrix(rotation_matrix(1.1, 0.4), n)
+    m = sector_matrix(1.1, 0.4, n)
     assert np.max(np.abs(m.conj().T @ m - np.eye(n + 1))) < 1e-12
 
 
 def test_subspace_matrix_composition():
-    # with the row-substitution convention the lift anti-composes:
-    # applying u then v is the single matrix u @ v, so M(u v) = M(v) M(u)
-    u, v = random_unitary(11), random_unitary(12)
+    # rotations about one axis compose by adding angles, in either order
     for n in (1, 3, 6):
-        muv = two_mode_unitary_subspace_matrix(u @ v, n)
-        assert np.max(np.abs(
-            muv - two_mode_unitary_subspace_matrix(v, n) @ two_mode_unitary_subspace_matrix(u, n)
-        )) < 1e-12
-    # commuting pairs (two in-plane rotations) compose in either order
-    r1, r2 = rotation_matrix(0.6), rotation_matrix(1.3)
-    m12 = two_mode_unitary_subspace_matrix(r1 @ r2, 5)
-    assert np.max(np.abs(
-        m12 - two_mode_unitary_subspace_matrix(r1, 5) @ two_mode_unitary_subspace_matrix(r2, 5)
-    )) < 1e-12
+        m1, m2 = sector_matrix(0.6, 0.2, n), sector_matrix(1.3, -0.5, n)
+        both = sector_matrix(1.9, -0.3, n)
+        assert np.max(np.abs(both - m2 @ m1)) < 1e-12
+        assert np.max(np.abs(both - m1 @ m2)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_subspace_matrix_matches_generator_exponential(n):
     # brute force: u = expm(iG) lifts to expm(i sum (G^T)_{kl} a_k^dag a_l)
-    g = np.array([[0.4, 0.3 - 0.6j], [0.3 + 0.6j, -0.2]])
-    u = expm(1j * g)
-    dim = n + 1
-    ks = np.arange(dim)
-    num = np.diag(g[0, 0] * (n - ks) + g[1, 1] * ks).astype(complex)
-    hop = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        hop[k - 1, k] = g.T[0, 1] * math.sqrt((n - k + 1) * k)
-        hop[k, k - 1] = g.T[1, 0] * math.sqrt((n - k + 1) * k)
-    lifted_generator = num + hop
+    theta, theta_plus = 2.3, -0.8
+    g = rotation_generator(theta, theta_plus)
+    assert np.max(np.abs(expm(1j * g) - rotation_matrix(theta, theta_plus))) < 1e-14
     assert np.max(np.abs(
-        two_mode_unitary_subspace_matrix(u, n) - expm(1j * lifted_generator)
-    )) < 1e-10
-
-
-def test_subspace_matrix_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        two_mode_unitary_subspace_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]), 2)
+        sector_matrix(theta, theta_plus, n) - expm(1j * lifted_generator(g, n))
+    )) < 1e-12
 
 
 def test_apply_unitary_identity_is_noop():
     psi = noncollinear_state(0.8, n_max=6)
-    out = apply_two_mode_unitary(psi, (AH, AV), np.eye(2))
+    out = apply_mor(psi, MediumSpec(theta=0.0), Geometry.NONCOLLINEAR)
     assert set(out.amplitudes) == set(psi.amplitudes)
     for occ, amp in psi.amplitudes.items():
         assert abs(out.amplitudes[occ] - amp) < 1e-14
 
 
 def test_apply_unitary_half_turn_swaps_modes():
-    out = apply_two_mode_unitary(make_basis_state((1, 0, 0, 0)), (AH, AV),
-                                 rotation_matrix(math.pi))
+    out = apply_mor(make_basis_state((1, 0, 0, 0)), MediumSpec(theta=math.pi),
+                    Geometry.COLLINEAR)
     assert len(out.amplitudes) == 1
     amp = out.amplitude((0, 1, 0, 0))
     assert abs(abs(amp) - 1.0) < 1e-14
 
 
-def test_apply_unitary_rejects_identical_modes():
-    with pytest.raises(ValueError):
-        apply_two_mode_unitary(make_basis_state((1, 0, 0, 0)), (AH, AH), np.eye(2))
-
-
 def test_apply_unitary_preserves_norm_and_other_modes():
     psi = noncollinear_state(0.9, n_max=8)
-    out = apply_two_mode_unitary(psi, (AH, AV), rotation_matrix(0.7, 0.3))
+    out = apply_mor(psi, MediumSpec(theta=0.7, theta_plus=0.3), Geometry.NONCOLLINEAR)
     assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
-    # photons in b modes unchanged per component
-    def b_weight(state, nb):
+    # photon numbers per beam unchanged per component
+    def sector_weight(state, n_a, n_b):
         return sum(abs(a) ** 2 for occ, a in state.amplitudes.items()
-                   if occ[2] + occ[3] == nb)
-    for nb in range(9):
-        assert abs(b_weight(out, nb) - b_weight(psi, nb)) < 1e-13
+                   if occ[0] + occ[1] == n_a and occ[2] + occ[3] == n_b)
+    for n in range(9):
+        assert abs(sector_weight(out, n, n) - sector_weight(psi, n, n)) < 1e-13
+    assert all(occ[0] + occ[1] == occ[2] + occ[3] for occ in out.amplitudes)
 
 
 def test_apply_unitary_sequential_composition():
-    u, v = random_unitary(5), random_unitary(6)
     psi = noncollinear_state(0.6, n_max=5)
-    step = apply_two_mode_unitary(apply_two_mode_unitary(psi, (AH, AV), u), (AH, AV), v)
-    once = apply_two_mode_unitary(psi, (AH, AV), u @ v)
+    step = apply_mor(apply_mor(psi, MediumSpec(0.4, 1.2), Geometry.NONCOLLINEAR),
+                     MediumSpec(2.5, -0.3), Geometry.NONCOLLINEAR)
+    once = apply_mor(psi, MediumSpec(2.9, 0.9), Geometry.NONCOLLINEAR)
     keys = set(step.amplitudes) | set(once.amplitudes)
-    assert max(abs(step.amplitude(k) - once.amplitude(k)) for k in keys) < 1e-10
+    assert max(abs(step.amplitude(k) - once.amplitude(k)) for k in keys) < 1e-12
 
 
 def test_moment_zeroth_power_is_norm():

@@ -2,24 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsim import (
     Geometry,
+    KetState,
     MediumSpec,
-    Mode,
     apply_mor,
-    apply_two_mode_unitary,
     collinear_state,
     make_basis_state,
     noncollinear_state,
     normally_ordered_moment,
-    oracle,
+    oracles,
     projection_probability,
-    rotation_matrix,
-    two_photon_closed_form,
 )
+from reference_channel import max_difference, reference_mor, rotation_matrix, sector_matrix
 
-AH, AV, BH, BV = Mode.AH, Mode.AV, Mode.BH, Mode.BV
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
 
 def strip_global_phase(amps, reference):
@@ -29,12 +30,36 @@ def strip_global_phase(amps, reference):
     return [a * overlap.conjugate() / abs(overlap) for a in amps]
 
 
+def one_photon_matrix(theta, theta_plus=0.0):
+    """The channel's action on one a-beam photon: row 0 (1) is the image of
+    the H (V) photon's creation operator."""
+    return sector_matrix(theta, theta_plus, 1).T
+
+
+@st.composite
+def small_states(draw, geometry):
+    """Random superpositions of up to six occupations with at most three
+    photons per mode; the b beam stays empty in the collinear geometry."""
+    n_b = 3 if geometry is Geometry.NONCOLLINEAR else 0
+    occ = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                    st.integers(0, n_b), st.integers(0, n_b))
+    amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    amps = draw(st.dictionaries(occ, amp, min_size=1, max_size=6))
+    tail = draw(st.floats(min_value=0.0, max_value=0.1))
+    return KetState(amplitudes=amps, truncation_tail=tail)
+
+
+def geometry_and_state():
+    return st.sampled_from(Geometry).flatmap(
+        lambda g: st.tuples(st.just(g), small_states(g)))
+
+
 def test_rotation_matrix_theta_zero_is_identity():
-    assert np.max(np.abs(rotation_matrix(0.0, 0.0) - np.eye(2))) < 1e-15
+    assert np.max(np.abs(one_photon_matrix(0.0, 0.0) - np.eye(2))) < 1e-15
 
 
 def test_rotation_matrix_half_turn_is_antisymmetric_swap():
-    r = rotation_matrix(math.pi, 0.0)
+    r = one_photon_matrix(math.pi, 0.0)
     phase = r[1, 0]
     assert abs(abs(phase) - 1.0) < 1e-15
     assert np.max(np.abs(r / phase - np.array([[0, -1], [1, 0]]))) < 1e-15
@@ -42,10 +67,11 @@ def test_rotation_matrix_half_turn_is_antisymmetric_swap():
 
 def test_rotation_matrix_unitary_with_unimodular_determinant():
     for theta, tp in [(0.3, 0.0), (1.2, 0.5), (math.pi, 2.0), (-0.7, -1.1)]:
-        r = rotation_matrix(theta, tp)
+        r = one_photon_matrix(theta, tp)
         assert np.max(np.abs(r.conj().T @ r - np.eye(2))) < 1e-14
         det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
         assert abs(abs(det) - 1.0) < 1e-14
+        assert np.max(np.abs(r - rotation_matrix(theta, tp))) < 1e-14
 
 
 def test_rotation_matrix_from_circular_basis_phases():
@@ -56,19 +82,19 @@ def test_rotation_matrix_from_circular_basis_phases():
     t = np.array([[1, 1], [1j, -1j]]) / math.sqrt(2)  # columns: +,- creation ops
     diag = np.diag([np.exp(-1j * theta_p), np.exp(-1j * theta_m)])
     conjugated = t @ diag @ np.linalg.inv(t)
-    reference = rotation_matrix(theta, theta_p)
+    reference = one_photon_matrix(theta, theta_p)
     ratio = conjugated[0, 0] / reference[0, 0]
     assert abs(abs(ratio) - 1.0) < 1e-13
     assert np.max(np.abs(conjugated - ratio * reference)) < 1e-13
 
 
 def test_two_photon_closed_form_values():
-    assert two_photon_closed_form(0.0) == (0.0, 0.0, 1.0)
-    c, d, f = two_photon_closed_form(math.pi / 2)
+    assert oracles.two_photon_pair_amplitudes(0.0) == (0.0, 0.0, 1.0)
+    c, d, f = oracles.two_photon_pair_amplitudes(math.pi / 2)
     assert c == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert d == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
     assert abs(f) < 1e-15
-    c, d, f = two_photon_closed_form(math.pi / 4)
+    c, d, f = oracles.two_photon_pair_amplitudes(math.pi / 4)
     assert (c, d) == (pytest.approx(0.5, abs=1e-15), pytest.approx(-0.5, abs=1e-15))
     assert f == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
 
@@ -82,19 +108,21 @@ def test_apply_mor_matches_two_photon_closed_form():
         out = apply_mor(pair_in, medium, Geometry.COLLINEAR)
         got = [out.amplitude((2, 0, 0, 0)), out.amplitude((0, 2, 0, 0)),
                out.amplitude((1, 1, 0, 0))]
-        expected = two_photon_closed_form(float(theta))
+        expected = oracles.two_photon_pair_amplitudes(float(theta))
         aligned = strip_global_phase(got, expected)
         worst = max(worst, max(abs(a - e) for a, e in zip(aligned, expected)))
     assert worst < 1e-12
 
 
-def test_apply_mor_preserves_norm():
-    psi = noncollinear_state(1.0, n_max=10)
-    out = apply_mor(psi, MediumSpec(theta=0.9, theta_plus=1.1), Geometry.NONCOLLINEAR)
-    assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
-    col = collinear_state(1.0, n_max=24)
-    out = apply_mor(col, MediumSpec(theta=2.1), Geometry.COLLINEAR)
-    assert abs(out.norm_squared() - col.norm_squared()) < 1e-12
+@PROPERTY_SETTINGS
+@given(geometry_and_state(), ANGLES, ANGLES)
+def test_apply_mor_preserves_norm(case, theta, theta_plus):
+    # what pruning drops goes to the tail, so norm plus tail is kept
+    geometry, psi = case
+    out = apply_mor(psi, MediumSpec(theta, theta_plus), geometry)
+    assert out.truncation_tail >= psi.truncation_tail
+    assert abs((out.norm_squared() + out.truncation_tail)
+               - (psi.norm_squared() + psi.truncation_tail)) < 1e-12
 
 
 def test_apply_mor_theta_zero_changes_no_observable():
@@ -109,15 +137,14 @@ def test_apply_mor_rejects_collinear_geometry_with_b_photons():
         apply_mor(make_basis_state((1, 0, 1, 0)), MediumSpec(theta=0.1), Geometry.COLLINEAR)
 
 
-def test_apply_mor_matches_sequential_pair_unitaries():
-    psi = noncollinear_state(0.7, n_max=6)
-    theta, theta_plus = 1.3, 0.4
-    via_channel = apply_mor(psi, MediumSpec(theta, theta_plus), Geometry.NONCOLLINEAR)
-    stepped = apply_two_mode_unitary(psi, (AH, AV), rotation_matrix(theta, theta_plus))
-    stepped = apply_two_mode_unitary(stepped, (BH, BV), rotation_matrix(-theta, -theta_plus))
-    keys = set(via_channel.amplitudes) | set(stepped.amplitudes)
-    worst = max(abs(via_channel.amplitude(k) - stepped.amplitude(k)) for k in keys)
-    assert worst < 1e-12
+@PROPERTY_SETTINGS
+@given(geometry_and_state(), ANGLES, ANGLES)
+def test_apply_mor_matches_sequential_pair_unitaries(case, theta, theta_plus):
+    # the reference rotates the a pair, then the b pair with opposite angles
+    geometry, psi = case
+    medium = MediumSpec(theta, theta_plus)
+    assert max_difference(apply_mor(psi, medium, geometry),
+                          reference_mor(psi, medium, geometry)) < 1e-12
 
 
 def test_collinear_two_photon_fringe_matches_closed_form():
@@ -126,7 +153,7 @@ def test_collinear_two_photon_fringe_matches_closed_form():
     for theta in np.linspace(0.0, math.pi, 9):
         out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.COLLINEAR)
         got = normally_ordered_moment(out, (1, 1, 0, 0))
-        assert got == pytest.approx(oracle("col_ihv", r=r, theta=float(theta)), rel=1e-10)
+        assert got == pytest.approx(oracles.collinear_two_photon(r, float(theta)), rel=1e-10)
 
 
 def test_noncollinear_projection_matches_closed_form():
@@ -135,7 +162,7 @@ def test_noncollinear_projection_matches_closed_form():
     for theta in np.linspace(0.0, math.pi, 11):
         out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.NONCOLLINEAR)
         got = projection_probability(out, (1, 1, 1, 1))
-        expected = oracle("p_non", r=r, theta=float(theta))
+        expected = oracles.noncollinear_four_photon_probability(r, float(theta))
         assert abs(got - expected) <= max(1e-12, 1e-10 * expected)
 
 
@@ -156,14 +183,21 @@ def test_observables_invariant_under_global_phase_angle():
             assert all(abs(a - b) < 1e-12 for a, b in zip(probe, reference))
 
 
-def test_observables_even_in_theta():
-    psi = collinear_state(1.0, n_max=32)
-    for theta in np.linspace(0.1, math.pi, 7):
-        plus = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.COLLINEAR)
-        minus = apply_mor(psi, MediumSpec(theta=-float(theta)), Geometry.COLLINEAR)
-        for powers in [(1, 1, 0, 0), (2, 2, 0, 0), (1, 0, 0, 0)]:
-            assert abs(normally_ordered_moment(plus, powers)
-                       - normally_ordered_moment(minus, powers)) < 1e-12
+@PROPERTY_SETTINGS
+@given(st.sampled_from(Geometry), st.floats(0.0, 1.2), st.floats(-math.pi, math.pi),
+       st.integers(1, 32), ANGLES, ANGLES)
+def test_observables_even_in_theta(geometry, r, phi, n_max, theta, theta_plus):
+    if geometry is Geometry.COLLINEAR:
+        psi, target = collinear_state(r, phi=phi, n_max=n_max), (2, 2, 0, 0)
+    else:
+        psi, target = noncollinear_state(r, n_max=min(n_max, 8)), (1, 1, 1, 1)
+    plus = apply_mor(psi, MediumSpec(theta, theta_plus), geometry)
+    minus = apply_mor(psi, MediumSpec(-theta, theta_plus), geometry)
+    for powers in [(1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1)]:
+        assert abs(normally_ordered_moment(plus, powers)
+                   - normally_ordered_moment(minus, powers)) < 1e-12
+    assert abs(projection_probability(plus, target)
+               - projection_probability(minus, target)) < 1e-12
 
 
 def test_counter_propagation_sign_swap_leaves_projection_invariant():
@@ -185,10 +219,18 @@ def test_medium_spec_from_susceptibilities():
         MediumSpec.from_susceptibilities(0.4, 0.1, 2.0, -1.0)
 
 
-def test_medium_spec_direct_angles_win_with_warning():
-    with pytest.warns(UserWarning):
-        m = MediumSpec.from_parameters(theta=0.5, theta_plus=0.1,
-                                       chi_plus=1.0, chi_minus=0.0, k=1.0, l=1.0)
-    assert m.theta == 0.5 and m.theta_plus == 0.1
-    with pytest.raises(ValueError):
-        MediumSpec.from_parameters(chi_plus=1.0, k=1.0)
+def test_medium_spec_rejects_non_finite():
+    for field in ("theta", "theta_plus"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                MediumSpec(**{"theta": 0.1, field: value})
+
+
+@PROPERTY_SETTINGS
+@given(geometry_and_state(), ANGLES, ANGLES, ANGLES, ANGLES)
+def test_apply_mor_composes_by_adding_angles(case, theta1, plus1, theta2, plus2):
+    geometry, psi = case
+    twice = apply_mor(apply_mor(psi, MediumSpec(theta1, plus1), geometry),
+                      MediumSpec(theta2, plus2), geometry)
+    once = apply_mor(psi, MediumSpec(theta1 + theta2, plus1 + plus2), geometry)
+    assert max_difference(twice, once) < 1e-12

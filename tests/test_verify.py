@@ -1,23 +1,24 @@
 import math
 
-from morsim import Geometry, Mode, apply_two_mode_unitary, rotation_matrix
+from morsim import Geometry, apply_mor
 from morsim.verify import (
     check_two_photon_closed_form,
     check_normalization_and_invariance,
     check_oracle_equivalence,
     run_all,
 )
+from reference_channel import reference_channel
 
 
 def broken_apply_mor(state, medium, geometry):
     """Channel with the counter-propagation sign error: the b beam sees
-    +theta instead of -theta."""
-    out = apply_two_mode_unitary(state, (Mode.AH, Mode.AV),
-                                 rotation_matrix(medium.theta, medium.theta_plus))
-    if Geometry(geometry) is Geometry.NONCOLLINEAR:
-        out = apply_two_mode_unitary(out, (Mode.BH, Mode.BV),
-                                     rotation_matrix(medium.theta, medium.theta_plus))
-    return out
+    +theta instead of -theta.  Built from the reference channel; in the
+    collinear geometry the b beam is empty, so the mutant equals the engine
+    there and apply_mor stands in for the costly large-n reference."""
+    if Geometry(geometry) is Geometry.COLLINEAR:
+        return apply_mor(state, medium, geometry)
+    angles = (medium.theta, medium.theta_plus)
+    return reference_channel(state, angles, angles)
 
 
 def test_default_oracle_equivalence_passes():
