@@ -87,7 +87,7 @@ def _geometry_from_args(args, source: SourceSpec) -> Geometry:
     return Geometry.COLLINEAR
 
 
-def _observable_from_args(args, geometry: Geometry) -> ObservableSpec:
+def _observable_from_args(args, source: SourceSpec) -> ObservableSpec:
     kind = OBSERVABLE_NAMES[args.observable]
     if kind is ObservableKind.INTENSITY:
         return ObservableSpec(kind=kind, mode=MODE_NAMES[args.intensity_mode])
@@ -98,7 +98,7 @@ def _observable_from_args(args, geometry: Geometry) -> ObservableSpec:
             except ValueError:
                 raise ValueError(f"cannot parse projection target {args.target!r}; "
                                  "expected e.g. 1,1,1,1") from None
-        elif geometry is Geometry.NONCOLLINEAR:
+        elif source.kind is SourceKind.NONCOLLINEAR_PDC:
             target = (1, 1, 1, 1)
         else:
             target = (2, 2, 0, 0)
@@ -125,7 +125,7 @@ def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> 
 def cmd_fringe(args) -> int:
     source = _source_from_args(args)
     geometry = check_pairing(source, _geometry_from_args(args, source))
-    obs = _observable_from_args(args, geometry)
+    obs = _observable_from_args(args, source)
     thetas = _grid(args.theta_min, args.theta_max, args.points, "theta")
     # closed forms ignore theta_plus, but a non-finite one is still bad input
     MediumSpec(theta=0.0, theta_plus=args.theta_plus)

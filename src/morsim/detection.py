@@ -16,6 +16,7 @@ from .fock import (
     Occupation,
     normally_ordered_moment,
     projection_probability,
+    sector_occupations,
 )
 from .medium import Geometry, MediumSpec, apply_mor
 from .sources import (
@@ -118,25 +119,18 @@ def _measure(state: KetState, obs: ObservableSpec) -> float:
     m1, m2 = obs.pair
     e1 = 0.0
     e2 = 0.0
-    for occ, amp in state.amplitudes.items():
-        p = amp.real * amp.real + amp.imag * amp.imag
+    for (n_a, n_b), x in state.sectors.items():
+        occ = sector_occupations(n_a, n_b)
+        p = x.real ** 2 + x.imag ** 2
         d = occ[m2] - occ[m1]
-        e1 += p * d
-        e2 += p * d * d
+        e1 += float(np.sum(p * d))
+        e2 += float(np.sum(p * d * d))
     return e2 - e1 * e1
-
-
-def _restrict_to_sector(state: KetState, n_a: int, n_b: int) -> KetState:
-    # exact for projections: the channel conserves photon number per spatial pair
-    amps = {occ: amp for occ, amp in state.amplitudes.items()
-            if occ[0] + occ[1] == n_a and occ[2] + occ[3] == n_b}
-    return KetState(amplitudes=amps, truncation_tail=0.0)
 
 
 def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
     if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-        n_a = obs.target[0] + obs.target[1]
-        n_b = obs.target[2] + obs.target[3]
+        n_a, n_b = sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
         # only the matching (n_a, n_b) sector contributes to the projection
         # amplitude, so a shallow exact truncation suffices at any r
         if source.n_max is None:
@@ -147,7 +141,8 @@ def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
                 state = noncollinear_state(source.r, depth)
         else:
             state = build_state(source)
-        return _restrict_to_sector(state, n_a, n_b)
+        # exact: the channel conserves photon number per spatial pair
+        return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})
     return build_state(source)
 
 

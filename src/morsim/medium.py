@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .fock import (
-    KetState,
-    Occupation,
-    _prune,
-    _ry_lift_columns,
-)
+from .fock import KetState, rotate_rows
 
 
 class Geometry(str, Enum):
@@ -60,38 +53,15 @@ def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     """
     geometry = Geometry(geometry)
     theta, theta_plus = medium.theta, medium.theta_plus
-
-    sectors: dict[tuple[int, int], dict] = {}
-    for occ, amp in state.amplitudes.items():
-        sectors.setdefault((occ[0] + occ[1], occ[2] + occ[3]), {})[(occ[1], occ[3])] = amp
-
     # e^{i(theta_plus + theta/2)} per photon in a, conjugate per photon in b
     unit_phase = cmath.exp(1j * (theta_plus + theta / 2.0))
-    out: dict[Occupation, complex] = {}
-    for (n_a, n_b) in sorted(sectors):
+    sectors = {}
+    for (n_a, n_b), x in state.sectors.items():
         if geometry is Geometry.COLLINEAR and n_b:
             raise ValueError("collinear geometry requires empty b modes; "
                              f"found {n_b} photons in the b beam")
-        entries = sectors[(n_a, n_b)]
-        a_idx = sorted({ka for ka, _ in entries})
-        b_idx = sorted({kb for _, kb in entries})
-        x = np.zeros((len(a_idx), len(b_idx)), dtype=complex)
-        a_pos = {k: i for i, k in enumerate(a_idx)}
-        b_pos = {k: i for i, k in enumerate(b_idx)}
-        for (ka, kb), amp in entries.items():
-            x[a_pos[ka], b_pos[kb]] = amp
-
-        y = _ry_lift_columns(theta, n_a, np.asarray(a_idx)) @ x
-        if geometry is Geometry.NONCOLLINEAR and n_b:
-            z = y @ _ry_lift_columns(-theta, n_b, np.asarray(b_idx)).T
-            b_out = range(n_b + 1)
-        else:
-            z = y
-            b_out = b_idx
-        z = z * (unit_phase ** n_a * unit_phase.conjugate() ** n_b)
-
-        for j, kb in enumerate(b_out):
-            col = z[:, j]
-            for ka in range(n_a + 1):
-                out[(n_a - ka, ka, n_b - kb, kb)] = complex(col[ka])
-    return _prune(out, state.truncation_tail)
+        y = rotate_rows(x, theta)
+        if geometry is Geometry.NONCOLLINEAR:
+            y = rotate_rows(y.T, -theta).T
+        sectors[(n_a, n_b)] = y * (unit_phase ** n_a * unit_phase.conjugate() ** n_b)
+    return KetState(sectors=sectors, truncation_tail=state.truncation_tail)

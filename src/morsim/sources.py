@@ -14,10 +14,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .fock import KetState, Occupation
+import numpy as np
+
+from .fock import KetState
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_N_MAX_CAP = 64
+# Refuse a truncation whose state and rotation bases would need more: past it
+# the eigh calls alone run for minutes and the process risks exhausting the
+# machine's memory, while 2 GiB is still ~90x what the deepest truncation the
+# paper's curves use needs (collinear n_max = 128, ~23 MB).
+MEMORY_BUDGET_BYTES = 2 * 2**30
 
 
 class TruncationError(ValueError):
@@ -45,7 +52,6 @@ class SourceSpec:
     phi: float = 0.0
     n_max: int | None = None
     epsilon: float = DEFAULT_EPSILON
-    n_max_cap: int = DEFAULT_N_MAX_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SourceKind(self.kind))
@@ -68,7 +74,7 @@ class SourceSpec:
             raise ValueError("coherent sources have no Fock truncation")
         if self.n_max is not None:
             return self.n_max
-        return select_n_max(self.kind, self.r, self.epsilon, self.n_max_cap)
+        return select_n_max(self.kind, self.r, self.epsilon)
 
 
 def truncation_tail(kind, r: float, n_max: int) -> float:
@@ -85,67 +91,68 @@ def truncation_tail(kind, r: float, n_max: int) -> float:
     return t ** (n_max + 1) * ((n_max + 1) * (1.0 - t) + 1.0)
 
 
-def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON,
-                 cap: int = DEFAULT_N_MAX_CAP) -> int:
+def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
     """Smallest power-of-two-ish n_max whose fourth-moment bound beats epsilon.
 
     The bound tail(n_max) * (n_max + 4)^4 is conservative for every moment
-    measured here (weights grow at most like n^4).  Doubles from 8 up to the
-    cap and raises TruncationError if even the cap cannot meet the target.
+    measured here (weights grow at most like n^4).  Doubles from 8 up to
+    DEFAULT_N_MAX_CAP and raises TruncationError if even the cap cannot meet
+    the target.
     """
     kind = SourceKind(kind)
     if kind is SourceKind.COHERENT:
         return 1
-    n = min(8, cap)
+    n = 8
     while True:
         if truncation_tail(kind, r, n) * (n + 4) ** 4 < epsilon:
             return n
-        if n >= cap:
+        if n >= DEFAULT_N_MAX_CAP:
             raise TruncationError(
-                f"truncation cap n_max={cap} cannot reach tail target "
+                f"truncation cap n_max={DEFAULT_N_MAX_CAP} cannot reach tail target "
                 f"epsilon={epsilon:g} at r={r:g}; pass an explicit n_max"
             )
-        n = min(2 * n, cap)
+        n = min(2 * n, DEFAULT_N_MAX_CAP)
 
 
 def collinear_state(r: float, phi: float = 0.0, n_max: int = DEFAULT_N_MAX_CAP) -> KetState:
     """Two-mode squeezed vacuum in the aH/aV pair.
 
-    Amplitude on |n, n, 0, 0> is (-e^{i phi} tanh r)^n / cosh r for
-    n <= n_max; the dropped weight tanh^{2(n_max+1)} r goes into the tail.
+    Amplitude on |n, n, 0, 0> (sector (2n, 0), entry [n, 0]) is
+    (-e^{i phi} tanh r)^n / cosh r for n <= n_max; the dropped weight
+    tanh^{2(n_max+1)} r goes into the tail.
     """
     if r < 0:
         raise ValueError("interaction parameter r must be nonnegative")
     ratio = -cmath.exp(1j * phi) * math.tanh(r)
-    norm = 1.0 / math.cosh(r)
-    amps: dict[Occupation, complex] = {}
-    term = complex(norm)
+    sectors = {}
+    term = complex(1.0 / math.cosh(r))
     for n in range(n_max + 1):
         if term != 0:
-            amps[(n, n, 0, 0)] = term
+            sectors[(2 * n, 0)] = np.zeros((2 * n + 1, 1), dtype=complex)
+            sectors[(2 * n, 0)][n, 0] = term
         term = term * ratio
-    return KetState(amplitudes=amps,
+    return KetState(sectors=sectors,
                     truncation_tail=truncation_tail(SourceKind.COLLINEAR_PDC, r, n_max))
 
 
 def noncollinear_state(r: float, n_max: int = DEFAULT_N_MAX_CAP) -> KetState:
     """Four-mode PDC state with counter-propagating arms.
 
-    Amplitude on |n-m, m, m, n-m> is (-1)^m tanh^n r / cosh^2 r for
-    0 <= m <= n <= n_max.
+    Amplitude on |n-m, m, m, n-m> (sector (n, n), the anti-diagonal entry
+    [m, n-m]) is (-1)^m tanh^n r / cosh^2 r for 0 <= m <= n <= n_max.
     """
     if r < 0:
         raise ValueError("interaction parameter r must be nonnegative")
     t = math.tanh(r)
-    norm = 1.0 / math.cosh(r) ** 2
-    amps: dict[Occupation, complex] = {}
-    weight = norm
+    sectors = {}
+    weight = 1.0 / math.cosh(r) ** 2
     for n in range(n_max + 1):
         if weight != 0:
-            for m in range(n + 1):
-                amps[(n - m, m, m, n - m)] = complex(-weight if m % 2 else weight)
+            m = np.arange(n + 1)
+            sectors[(n, n)] = np.zeros((n + 1, n + 1), dtype=complex)
+            sectors[(n, n)][m, n - m] = weight * (-1.0) ** m
         weight *= t
-    return KetState(amplitudes=amps,
+    return KetState(sectors=sectors,
                     truncation_tail=truncation_tail(SourceKind.NONCOLLINEAR_PDC, r, n_max))
 
 
@@ -154,7 +161,14 @@ def build_state(spec: SourceSpec) -> KetState:
     if spec.kind is SourceKind.COHERENT:
         raise ValueError("coherent sources are handled analytically; no Fock state")
     n_max = spec.resolve_n_max()
-    if spec.kind is SourceKind.COLLINEAR_PDC:
+    collinear = spec.kind is SourceKind.COLLINEAR_PDC
+    # each sector needs its complex amplitudes and the real basis rotating its rows
+    shapes = [(2 * n + 1, 1) if collinear else (n + 1, n + 1) for n in range(n_max + 1)]
+    needed = sum(16 * a * b + 8 * a * a for a, b in shapes)
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ValueError(f"n_max={n_max} needs {needed / 2**30:.3g} GiB for the state and its "
+                         f"rotation bases, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")
+    if collinear:
         return collinear_state(spec.r, spec.phi, n_max)
     return noncollinear_state(spec.r, n_max)
 

@@ -4,7 +4,10 @@ Each (n_a, n_b) photon-number sector is evolved by scipy's ``expm`` of the
 generator lifted from the 2x2 rotation generator; nothing is shared with the
 engine's cached J_y eigenbasis.  Sector index k <-> |n-k, k> (k photons in
 the V mode), as in the engine.  ``sector_matrix`` and ``max_difference`` are
-the helpers that put the engine's output next to the reference.
+the helpers that put the engine's output next to the reference;
+``state_from_amplitudes`` builds test states from occupation tuples, and
+``reference_moment`` / ``reference_nd_variance`` are the per-occupation
+loops the engine's vectorised moments are checked against.
 """
 
 import cmath
@@ -45,22 +48,23 @@ def sector_unitary(theta, theta_plus, n):
     return expm(1j * lifted_generator(rotation_generator(theta, theta_plus), n))
 
 
+def state_from_amplitudes(amps, tail=0.0):
+    """KetState holding the given {occupation: amplitude} components."""
+    sectors = {}
+    for (n_ah, n_av, n_bh, n_bv), amp in amps.items():
+        key = (n_ah + n_av, n_bh + n_bv)
+        if key not in sectors:
+            sectors[key] = np.zeros((key[0] + 1, key[1] + 1), dtype=complex)
+        sectors[key][n_av, n_bv] = amp
+    return KetState(sectors=sectors, truncation_tail=tail)
+
+
 def reference_channel(state, a_angles, b_angles=(0.0, 0.0)):
     """Rotate the aH/aV pair by a_angles = (theta, theta_plus) and the bH/bV
-    pair by b_angles; every output component is kept."""
-    sectors = {}
-    for occ, amp in state.amplitudes.items():
-        sectors.setdefault((occ[0] + occ[1], occ[2] + occ[3]), {})[(occ[1], occ[3])] = amp
-    out = {}
-    for (n_a, n_b), entries in sectors.items():
-        x = np.zeros((n_a + 1, n_b + 1), dtype=complex)
-        for (ka, kb), amp in entries.items():
-            x[ka, kb] = amp
-        y = sector_unitary(*a_angles, n_a) @ x @ sector_unitary(*b_angles, n_b).T
-        for ka in range(n_a + 1):
-            for kb in range(n_b + 1):
-                out[(n_a - ka, ka, n_b - kb, kb)] = complex(y[ka, kb])
-    return KetState(amplitudes=out, truncation_tail=state.truncation_tail)
+    pair by b_angles, sector by sector."""
+    sectors = {(n_a, n_b): sector_unitary(*a_angles, n_a) @ x @ sector_unitary(*b_angles, n_b).T
+               for (n_a, n_b), x in state.sectors.items()}
+    return KetState(sectors=sectors, truncation_tail=state.truncation_tail)
 
 
 def reference_mor(state, medium, geometry):
@@ -82,6 +86,27 @@ def sector_matrix(theta, theta_plus, n):
         for j in range(n + 1):
             m[j, k] = out.amplitude((n - j, j, 0, 0))
     return m
+
+
+def reference_moment(state, powers):
+    """<prod_m a_m^dag^p a_m^p> summed occupation by occupation."""
+    total = 0.0
+    for occ, amp in state.amplitudes.items():
+        w = 1.0
+        for n, p in zip(occ, powers):
+            w *= math.perm(n, p)  # zero when p > n
+        total += abs(amp) ** 2 * w
+    return total
+
+
+def reference_nd_variance(state, pair):
+    """Variance of n_{pair[1]} - n_{pair[0]}, summed occupation by occupation."""
+    e1 = e2 = 0.0
+    for occ, amp in state.amplitudes.items():
+        d = occ[pair[1]] - occ[pair[0]]
+        e1 += abs(amp) ** 2 * d
+        e2 += abs(amp) ** 2 * d * d
+    return e2 - e1 * e1
 
 
 def max_difference(left, right):

@@ -149,6 +149,33 @@ def test_fringe_noncollinear_source_in_collinear_geometry_exits_1(capsys):
         assert out == "" and "noncollinear geometry" in err
 
 
+def test_fringe_collinear_source_projection_target_follows_source(capsys):
+    # collinear PDC leaves the b beam empty, so its default target is
+    # (2,2,0,0) in either geometry, not the geometry's (1,1,1,1)
+    outputs = {}
+    for geometry in ("collinear", "noncollinear"):
+        assert run_cli("fringe", "--source", "collinear", "--geometry", geometry,
+                       "--observable", "four-photon-projection", "--points", "9") == 0
+        outputs[geometry] = capsys.readouterr().out
+    values = [float(line.split(",")[1]) for line in outputs["noncollinear"].splitlines()[1:]]
+    assert max(values) > 0.0
+    assert outputs["noncollinear"] == outputs["collinear"]
+
+
+def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
+    from morsim import fock, sources
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built an oversized truncation")
+
+    monkeypatch.setattr(sources, "collinear_state", must_not_run)
+    monkeypatch.setattr(fock, "_rotation_basis", must_not_run)
+    assert run_cli("fringe", "--n-max", "100000") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: n_max=100000 needs") and "GiB budget" in err
+
+
 def test_bad_flag_exits_1(capsys):
     assert run_cli("fringe", "--no-such-flag") == 1
     assert run_cli("no-such-command") == 1

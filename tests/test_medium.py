@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from morsim import (
     Geometry,
-    KetState,
     MediumSpec,
+    Mode,
+    ObservableKind,
+    ObservableSpec,
     apply_mor,
     collinear_state,
     make_basis_state,
@@ -17,7 +19,16 @@ from morsim import (
     oracles,
     projection_probability,
 )
-from reference_channel import max_difference, reference_mor, rotation_matrix, sector_matrix
+from morsim.detection import _measure
+from reference_channel import (
+    max_difference,
+    reference_moment,
+    reference_mor,
+    reference_nd_variance,
+    rotation_matrix,
+    sector_matrix,
+    state_from_amplitudes,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -46,7 +57,7 @@ def small_states(draw, geometry):
     amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
     amps = draw(st.dictionaries(occ, amp, min_size=1, max_size=6))
     tail = draw(st.floats(min_value=0.0, max_value=0.1))
-    return KetState(amplitudes=amps, truncation_tail=tail)
+    return state_from_amplitudes(amps, tail)
 
 
 def geometry_and_state():
@@ -117,12 +128,11 @@ def test_apply_mor_matches_two_photon_closed_form():
 @PROPERTY_SETTINGS
 @given(geometry_and_state(), ANGLES, ANGLES)
 def test_apply_mor_preserves_norm(case, theta, theta_plus):
-    # what pruning drops goes to the tail, so norm plus tail is kept
+    # the channel keeps every amplitude: norm and tail are both unchanged
     geometry, psi = case
     out = apply_mor(psi, MediumSpec(theta, theta_plus), geometry)
-    assert out.truncation_tail >= psi.truncation_tail
-    assert abs((out.norm_squared() + out.truncation_tail)
-               - (psi.norm_squared() + psi.truncation_tail)) < 1e-12
+    assert out.truncation_tail == psi.truncation_tail
+    assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
 
 
 def test_apply_mor_theta_zero_changes_no_observable():
@@ -234,3 +244,15 @@ def test_apply_mor_composes_by_adding_angles(case, theta1, plus1, theta2, plus2)
                       MediumSpec(theta2, plus2), geometry)
     once = apply_mor(psi, MediumSpec(theta1 + theta2, plus1 + plus2), geometry)
     assert max_difference(twice, once) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(geometry_and_state(), st.tuples(*[st.integers(0, 3)] * 4),
+       st.permutations(list(Mode)))
+def test_moments_and_variance_match_occupation_loops(case, powers, modes):
+    _, psi = case
+    assert normally_ordered_moment(psi, powers) == pytest.approx(
+        reference_moment(psi, powers), rel=1e-12, abs=1e-12)
+    pair = (modes[0], modes[1])
+    variance = _measure(psi, ObservableSpec(kind=ObservableKind.ND_VARIANCE, pair=pair))
+    assert variance == pytest.approx(reference_nd_variance(psi, pair), rel=1e-12, abs=1e-12)
