@@ -161,12 +161,14 @@ def cmd_visibility(args) -> int:
     return 0
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
+def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float, float]:
+    """(x, fn(x), bracket width) at the maximum of a unimodal fn on [lo, hi]; it is
+    flat to second order, so past ~sqrt(eps) * x only rounding orders the values."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
+    while (b - a) > math.sqrt(sys.float_info.epsilon) * max(abs(a) + abs(b), hi - lo):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -176,7 +178,7 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[f
             d = a + GOLDEN * (b - a)
             fd = fn(d)
     x = 0.5 * (a + b)
-    return x, fn(x)
+    return x, fn(x), b - a
 
 
 def cmd_envelope(args) -> int:
@@ -202,9 +204,11 @@ def cmd_envelope(args) -> int:
     best = int(np.argmax(values))
     lo = float(r_grid[max(best - 1, 0)])
     hi = float(r_grid[min(best + 1, len(r_grid) - 1)])
-    argmax_r, max_value = _golden_section_max(value_at, lo, hi)
+    argmax_r, max_value, width = _golden_section_max(value_at, lo, hi)
+    # only the digits the final bracket determines
+    digits = max(1, math.floor(math.log10(max(abs(argmax_r), width) / width)))
     _write_csv(args.out, "r,value", zip(r_grid, values),
-               comments=[f"# argmax_r={_fmt(argmax_r)},max_value={_fmt(max_value)}"])
+               comments=[f"# argmax_r={argmax_r:.{digits}g},max_value={_fmt(max_value)}"])
     return 0
 
 

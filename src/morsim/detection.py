@@ -16,7 +16,6 @@ from .fock import (
     Occupation,
     normally_ordered_moment,
     projection_probability,
-    sector_occupations,
 )
 from .medium import Geometry, MediumSpec, apply_mor
 from .sources import (
@@ -117,15 +116,10 @@ def _measure(state: KetState, obs: ObservableSpec) -> float:
         return projection_probability(state, obs.target)
     # number-difference variance over the pair
     m1, m2 = obs.pair
-    e1 = 0.0
-    e2 = 0.0
-    for (n_a, n_b), x in state.sectors.items():
-        occ = sector_occupations(n_a, n_b)
-        p = x.real ** 2 + x.imag ** 2
-        d = occ[m2] - occ[m1]
-        e1 += float(np.sum(p * d))
-        e2 += float(np.sum(p * d * d))
-    return e2 - e1 * e1
+    occ, x = state.layout.occupations, state.buffer
+    d, p = occ[m2] - occ[m1], x.real ** 2 + x.imag ** 2
+    e1 = float(d @ p)
+    return float((d * d) @ p) - e1 * e1
 
 
 def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:

@@ -2,10 +2,11 @@
 
 Four physical modes (two spatial beams a, b; two polarizations H, V) in the
 fixed canonical order aH < aV < bH < bV.  The medium conserves the photon
-number of each beam, so a state is one complex array per sector (n_a, n_b),
+number of each beam, so a state is one complex block per sector (n_a, n_b),
 of shape (n_a+1, n_b+1): entry [k_a, k_b] is the amplitude of
-|n_a-k_a, k_a, n_b-k_b, k_b>.  Detector observables are diagonal in this
-basis: normally ordered moments and projections onto one occupation.
+|n_a-k_a, k_a, n_b-k_b, k_b>; the blocks lie back to back in one flat
+buffer.  Detector observables are diagonal in this basis: a moment is one
+dot product of a weight vector with |amplitude|^2.
 
 The polarization rotation of one spatial pair acts on the rows (beam a) or
 columns (beam b) of a sector.  It is generated by the tridiagonal J_y
@@ -13,13 +14,14 @@ operator, whose angle-independent real eigenbasis is computed once per
 photon number and cached; evaluating the rotation in that basis is
 backward stable and accurate to ~1e-14 even at 256 photons.  A
 one-photon-at-a-time recurrence would not do: its rounding errors grow like
-sqrt(C(n, n/2)), fatal beyond n ~ 50.
+sqrt(C(n, n/2)), fatal beyond n ~ 50.  A state's coordinates in that basis
+are computed once, so an angle costs one exp and one matmul per beam-sector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -46,39 +48,89 @@ class Mode(IntEnum):
 A_MODES = (Mode.AH, Mode.AV)
 
 
-def sector_occupations(n_a: int, n_b: int) -> tuple[np.ndarray, ...]:
-    """Photon numbers (n_aH, n_aV, n_bH, n_bV) over sector (n_a, n_b): the
-    a-beam grids have shape (n_a+1, 1), the b-beam ones (1, n_b+1), so all
-    four broadcast against the sector's amplitude array."""
-    k_a = np.arange(n_a + 1.0)[:, None]
-    k_b = np.arange(n_b + 1.0)[None, :]
-    return n_a - k_a, k_a, n_b - k_b, k_b
+class SectorLayout:
+    """Where each (n_a, n_b) sector's block lies in a flat buffer, plus the per-entry
+    vectors the channel and detectors use, built once per layout on first use."""
+
+    def __init__(self, shapes: dict[tuple[int, int], tuple[int, int]]):
+        if any(tuple(s) != (n_a + 1, n_b + 1) for (n_a, n_b), s in shapes.items()):
+            raise ValueError("sector (n_a, n_b) needs a block of shape (n_a+1, n_b+1)")
+        self.shapes = dict(shapes)
+        self.offsets = np.cumsum([0] + [a * b for a, b in self.shapes.values()])
+        self.entries = [slice(i, j) for i, j in zip(self.offsets[:-1], self.offsets[1:])]
+        self._weights: dict[tuple[int, ...], np.ndarray] = {}
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """(4, size) photon numbers (n_aH, n_aV, n_bH, n_bV) of every entry."""
+        keys = np.array(list(self.shapes), dtype=float).reshape(-1, 2)
+        sector = np.repeat(np.arange(len(keys)), np.diff(self.offsets))
+        k_a, k_b = np.divmod(np.arange(self.offsets[-1]) - self.offsets[sector],
+                             keys[sector, 1].astype(int) + 1)
+        n_a, n_b = keys[sector].T
+        return np.stack([n_a - k_a, k_a, n_b - k_b, k_b])
+
+    @cached_property
+    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, d): the channel is e^{i(theta A + theta_plus B)} on eigen-entry
+        [j, l] of sector (n_a, n_b), with A = j - l and B = n_a - n_b, and
+        d = i^(k_a + k_b) are the phases of V = diag(i^k) W on both beams."""
+        n_ah, n_av, n_bh, n_bv = self.occupations
+        d = np.array([1, 1j, -1, -1j])[(n_av + n_bv).astype(int) % 4]
+        return n_av - n_bv, n_ah + n_av - n_bh - n_bv, d
+
+    def weights(self, powers: tuple[int, ...]) -> np.ndarray:
+        """Falling factorials prod_m n_m! / (n_m - p_m)! per entry (0 if p_m > n_m)."""
+        if powers not in self._weights:
+            factors = [n - j for n, p in zip(self.occupations, powers) for j in range(p)]
+            self._weights[powers] = np.prod([np.ones(self.offsets[-1])] + factors, axis=0)
+        return self._weights[powers]
 
 
-@dataclass(frozen=True)
 class KetState:
-    """Pure state as per-sector amplitude arrays plus analytic truncation tail.
+    """Pure state as per-sector amplitude blocks plus analytic truncation tail.
 
-    ``sectors`` maps (n_a, n_b) to the sector's (n_a+1, n_b+1) complex
-    array (layout in the module docstring); absent sectors are empty.
-    ``truncation_tail`` is the squared weight of the components discarded
-    analytically at construction, so norm_squared() + truncation_tail == 1
-    for source states; the channel keeps every amplitude and never changes
-    it.  Instances are treated as immutable values; never mutate the arrays.
+    ``sectors`` maps (n_a, n_b) to the sector's complex block (module
+    docstring); absent sectors are empty.  The blocks are read-only views
+    into the flat ``buffer`` that ``layout`` describes, so cached
+    eigen-coefficients cannot go stale.  ``truncation_tail`` is the squared
+    weight discarded analytically at construction, so norm_squared() +
+    truncation_tail == 1 for source states; the channel never changes it.
     """
 
-    sectors: dict[tuple[int, int], np.ndarray]
-    truncation_tail: float = 0.0
+    def __init__(self, sectors: dict[tuple[int, int], np.ndarray], truncation_tail: float = 0.0):
+        self._hold(SectorLayout({key: np.shape(x) for key, x in sectors.items()}),
+                   np.concatenate([np.zeros(0)] + [np.ravel(x) for x in sectors.values()],
+                                  dtype=complex), truncation_tail)
+
+    @classmethod
+    def from_buffer(cls, layout: SectorLayout, buffer: np.ndarray, truncation_tail: float = 0.0):
+        """The state whose flat amplitudes are ``buffer`` (taken, not copied)."""
+        state = cls.__new__(cls)
+        state._hold(layout, buffer, truncation_tail)
+        return state
+
+    def _hold(self, layout: SectorLayout, buffer: np.ndarray, truncation_tail: float) -> None:
+        buffer.flags.writeable = False
+        self.layout, self.buffer, self.truncation_tail = layout, buffer, truncation_tail
+
+    @cached_property
+    def sectors(self) -> dict[tuple[int, int], np.ndarray]:
+        return {key: self.buffer[entries].reshape(shape) for (key, shape), entries
+                in zip(self.layout.shapes.items(), self.layout.entries)}
+
+    @cached_property
+    def eigen_coefficients(self) -> np.ndarray:
+        """V_a^dag x conj(V_b) per sector, flat: what the channel phases."""
+        return rotate_sectors(self.layout, self.buffer * self.layout.phases[2].conj(),
+                              inverse=True)
 
     @property
     def amplitudes(self) -> dict[Occupation, complex]:
         """The nonzero amplitudes keyed by occupation tuple, as a new dict."""
-        out: dict[Occupation, complex] = {}
-        for (n_a, n_b), x in self.sectors.items():
-            k_a, k_b = np.nonzero(x)
-            occs = zip((n_a - k_a).tolist(), k_a.tolist(), (n_b - k_b).tolist(), k_b.tolist())
-            out.update(zip(occs, x[k_a, k_b].tolist()))
-        return out
+        nonzero = np.flatnonzero(self.buffer)
+        occs = zip(*self.layout.occupations[:, nonzero].astype(int).tolist())
+        return dict(zip(occs, self.buffer[nonzero].tolist()))
 
     def amplitude(self, occ: Occupation) -> complex:
         n_ah, n_av, n_bh, n_bv = _check_occupation(occ)
@@ -86,7 +138,7 @@ class KetState:
         return 0j if x is None else complex(x[n_av, n_bv])
 
     def norm_squared(self) -> float:
-        return float(sum(np.vdot(x, x).real for x in self.sectors.values()))
+        return float(np.vdot(self.buffer, self.buffer).real)
 
 
 def _check_occupation(occ) -> Occupation:
@@ -109,22 +161,14 @@ def make_basis_state(occ) -> KetState:
 def normally_ordered_moment(state: KetState, powers) -> float:
     """<prod_m a_m^dag^p a_m^p> for per-mode powers p.
 
-    Diagonal in the Fock basis: each sector adds sum(w * |x|^2), where the
-    weight grid w = w_a w_b is the product of the falling factorials
-    n_m! / (n_m - p_m)! over the sector's occupation grids (zero where
-    p_m > n_m), so the sum is w_a @ |x|^2 @ w_b.
+    Diagonal in the Fock basis: the layout's falling-factorial weights
+    dotted with |amplitude|^2.
     """
     powers = tuple(int(p) for p in powers)
     if len(powers) != 4 or any(p < 0 for p in powers):
         raise ValueError(f"powers must be 4 nonnegative integers, got {powers}")
-    total = 0.0
-    for (n_a, n_b), x in state.sectors.items():
-        w = 1.0
-        for n, p in zip(sector_occupations(n_a, n_b), powers):
-            for j in range(p):
-                w = w * (n - j)
-        total += np.sum(w * (x.real ** 2 + x.imag ** 2))
-    return float(total)
+    x = state.buffer
+    return float(state.layout.weights(powers) @ (x.real ** 2 + x.imag ** 2))
 
 
 def projection_probability(state: KetState, occ) -> float:
@@ -133,36 +177,32 @@ def projection_probability(state: KetState, occ) -> float:
     return a.real * a.real + a.imag * a.imag
 
 
-_ROT_BASIS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_ROT_BASIS_CACHE: dict[int, np.ndarray] = {}
 
 
-def _rotation_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigen-decomposition of the lifted J_y generator on the n-photon subspace.
+def _rotation_basis(n: int) -> np.ndarray:
+    """Real orthogonal eigenvectors W of the lifted J_y generator on the
+    n-photon subspace, columns ordered by the exact spectrum (-n, -n+2, ..., n).
 
-    Returns (lam, W, d) with exact integer spectrum lam = (-n, -n+2, ..., n),
-    real orthogonal W and phases d = i^k, such that the lift of Ry(beta) is
-    V diag(e^{i beta lam / 2}) V^dag with V = diag(d) W.
+    The lift of Ry(beta) is V diag(e^{i beta lam / 2}) V^dag with
+    V = diag(i^k) W.
     """
-    cached = _ROT_BASIS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    k = np.arange(n + 1)
-    T = np.zeros((n + 1, n + 1))
-    t = np.sqrt((n - k[1:] + 1.0) * k[1:])
-    T[k[1:], k[1:] - 1] = t
-    T[k[1:] - 1, k[1:]] = t
-    _, W = np.linalg.eigh(T)
-    lam = np.arange(-n, n + 1, 2, dtype=float)
-    _ROT_BASIS_CACHE[n] = (lam, W, 1j ** (k % 4))
+    if n not in _ROT_BASIS_CACHE:
+        t = np.sqrt((n - np.arange(n)) * np.arange(1.0, n + 1))
+        _ROT_BASIS_CACHE[n] = np.linalg.eigh(np.diag(t, 1) + np.diag(t, -1))[1]
     return _ROT_BASIS_CACHE[n]
 
 
-def rotate_rows(x: np.ndarray, beta: float) -> np.ndarray:
-    """Ry(beta) lifted to the pair subspace indexed by the rows of x:
-    V (e^{i beta lam / 2} * V^dag x)."""
-    lam, W, d = _rotation_basis(x.shape[0] - 1)
-    # W is real: it multiplies the interleaved (re, im) floats of C-ordered
-    # complex rows, so no complex copy of W is made
-    y = (W.T @ np.multiply(d.conj()[:, None], x, order="C").view(np.float64)).view(complex)
-    y *= np.exp(1j * (beta / 2.0) * lam)[:, None]
-    return d[:, None] * (W @ y.view(np.float64)).view(complex)
+def rotate_sectors(layout: SectorLayout, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Each sector block y of the flat buffer x taken to W_a y W_b^T, or to
+    W_a^T y W_b when ``inverse``, in a new buffer.  W is real: it multiplies
+    the interleaved (re, im) floats of C-ordered complex rows, uncopied."""
+    out = np.empty_like(x)
+    for entries, (a, b) in zip(layout.entries, layout.shapes.values()):
+        y, w_a = out[entries].reshape(a, b), _rotation_basis(a - 1)
+        np.matmul(w_a.T if inverse else w_a, x[entries].reshape(a, b).view(np.float64),
+                  out=y.view(np.float64))
+        if b > 1:
+            w_b = _rotation_basis(b - 1).T if inverse else _rotation_basis(b - 1)
+            y[...] = (w_b @ np.ascontiguousarray(y.T).view(np.float64)).view(complex).T
+    return out

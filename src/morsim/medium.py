@@ -9,12 +9,13 @@ sign of both angles.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .fock import KetState, rotate_rows
+import numpy as np
+
+from .fock import KetState, rotate_sectors
 
 
 class Geometry(str, Enum):
@@ -49,19 +50,17 @@ def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     R(x) = [[cos x, -sin x], [sin x, cos x]] acting on the creation
     operators; in the non-collinear geometry additionally rotates the bH/bV
     pair by (-theta, -theta_plus).  Photon numbers are conserved per spatial
-    pair, so the state is evolved sector by (n_a, n_b) sector.
+    pair: in each (n_a, n_b) sector's J_y eigenbasis the channel is one phase
+    per entry (``SectorLayout.phases``), applied to the state's cached
+    eigen-coefficients before rotating back.
     """
     geometry = Geometry(geometry)
-    theta, theta_plus = medium.theta, medium.theta_plus
-    # e^{i(theta_plus + theta/2)} per photon in a, conjugate per photon in b
-    unit_phase = cmath.exp(1j * (theta_plus + theta / 2.0))
-    sectors = {}
-    for (n_a, n_b), x in state.sectors.items():
-        if geometry is Geometry.COLLINEAR and n_b:
-            raise ValueError("collinear geometry requires empty b modes; "
-                             f"found {n_b} photons in the b beam")
-        y = rotate_rows(x, theta)
-        if geometry is Geometry.NONCOLLINEAR:
-            y = rotate_rows(y.T, -theta).T
-        sectors[(n_a, n_b)] = y * (unit_phase ** n_a * unit_phase.conjugate() ** n_b)
-    return KetState(sectors=sectors, truncation_tail=state.truncation_tail)
+    layout = state.layout
+    n_b = max((n_b for _, n_b in layout.shapes), default=0)
+    if geometry is Geometry.COLLINEAR and n_b:
+        raise ValueError(f"collinear geometry requires empty b modes; found {n_b} b photons")
+    a, b, post_phase = layout.phases
+    phase = np.exp(1j * (medium.theta * a + medium.theta_plus * b))
+    out = rotate_sectors(layout, state.eigen_coefficients * phase)
+    out *= post_phase
+    return KetState.from_buffer(layout, out, state.truncation_tail)

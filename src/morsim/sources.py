@@ -22,9 +22,12 @@ DEFAULT_EPSILON = 1e-10
 DEFAULT_N_MAX_CAP = 64
 # Refuse a truncation whose state and rotation bases would need more: past it
 # the eigh calls alone run for minutes and the process risks exhausting the
-# machine's memory, while 2 GiB is still ~90x what the deepest truncation the
-# paper's curves use needs (collinear n_max = 128, ~23 MB).
+# machine's memory, while 2 GiB is still ~85x what the deepest truncation the
+# paper's curves use needs (collinear n_max = 128, ~24 MB).
 MEMORY_BUDGET_BYTES = 2 * 2**30
+# Bytes per amplitude in a sweep: the state, its eigen-coefficients and one channel
+# output (16 each), the layout's occupations (32), phases (32) and one weight (8).
+BYTES_PER_AMPLITUDE = 3 * 16 + 32 + 32 + 8
 
 
 class TruncationError(ValueError):
@@ -162,9 +165,9 @@ def build_state(spec: SourceSpec) -> KetState:
         raise ValueError("coherent sources are handled analytically; no Fock state")
     n_max = spec.resolve_n_max()
     collinear = spec.kind is SourceKind.COLLINEAR_PDC
-    # each sector needs its complex amplitudes and the real basis rotating its rows
+    # each sector needs its per-amplitude buffers and the real basis rotating its rows
     shapes = [(2 * n + 1, 1) if collinear else (n + 1, n + 1) for n in range(n_max + 1)]
-    needed = sum(16 * a * b + 8 * a * a for a, b in shapes)
+    needed = sum(BYTES_PER_AMPLITUDE * a * b + 8 * a * a for a, b in shapes)
     if needed > MEMORY_BUDGET_BYTES:
         raise ValueError(f"n_max={n_max} needs {needed / 2**30:.3g} GiB for the state and its "
                          f"rotation bases, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")

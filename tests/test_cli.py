@@ -176,6 +176,23 @@ def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
     assert err.startswith("error: n_max=100000 needs") and "GiB budget" in err
 
 
+def test_strong_pumping_glauber_sweep_matches_closed_form_repeatably(capsys):
+    # the benchmark's deepest workload (129 sectors, up to 256 photons) on 9 points
+    argv = ["fringe", "--source", "collinear", "--r", "1.3", "--n-max", "128",
+            "--observable", "four-photon-glauber", "--points", "9", "--mode", "both"]
+    outputs = []
+    for _ in range(2):
+        assert run_cli(*argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert lines[0] == "theta,value,value_exact" and len(lines) == 10
+    for line in lines[1:]:
+        _, value, exact = map(float, line.split(","))
+        assert math.isfinite(value)
+        assert abs(value - exact) <= max(1e-12, 1e-8 * abs(exact))
+
+
 def test_bad_flag_exits_1(capsys):
     assert run_cli("fringe", "--no-such-flag") == 1
     assert run_cli("no-such-command") == 1
@@ -222,6 +239,35 @@ def test_envelope_noncollinear(tmp_path):
     meta = dict(part.split("=") for part in comments[0][2:].split(","))
     assert float(meta["argmax_r"]) == pytest.approx(math.asinh(1.0), abs=1e-6)
     assert float(meta["max_value"]) == pytest.approx(1.0 / 16.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("geometry", ["collinear", "noncollinear"])
+def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
+    # the maximum is flat to second order: an ulp-level change of the
+    # objective must not move the printed argmax
+    from morsim import cli
+
+    exact = cli.evaluate
+    nudges = {
+        "none": lambda r: 0.0,
+        "up": lambda r: math.inf,
+        "down": lambda r: -math.inf,
+        "by_last_bit_of_r": lambda r: math.inf if int(r * 2.0**53) % 2 else -math.inf,
+        "against_last_bit_of_r": lambda r: -math.inf if int(r * 2.0**53) % 2 else math.inf,
+    }
+    comments = {}
+    for name, towards in nudges.items():
+        def nudged(source, *args, towards=towards):
+            value = exact(source, *args)
+            direction = towards(source.r)
+            return value if direction == 0.0 else math.nextafter(value, direction)
+
+        monkeypatch.setattr(cli, "evaluate", nudged)
+        assert run_cli("envelope", "--geometry", geometry, "--points", "31") == 0
+        comments[name] = capsys.readouterr().out.splitlines()[-1].split(",")[0]
+    assert set(comments.values()) == {comments["none"]}
+    digits = comments["none"].split("=")[1]
+    assert len(digits.lstrip("0.").replace(".", "")) == 7
 
 
 def test_envelope_collinear_matches_closed_form(tmp_path):

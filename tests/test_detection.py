@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsim import (
     FringeSeries,
@@ -27,6 +29,22 @@ GLAUBER = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER)
 PROJ_NON = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=(1, 1, 1, 1))
 PROJ_COL = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=(2, 2, 0, 0))
 ND_VAR = ObservableSpec(kind=ObservableKind.ND_VARIANCE)
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+# every PDC source with each geometry it can pass through
+PDC_PAIRINGS = st.sampled_from([("collinear_pdc", Geometry.COLLINEAR),
+                                ("collinear_pdc", Geometry.NONCOLLINEAR),
+                                ("noncollinear_pdc", Geometry.NONCOLLINEAR)])
+PAIRS = [(Mode.AH, Mode.AV), (Mode.AH, Mode.BV), (Mode.BH, Mode.BV)]
+EVERY_OBSERVABLE = (
+    [ObservableSpec(kind=ObservableKind.INTENSITY, mode=mode) for mode in Mode]
+    + [ObservableSpec(kind=kind, pair=pair) for pair in PAIRS
+       for kind in (ObservableKind.TWO_PHOTON_COINCIDENCE, ObservableKind.FOUR_PHOTON_GLAUBER,
+                    ObservableKind.ND_VARIANCE)]
+    + [ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target)
+       for target in ((2, 2, 0, 0), (1, 1, 1, 1), (2, 0, 0, 2))]
+)
 
 
 def collinear(r, **kw):
@@ -237,14 +255,18 @@ def test_min_detectable_angle_error_propagation():
         min_detectable_angle_error_propagation(noncollinear(1.0))
 
 
-def test_glauber_dominates_projection():
-    for r in (0.1, 0.5, 1.0):
-        src_pair = collinear(r, n_max=64)
-        for theta in np.linspace(0.0, math.pi, 17):
-            medium = MediumSpec(theta=float(theta))
-            glauber = evaluate(src_pair, medium, Geometry.COLLINEAR, GLAUBER)
-            proj = evaluate(src_pair, medium, Geometry.COLLINEAR, PROJ_COL)
-            assert glauber >= 4.0 * proj - 1e-12
+@PROPERTY_SETTINGS
+@given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES)
+def test_glauber_dominates_projection(pairing, r, n_max, theta):
+    # I_HHVV = sum |psi|^2 n_H(n_H-1) n_V(n_V-1) >= 2! 2! P(|2,2>), on either pair
+    kind, geometry = pairing
+    source, medium = SourceSpec(kind=kind, r=r, n_max=n_max), MediumSpec(theta=theta)
+    for pair, target in (((Mode.AH, Mode.AV), (2, 2, 0, 0)), ((Mode.AH, Mode.BV), (2, 0, 0, 2))):
+        glauber = evaluate(source, medium, geometry,
+                           ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER, pair=pair))
+        proj = evaluate(source, medium, geometry, ObservableSpec(
+            kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target))
+        assert glauber >= 4.0 * proj - 1e-12
 
 
 def test_dominant_frequency_hierarchy():
@@ -270,8 +292,16 @@ def test_dominant_frequency_grid_validation():
         dominant_frequency(FringeSeries(theta_grid=uneven, values=tuple(range(10))))
 
 
-def test_observables_independent_of_pump_phase():
-    grid = np.linspace(0.0, math.pi, 9)
-    base = fringe_scan(collinear(0.9, phi=0.0, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)
-    shifted = fringe_scan(collinear(0.9, phi=1.3, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)
-    assert max(abs(a - b) for a, b in zip(base.values, shifted.values)) < 1e-12
+@PROPERTY_SETTINGS
+@given(PDC_PAIRINGS, st.floats(0.0, 1.2), st.integers(1, 24), ANGLES,
+       st.tuples(ANGLES, ANGLES), st.tuples(ANGLES, ANGLES))
+def test_observables_invariant_under_theta_plus_and_pump_phase(pairing, r, n_max, theta,
+                                                               first, second):
+    # theta_plus and the pump phase only rephase whole photon-number sectors
+    kind, geometry = pairing
+    values = []
+    for phi, theta_plus in (first, second):
+        source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
+        medium = MediumSpec(theta=theta, theta_plus=theta_plus)
+        values.append([evaluate(source, medium, geometry, obs) for obs in EVERY_OBSERVABLE])
+    assert values[0] == pytest.approx(values[1], rel=1e-12, abs=1e-12)

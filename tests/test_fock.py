@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from morsim import (
     Geometry,
+    KetState,
     MediumSpec,
     Mode,
     apply_mor,
@@ -175,6 +176,26 @@ def test_apply_unitary_sequential_composition():
     once = apply_mor(psi, MediumSpec(2.9, 0.9), Geometry.NONCOLLINEAR)
     keys = set(step.amplitudes) | set(once.amplitudes)
     assert max(abs(step.amplitude(k) - once.amplitude(k)) for k in keys) < 1e-12
+
+
+def test_state_blocks_are_read_only_views_of_one_buffer():
+    # the channel caches a state's eigen-coefficients, so no block may change
+    psi = noncollinear_state(0.5, n_max=3)
+    out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.NONCOLLINEAR)
+    assert psi.eigen_coefficients.shape == psi.buffer.shape
+    for state in (psi, out):
+        assert state.layout is psi.layout
+        for x in state.sectors.values():
+            assert np.shares_memory(x, state.buffer)
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.buffer[0] = 1.0
+
+
+def test_state_rejects_misshapen_sector():
+    with pytest.raises(ValueError, match=r"needs a block of shape \(n_a\+1, n_b\+1\)"):
+        KetState(sectors={(2, 0): np.zeros((2, 1), dtype=complex)})
 
 
 def test_moment_zeroth_power_is_norm():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from morsim import sources
 from morsim import (
     SourceKind,
     SourceSpec,
@@ -140,6 +141,17 @@ def test_spec_validation():
                          ("epsilon", math.nan), ("alpha", complex(1.0, math.nan))]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SourceSpec(kind="coherent", **{field: value})
+
+
+def test_memory_budget_counts_every_per_amplitude_buffer(monkeypatch):
+    # the state, its eigen-coefficients, a channel output and the layout's
+    # vectors all scale with the amplitude count; nothing is built here
+    monkeypatch.setattr(sources, "collinear_state", lambda r, phi, n_max: n_max)
+    monkeypatch.setattr(sources, "noncollinear_state", lambda r, n_max: n_max)
+    for kind, largest in (("collinear_pdc", 581), ("noncollinear_pdc", 367)):
+        assert build_state(SourceSpec(kind=kind, r=0.5, n_max=largest)) == largest
+        with pytest.raises(ValueError, match="GiB budget"):
+            build_state(SourceSpec(kind=kind, r=0.5, n_max=largest + 1))
 
 
 def test_build_state_rejects_coherent():
