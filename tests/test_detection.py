@@ -292,6 +292,13 @@ def test_dominant_frequency_grid_validation():
         dominant_frequency(FringeSeries(theta_grid=uneven, values=tuple(range(10))))
 
 
+def test_observables_independent_of_pump_phase():
+    grid = np.linspace(0.0, math.pi, 9)
+    base = fringe_scan(collinear(0.9, phi=0.0, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)
+    shifted = fringe_scan(collinear(0.9, phi=1.3, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)
+    assert max(abs(a - b) for a, b in zip(base.values, shifted.values)) < 1e-12
+
+
 @PROPERTY_SETTINGS
 @given(PDC_PAIRINGS, st.floats(0.0, 1.2), st.integers(1, 24), ANGLES,
        st.tuples(ANGLES, ANGLES), st.tuples(ANGLES, ANGLES))

@@ -187,6 +187,23 @@ def test_noncollinear_projection_matches_closed_form():
         assert abs(got - expected) <= max(1e-12, 1e-10 * expected)
 
 
+def test_observables_invariant_under_global_phase_angle():
+    psi = noncollinear_state(0.9, n_max=8)
+    reference = None
+    for theta_plus in (0.0, 0.7, math.pi):
+        out = apply_mor(psi, MediumSpec(theta=0.8, theta_plus=theta_plus),
+                        Geometry.NONCOLLINEAR)
+        probe = (
+            projection_probability(out, (1, 1, 1, 1)),
+            normally_ordered_moment(out, (1, 1, 0, 0)),
+            normally_ordered_moment(out, (2, 2, 0, 0)),
+        )
+        if reference is None:
+            reference = probe
+        else:
+            assert all(abs(a - b) < 1e-12 for a, b in zip(probe, reference))
+
+
 @PROPERTY_SETTINGS
 @given(st.sampled_from(Geometry), st.floats(0.0, 1.2), st.floats(-math.pi, math.pi),
        st.integers(1, 32), ANGLES, ANGLES)
