@@ -161,9 +161,9 @@ def cmd_visibility(args) -> int:
     return 0
 
 
-def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float, float]:
-    """(x, fn(x), bracket width) at the maximum of a unimodal fn on [lo, hi]; it is
-    flat to second order, so past ~sqrt(eps) * x only rounding orders the values."""
+def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """(x, bracket width) at the maximum of a unimodal fn on [lo, hi]; it is flat
+    to second order, so past ~sqrt(eps) * x only rounding orders the values."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -177,8 +177,7 @@ def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float, float]:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x), b - a
+    return 0.5 * (a + b), b - a
 
 
 def cmd_envelope(args) -> int:
@@ -204,11 +203,14 @@ def cmd_envelope(args) -> int:
     best = int(np.argmax(values))
     lo = float(r_grid[max(best - 1, 0)])
     hi = float(r_grid[min(best + 1, len(r_grid) - 1)])
-    argmax_r, max_value, width = _golden_section_max(value_at, lo, hi)
-    # only the digits the final bracket determines
+    argmax_r, width = _golden_section_max(value_at, lo, hi)
+    # only the digits the final bracket determines; the value at the printed r,
+    # to 12 digits, so an ulp-level change of the objective leaves the line alone
     digits = max(1, math.floor(math.log10(max(abs(argmax_r), width) / width)))
+    argmax_r = format(argmax_r, f".{digits}g")
+    max_value = format(value_at(float(argmax_r)), ".12g")
     _write_csv(args.out, "r,value", zip(r_grid, values),
-               comments=[f"# argmax_r={argmax_r:.{digits}g},max_value={_fmt(max_value)}"])
+               comments=[f"# argmax_r={argmax_r},max_value={max_value}"])
     return 0
 
 

@@ -10,12 +10,20 @@ dot product of a weight vector with |amplitude|^2.
 
 The polarization rotation of one spatial pair acts on the rows (beam a) or
 columns (beam b) of a sector.  It is generated by the tridiagonal J_y
-operator, whose angle-independent real eigenbasis is computed once per
-photon number and cached; evaluating the rotation in that basis is
-backward stable and accurate to ~1e-14 even at 256 photons.  A
-one-photon-at-a-time recurrence would not do: its rounding errors grow like
-sqrt(C(n, n/2)), fatal beyond n ~ 50.  A state's coordinates in that basis
-are computed once, so an angle costs one exp and one matmul per beam-sector.
+operator, whose real eigenbasis W does not depend on the angle: it is the
+n-photon lift U_n of a half turn of the pair with its columns reversed,
+cached per photon number.  U_n is built by the two-path (Risbo) recurrence
+U_n = S^T (U_{n-1} (x) U_1) S, where S is the isometry that splits off the
+last photon: each entry mixes four entries of U_{n-1} with coefficients at
+most 1, and the step cannot enlarge the error it inherits, so rounding
+grows only like n * eps.  At 256 photons max|W^T W - I| = 3.5e-14 and
+max|T W - W Lambda| = 2.1e-14 (eigh: 2.2e-15 and 1.4e-13); at 581 photons
+8.0e-14 and 4.3e-14.  The single-path recurrence, which builds column k+1
+from column k by applying the creation operator and renormalising, divides
+by coefficients that can be small: its rounding errors grow like
+sqrt(C(n, n/2)), fatal beyond n ~ 50.  A state's coordinates in the
+eigenbasis are computed once, so an angle costs one table of phases and
+one matmul per beam-sector.
 """
 
 from __future__ import annotations
@@ -71,13 +79,22 @@ class SectorLayout:
         return np.stack([n_a - k_a, k_a, n_b - k_b, k_b])
 
     @cached_property
-    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, B, d): the channel is e^{i(theta A + theta_plus B)} on eigen-entry
-        [j, l] of sector (n_a, n_b), with A = j - l and B = n_a - n_b, and
+    def phases(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray],
+                              np.ndarray]:
+        """((a, i_a), (b, i_b), d): the channel is e^{i(theta A + theta_plus B)} on
+        eigen-entry [j, l] of sector (n_a, n_b), with A = j - l = a[i_a] and
+        B = n_a - n_b = b[i_b] over the distinct integers a and b, and
         d = i^(k_a + k_b) are the phases of V = diag(i^k) W on both beams."""
         n_ah, n_av, n_bh, n_bv = self.occupations
         d = np.array([1, 1j, -1, -1j])[(n_av + n_bv).astype(int) % 4]
-        return n_av - n_bv, n_ah + n_av - n_bh - n_bv, d
+        return (np.unique(n_av - n_bv, return_inverse=True),
+                np.unique(n_ah + n_av - n_bh - n_bv, return_inverse=True), d)
+
+    @cached_property
+    def bases(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W_a, W_b) of every sector, in layout order, all built in one pass."""
+        bases = iter(_rotation_bases([n - 1 for shape in self.shapes.values() for n in shape]))
+        return list(zip(bases, bases))
 
     def weights(self, powers: tuple[int, ...]) -> np.ndarray:
         """Falling factorials prod_m n_m! / (n_m - p_m)! per entry (0 if p_m > n_m)."""
@@ -180,17 +197,51 @@ def projection_probability(state: KetState, occ) -> float:
 _ROT_BASIS_CACHE: dict[int, np.ndarray] = {}
 
 
-def _rotation_basis(n: int) -> np.ndarray:
-    """Real orthogonal eigenvectors W of the lifted J_y generator on the
-    n-photon subspace, columns ordered by the exact spectrum (-n, -n+2, ..., n).
+def _rotation_bases(sizes) -> list[np.ndarray]:
+    """W_n for each photon number n in ``sizes``: real orthogonal eigenvectors of
+    the lifted J_y generator on the n-photon subspace, columns ordered by the exact
+    spectrum (-n, -n+2, ..., n).  The lift of Ry(beta) is V diag(e^{i beta lam / 2}) V^dag
+    with V = diag(i^k) W.
 
-    The lift of Ry(beta) is V diag(e^{i beta lam / 2}) V^dag with
-    V = diag(i^k) W.
+    W_n is the n-photon lift U_n of the half turn with its columns reversed.  The
+    missing sizes are built in one pass of ``_risbo_step`` that starts from the
+    largest cached size below them and keeps only the sizes asked for; the
+    recurrence is deterministic, so W_n has the same bits whichever pass built it.
     """
-    if n not in _ROT_BASIS_CACHE:
-        t = np.sqrt((n - np.arange(n)) * np.arange(1.0, n + 1))
-        _ROT_BASIS_CACHE[n] = np.linalg.eigh(np.diag(t, 1) + np.diag(t, -1))[1]
-    return _ROT_BASIS_CACHE[n]
+    missing = sorted(set(sizes) - _ROT_BASIS_CACHE.keys())
+    if missing:
+        n = max((m for m in _ROT_BASIS_CACHE if m < missing[0]), default=0)
+        u = _ROT_BASIS_CACHE[n][:, ::-1] if n in _ROT_BASIS_CACHE else np.ones((1, 1))
+        for m in missing:
+            while n < m:
+                n += 1
+                u = _risbo_step(u, n)
+            _ROT_BASIS_CACHE[m] = np.ascontiguousarray(u[:, ::-1])
+    return [_ROT_BASIS_CACHE[n] for n in sizes]
+
+
+def _risbo_step(u: np.ndarray, n: int) -> np.ndarray:
+    """U_n from U_{n-1}, the lifts of the half turn [[c, -s], [s, c]], c = s = 1/sqrt(2):
+
+    U_n[k', k] = [sqrt(n-k) (c sqrt(n-k') U[k', k] + s sqrt(k') U[k'-1, k])
+                  + sqrt(k) (-s sqrt(n-k') U[k', k-1] + c sqrt(k') U[k'-1, k-1])] / n,
+
+    i.e. U_n = S^T (U_{n-1} (x) U_1) S for the isometry S splitting off the last photon.
+    """
+    p = np.sqrt(np.arange(n, 0, -1.0))  # sqrt(n - k) for k < n
+    q = np.sqrt(np.arange(1.0, n + 1))  # sqrt(k) for k > 0
+    x, y = p[:, None] * u, q[:, None] * u
+    h, v = np.empty((n + 1, n)), np.empty((n + 1, n))  # the last photon in H, in V
+    h[0], h[n], v[0], v[n] = x[0], y[-1], -x[0], y[-1]
+    np.add(x[1:], y[:-1], out=h[1:n])
+    np.subtract(y[:-1], x[1:], out=v[1:n])
+    g = np.sqrt(0.5) / n
+    h *= p * g
+    v *= q * g
+    out = np.empty((n + 1, n + 1))
+    out[:, 0], out[:, n] = h[:, 0], v[:, -1]
+    np.add(h[:, 1:], v[:, :-1], out=out[:, 1:n])
+    return out
 
 
 def rotate_sectors(layout: SectorLayout, x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -198,11 +249,11 @@ def rotate_sectors(layout: SectorLayout, x: np.ndarray, inverse: bool = False) -
     W_a^T y W_b when ``inverse``, in a new buffer.  W is real: it multiplies
     the interleaved (re, im) floats of C-ordered complex rows, uncopied."""
     out = np.empty_like(x)
-    for entries, (a, b) in zip(layout.entries, layout.shapes.values()):
-        y, w_a = out[entries].reshape(a, b), _rotation_basis(a - 1)
+    for entries, (a, b), (w_a, w_b) in zip(layout.entries, layout.shapes.values(), layout.bases):
+        y = out[entries].reshape(a, b)
         np.matmul(w_a.T if inverse else w_a, x[entries].reshape(a, b).view(np.float64),
                   out=y.view(np.float64))
         if b > 1:
-            w_b = _rotation_basis(b - 1).T if inverse else _rotation_basis(b - 1)
+            w_b = w_b.T if inverse else w_b
             y[...] = (w_b @ np.ascontiguousarray(y.T).view(np.float64)).view(complex).T
     return out

@@ -59,8 +59,8 @@ def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     n_b = max((n_b for _, n_b in layout.shapes), default=0)
     if geometry is Geometry.COLLINEAR and n_b:
         raise ValueError(f"collinear geometry requires empty b modes; found {n_b} b photons")
-    a, b, post_phase = layout.phases
-    phase = np.exp(1j * (medium.theta * a + medium.theta_plus * b))
+    (a, i_a), (b, i_b), post_phase = layout.phases
+    phase = np.exp(1j * (medium.theta * a))[i_a] * np.exp(1j * (medium.theta_plus * b))[i_b]
     out = rotate_sectors(layout, state.eigen_coefficients * phase)
     out *= post_phase
     return KetState.from_buffer(layout, out, state.truncation_tail)

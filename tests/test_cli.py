@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from morsim import verify
@@ -169,20 +170,22 @@ def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
         raise AssertionError("built an oversized truncation")
 
     monkeypatch.setattr(sources, "collinear_state", must_not_run)
-    monkeypatch.setattr(fock, "_rotation_basis", must_not_run)
+    monkeypatch.setattr(fock, "_rotation_bases", must_not_run)
     assert run_cli("fringe", "--n-max", "100000") == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: n_max=100000 needs") and "GiB budget" in err
 
 
+STRONG_GLAUBER = ["fringe", "--source", "collinear", "--r", "1.3", "--n-max", "128",
+                  "--observable", "four-photon-glauber", "--points", "9", "--mode", "both"]
+
+
 def test_strong_pumping_glauber_sweep_matches_closed_form_repeatably(capsys):
     # the benchmark's deepest workload (129 sectors, up to 256 photons) on 9 points
-    argv = ["fringe", "--source", "collinear", "--r", "1.3", "--n-max", "128",
-            "--observable", "four-photon-glauber", "--points", "9", "--mode", "both"]
     outputs = []
     for _ in range(2):
-        assert run_cli(*argv) == 0
+        assert run_cli(*STRONG_GLAUBER) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
@@ -191,6 +194,19 @@ def test_strong_pumping_glauber_sweep_matches_closed_form_repeatably(capsys):
         _, value, exact = map(float, line.split(","))
         assert math.isfinite(value)
         assert abs(value - exact) <= max(1e-12, 1e-8 * abs(exact))
+
+
+def test_strong_pumping_sweep_builds_its_bases_without_eigh(monkeypatch, capsys):
+    from morsim import fock
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert run_cli(*STRONG_GLAUBER) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert sorted(fock._ROT_BASIS_CACHE) == list(range(0, 257, 2))
 
 
 def test_bad_flag_exits_1(capsys):
@@ -244,7 +260,7 @@ def test_envelope_noncollinear(tmp_path):
 @pytest.mark.parametrize("geometry", ["collinear", "noncollinear"])
 def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
     # the maximum is flat to second order: an ulp-level change of the
-    # objective must not move the printed argmax
+    # objective must move neither the printed argmax nor the printed maximum
     from morsim import cli
 
     exact = cli.evaluate
@@ -264,10 +280,11 @@ def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
 
         monkeypatch.setattr(cli, "evaluate", nudged)
         assert run_cli("envelope", "--geometry", geometry, "--points", "31") == 0
-        comments[name] = capsys.readouterr().out.splitlines()[-1].split(",")[0]
+        comments[name] = capsys.readouterr().out.splitlines()[-1]
     assert set(comments.values()) == {comments["none"]}
-    digits = comments["none"].split("=")[1]
-    assert len(digits.lstrip("0.").replace(".", "")) == 7
+    argmax, value = (part.split("=")[1] for part in comments["none"][2:].split(","))
+    assert len(argmax.lstrip("0.").replace(".", "")) == 7
+    assert len(value.lstrip("0.").replace(".", "")) <= 12
 
 
 def test_envelope_collinear_matches_closed_form(tmp_path):

@@ -11,6 +11,8 @@ from morsim import (
     MediumSpec,
     Mode,
     apply_mor,
+    collinear_state,
+    fock,
     make_basis_state,
     noncollinear_state,
     normally_ordered_moment,
@@ -196,6 +198,55 @@ def test_state_blocks_are_read_only_views_of_one_buffer():
 def test_state_rejects_misshapen_sector():
     with pytest.raises(ValueError, match=r"needs a block of shape \(n_a\+1, n_b\+1\)"):
         KetState(sectors={(2, 0): np.zeros((2, 1), dtype=complex)})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 255, 256, 581])
+def test_rotation_basis_is_the_exact_eigenbasis(n):
+    # eigh serves only as a reference here; the engine builds W by recurrence
+    (w,) = fock._rotation_bases([n])
+    t = lifted_generator(np.array([[0.0, 1.0], [1.0, 0.0]]), n).real
+    lam = np.arange(-n, n + 1, 2.0)
+    assert w.shape == (n + 1, n + 1) and w.flags.c_contiguous
+    assert np.abs(w.T @ w - np.eye(n + 1)).max() <= 1e-12
+    assert np.abs(t @ w - w * lam).max() <= 1e-12
+    values, vectors = np.linalg.eigh(t)
+    assert np.abs(values - lam).max() <= 1e-9
+    signs = np.sign(np.sum(vectors * w, axis=0))
+    assert np.abs(vectors * signs - w).max() <= 1e-12
+
+
+def test_rotation_bases_do_not_depend_on_request_order(monkeypatch):
+    sizes = [0, 1, 2, 5, 17, 40, 64, 65, 100, 128]
+    requests = {
+        "all_at_once": [sizes],
+        "ascending": [[n] for n in sizes],
+        "descending": [[n] for n in reversed(sizes)],
+        "scattered": [[64], [5, 100], [128, 0, 17], [40, 2, 65], [1]],
+    }
+    built = {}
+    for name, calls in requests.items():
+        monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+        for call in calls:
+            for n, w in zip(call, fock._rotation_bases(call)):
+                assert w.shape == (n + 1, n + 1)
+        assert sorted(fock._ROT_BASIS_CACHE) == sizes
+        built[name] = {n: w.tobytes() for n, w in fock._ROT_BASIS_CACHE.items()}
+    assert all(bases == built["all_at_once"] for bases in built.values())
+
+
+def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
+    # 129 sectors rotate rows of 1..257 entries: one pass of 256 recurrence steps
+    steps = []
+    step = fock._risbo_step
+    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    monkeypatch.setattr(fock, "_risbo_step", lambda u, n: steps.append(n) or step(u, n))
+    psi = collinear_state(1.3, 0.0, 128)
+    out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    assert steps == list(range(1, 257))
+    assert sorted(fock._ROT_BASIS_CACHE) == list(range(0, 257, 2))
+    apply_mor(out, MediumSpec(theta=0.7), Geometry.COLLINEAR)
+    apply_mor(collinear_state(0.4, 0.0, 128), MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    assert steps == list(range(1, 257))
 
 
 def test_moment_zeroth_power_is_norm():
