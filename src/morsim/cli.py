@@ -12,15 +12,15 @@ import sys
 
 import numpy as np
 
-from . import oracles, verify
+from . import verify
 from .detection import (
-    FringeSeries,
     ObservableKind,
     ObservableSpec,
     check_pairing,
+    closed_form_scan,
     evaluate,
     fringe_scan,
-    min_detectable_angle,
+    sensitivity_curve,
     visibility,
 )
 from .fock import Mode
@@ -106,12 +106,6 @@ def _observable_from_args(args, source: SourceSpec) -> ObservableSpec:
     return ObservableSpec(kind=kind)
 
 
-def _closed_form(source: SourceSpec, obs: ObservableSpec, theta: float) -> float:
-    detail = obs.mode.name if obs.kind is ObservableKind.INTENSITY else obs.target
-    return oracles.closed_form(source.kind.value, obs.kind.value, detail, theta,
-                               r=source.r, alpha_sq=abs(source.alpha) ** 2)
-
-
 def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> np.ndarray:
     if points < 2:
         raise ValueError(f"{name} grid needs at least 2 points, got {points}")
@@ -135,7 +129,7 @@ def cmd_fringe(args) -> int:
         columns.append(fringe_scan(source, thetas, geometry, obs,
                                    theta_plus=args.theta_plus).values)
     if args.mode in ("exact", "both"):
-        columns.append([_closed_form(source, obs, float(t)) for t in thetas])
+        columns.append(closed_form_scan(source, thetas, obs).values)
     header = "theta,value,value_exact" if args.mode == "both" else "theta,value"
     _write_csv(args.out, header, zip(*columns))
     return 0
@@ -151,9 +145,7 @@ def cmd_visibility(args) -> int:
     for r in map(float, r_grid):
         source = SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
         if args.mode == "exact":
-            values = [_closed_form(source, obs, float(t)) for t in thetas]
-            series = FringeSeries(theta_grid=tuple(map(float, thetas)),
-                                  values=tuple(values))
+            series = closed_form_scan(source, thetas, obs)
         else:
             series = fringe_scan(source, thetas, Geometry.COLLINEAR, obs)
         rows.append((r, visibility(series).v))
@@ -194,7 +186,7 @@ def cmd_envelope(args) -> int:
     def value_at(r: float) -> float:
         source = SourceSpec(kind=kind, r=r)
         if args.mode == "exact":
-            return _closed_form(source, obs, 0.0)
+            return closed_form_scan(source, (0.0,), obs).values[0]
         # the projection only sees the four-photon sector, so this is exact
         # at any r without a deep truncation
         return evaluate(source, MediumSpec(theta=0.0), geometry, obs)
@@ -218,19 +210,8 @@ def cmd_sensitivity(args) -> int:
     mean_n = _grid(args.mean_n_min, args.mean_n_max, args.points, "mean_n", np.geomspace)
     if args.mean_n_min <= 1.0:
         raise ValueError("sensitivity sweep needs mean photon numbers above 1")
-    kind = SOURCE_NAMES[args.source]
-    if kind is SourceKind.NONCOLLINEAR_PDC:
-        raise ValueError("sensitivity sweep supports coherent and collinear sources")
-    rows = []
-    for n in map(float, mean_n):
-        if kind is SourceKind.COHERENT:
-            source = SourceSpec(kind=kind, alpha=math.sqrt(n))
-        else:
-            source = SourceSpec(kind=kind, r=math.asinh(math.sqrt(n / 2.0)))
-        rows.append((n, min_detectable_angle(source)))
-    slope = float(np.polyfit(np.log([r[0] for r in rows]),
-                             np.log([r[1] for r in rows]), 1)[0])
-    _write_csv(args.out, "mean_n,theta_m", rows,
+    theta_m, slope = sensitivity_curve(SOURCE_NAMES[args.source], mean_n)
+    _write_csv(args.out, "mean_n,theta_m", zip(mean_n, theta_m),
                comments=[f"# loglog_slope={_fmt(slope)}"])
     return 0
 
@@ -331,8 +312,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        overflow = "numeric overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {overflow}{exc}", file=sys.stderr)
         return 1
 
 

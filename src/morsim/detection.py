@@ -3,12 +3,14 @@ number-difference variance and the minimum detectable rotation angle."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import oracles
 from .fock import (
     A_MODES,
     KetState,
@@ -23,9 +25,7 @@ from .sources import (
     SourceSpec,
     build_state,
     coherent_intensity_pair,
-    collinear_state,
     mean_photon_number,
-    noncollinear_state,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -60,6 +60,8 @@ class ObservableSpec:
             raise ValueError("observable pair must use two distinct modes")
         if self.kind is ObservableKind.INTENSITY and self.mode is None:
             raise ValueError("intensity observable needs a mode")
+        if self.mode is not None:
+            object.__setattr__(self, "mode", Mode(self.mode))
         if self.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
             if self.target is None:
                 raise ValueError("projection observable needs a target occupation")
@@ -77,7 +79,6 @@ class FringeSeries:
 
     theta_grid: tuple
     values: tuple
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.theta_grid)
@@ -99,19 +100,21 @@ class VisibilityResult:
     theta_at_min: float
 
 
+# photons each detector of a moment observable absorbs: the intensity's one
+# mode, or both modes of the pair
+_MOMENT_POWERS = {
+    ObservableKind.INTENSITY: 1,
+    ObservableKind.TWO_PHOTON_COINCIDENCE: 1,
+    ObservableKind.FOUR_PHOTON_GLAUBER: 2,
+}
+
+
 def _measure(state: KetState, obs: ObservableSpec) -> float:
-    if obs.kind is ObservableKind.INTENSITY:
-        powers = [0, 0, 0, 0]
-        powers[obs.mode] = 1
-        return normally_ordered_moment(state, powers)
-    if obs.kind is ObservableKind.TWO_PHOTON_COINCIDENCE:
-        powers = [0, 0, 0, 0]
-        powers[obs.pair[0]] = powers[obs.pair[1]] = 1
-        return normally_ordered_moment(state, powers)
-    if obs.kind is ObservableKind.FOUR_PHOTON_GLAUBER:
-        powers = [0, 0, 0, 0]
-        powers[obs.pair[0]] = powers[obs.pair[1]] = 2
-        return normally_ordered_moment(state, powers)
+    """The observable's value on an evolved state."""
+    power = _MOMENT_POWERS.get(obs.kind)
+    if power is not None:
+        modes = (obs.mode,) if obs.kind is ObservableKind.INTENSITY else obs.pair
+        return normally_ordered_moment(state, [power if m in modes else 0 for m in Mode])
     if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
         return projection_probability(state, obs.target)
     # number-difference variance over the pair
@@ -123,21 +126,16 @@ def _measure(state: KetState, obs: ObservableSpec) -> float:
 
 
 def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
-    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-        n_a, n_b = sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
-        # only the matching (n_a, n_b) sector contributes to the projection
-        # amplitude, so a shallow exact truncation suffices at any r
-        if source.n_max is None:
-            depth = max(n_a, n_b, (n_a + n_b) // 2, 1)
-            if source.kind is SourceKind.COLLINEAR_PDC:
-                state = collinear_state(source.r, source.phi, depth)
-            else:
-                state = noncollinear_state(source.r, depth)
-        else:
-            state = build_state(source)
-        # exact: the channel conserves photon number per spatial pair
-        return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})
-    return build_state(source)
+    if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION:
+        return build_state(source)
+    n_a, n_b = sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
+    # only the matching (n_a, n_b) sector contributes to the projection
+    # amplitude, so a shallow exact truncation suffices at any r
+    if source.n_max is None:
+        source = dataclasses.replace(source, n_max=max(n_a, n_b, (n_a + n_b) // 2, 1))
+    state = build_state(source)
+    # exact: the channel conserves photon number per spatial pair
+    return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})
 
 
 def _coherent_value(source: SourceSpec, theta: float, obs: ObservableSpec) -> float:
@@ -187,15 +185,22 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     """
     geometry = check_pairing(source, geometry)
     media = [MediumSpec(theta=float(t), theta_plus=theta_plus) for t in thetas]
-    meta = {"source": source, "observable": obs, "geometry": geometry,
-            "theta_plus": theta_plus}
     if source.kind is SourceKind.COHERENT:
         values = [_coherent_value(source, m.theta, obs) for m in media]
     else:
         state = _prepare_state(source, obs)
         values = [_measure(apply_mor(state, m, geometry), obs) for m in media]
-    return FringeSeries(theta_grid=tuple(m.theta for m in media), values=tuple(values),
-                        meta=meta)
+    return FringeSeries(theta_grid=tuple(m.theta for m in media), values=tuple(values))
+
+
+def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeSeries:
+    """The observable's closed form from ``oracles`` over a theta grid; raises
+    ValueError where the table has none."""
+    grid = tuple(map(float, thetas))
+    detail = obs.mode.name if obs.kind is ObservableKind.INTENSITY else obs.target
+    values = oracles.closed_form(source.kind.value, obs.kind.value, detail, grid,
+                                 r=source.r, alpha_sq=abs(source.alpha) ** 2)
+    return FringeSeries(theta_grid=grid, values=values)
 
 
 def visibility(series: FringeSeries) -> VisibilityResult:
@@ -234,6 +239,22 @@ def min_detectable_angle(source: SourceSpec) -> float:
     if source.kind is SourceKind.COHERENT:
         return math.asin(1.0 / abs(source.alpha))
     return math.asin(1.0 / math.sinh(2.0 * source.r))
+
+
+def sensitivity_curve(kind, mean_n) -> tuple[list[float], float]:
+    """theta_m of a coherent or collinear PDC source at each mean photon number,
+    and the log-log slope of theta_m against the mean photon number."""
+    kind = SourceKind(kind)
+    if kind is SourceKind.NONCOLLINEAR_PDC:
+        raise ValueError("sensitivity sweep supports coherent and collinear sources")
+    theta_m = []
+    for n in map(float, mean_n):
+        if kind is SourceKind.COHERENT:
+            source = SourceSpec(kind=kind, alpha=math.sqrt(n))
+        else:
+            source = SourceSpec(kind=kind, r=math.asinh(math.sqrt(n / 2.0)))
+        theta_m.append(min_detectable_angle(source))
+    return theta_m, float(np.polyfit(np.log(mean_n), np.log(theta_m), 1)[0])
 
 
 def min_detectable_angle_error_propagation(source: SourceSpec) -> float:

@@ -44,14 +44,6 @@ class Mode(IntEnum):
     BH = 2
     BV = 3
 
-    @property
-    def spatial(self) -> str:
-        return "a" if self < Mode.BH else "b"
-
-    @property
-    def polarization(self) -> str:
-        return "H" if self in (Mode.AH, Mode.BH) else "V"
-
 
 A_MODES = (Mode.AH, Mode.AV)
 
@@ -66,6 +58,7 @@ class SectorLayout:
         self.shapes = dict(shapes)
         self.offsets = np.cumsum([0] + [a * b for a, b in self.shapes.values()])
         self.entries = [slice(i, j) for i, j in zip(self.offsets[:-1], self.offsets[1:])]
+        self.starts = dict(zip(self.shapes, self.offsets[:-1].tolist()))
         self._weights: dict[tuple[int, ...], np.ndarray] = {}
 
     @cached_property
@@ -151,8 +144,10 @@ class KetState:
 
     def amplitude(self, occ: Occupation) -> complex:
         n_ah, n_av, n_bh, n_bv = _check_occupation(occ)
-        x = self.sectors.get((n_ah + n_av, n_bh + n_bv))
-        return 0j if x is None else complex(x[n_av, n_bv])
+        start = self.layout.starts.get((n_ah + n_av, n_bh + n_bv))
+        if start is None:
+            return 0j
+        return complex(self.buffer[start + n_av * (n_bh + n_bv + 1) + n_bv])
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.buffer, self.buffer).real)

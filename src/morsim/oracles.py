@@ -74,9 +74,9 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form(source: str, observable: str, detail, theta: float, *,
-                r: float | None = None, alpha_sq: float | None = None) -> float:
-    """Closed-form value of one observable at rotation angle theta.
+def closed_form(source: str, observable: str, detail, thetas, *,
+                r: float | None = None, alpha_sq: float | None = None) -> list[float]:
+    """Closed-form values of one observable at each rotation angle in ``thetas``.
 
     ``source`` and ``observable`` are the kind names (e.g. "collinear_pdc",
     "two_photon_coincidence"); ``detail`` is the detector mode name ("AH",
@@ -95,4 +95,4 @@ def closed_form(source: str, observable: str, detail, theta: float, *,
         raise ValueError(f"closed form for {source} {observable} requires {parameter}")
     if parameter == "r" and value < 0:
         raise ValueError("interaction parameter r must be nonnegative")
-    return fn(value, theta)
+    return [fn(value, theta) for theta in thetas]

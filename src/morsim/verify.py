@@ -1,9 +1,11 @@
 """Self-verification suite: oracle equivalence and model invariants.
 
-Each check compares the numeric Fock engine against the independent closed
-forms (or asserts an invariant) and reports its worst observed error.  The
-channel implementation is injectable so that tests can demonstrate the suite
-actually catches a miswired medium.
+Each check reads the numeric Fock engine through ``detection._measure``, the
+code every CLI sweep prints from, and the reference values through the
+closed-form table (``detection.closed_form_scan``), the code behind the
+CLI's exact mode; it compares the two (or asserts an invariant) and reports
+its worst observed error.  The channel implementation is injectable so that
+tests can demonstrate the suite actually catches a miswired medium.
 """
 
 from __future__ import annotations
@@ -15,30 +17,39 @@ import numpy as np
 
 from . import oracles
 from .detection import (
-    FringeSeries,
     ObservableKind,
     ObservableSpec,
     _measure,
+    closed_form_scan,
     dominant_frequency,
     fringe_scan,
-    min_detectable_angle,
+    sensitivity_curve,
     visibility,
 )
-from .fock import (
-    make_basis_state,
-    normally_ordered_moment,
-    projection_probability,
-)
+from .fock import Mode, make_basis_state
 from .medium import Geometry, MediumSpec, apply_mor
-from .sources import SourceKind, SourceSpec, collinear_state, noncollinear_state
+from .sources import SourceKind, SourceSpec, build_state, collinear_state, noncollinear_state
 
+COLLINEAR, NONCOLLINEAR = SourceKind.COLLINEAR_PDC, SourceKind.NONCOLLINEAR_PDC
 # truncation depths with fourth-moment tail bounds far below the 1e-8
 # relative target of the oracle-equivalence criterion
 ORACLE_N_MAX = {0.01: 8, 0.1: 24, 0.5: 48, 1.0: 96, 1.3: 128}
 ORACLE_R_VALUES = (0.1, 0.5, 1.0, 1.3)
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
+TWO_PHOTON = ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE)
+GLAUBER = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER)
 ND_VARIANCE = ObservableSpec(kind=ObservableKind.ND_VARIANCE)
+PROJECTION = {kind: ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target)
+              for kind, target in ((COLLINEAR, (2, 2, 0, 0)), (NONCOLLINEAR, (1, 1, 1, 1)))}
+# check name, source kind, observable, relative allowance against the closed form
+ORACLE_ROWS = (
+    ("oracle_two_photon_coincidence", COLLINEAR, TWO_PHOTON, REL_TOL),
+    ("oracle_noncollinear_projection", NONCOLLINEAR, PROJECTION[NONCOLLINEAR], REL_TOL),
+    ("oracle_collinear_projection", COLLINEAR, PROJECTION[COLLINEAR], REL_TOL),
+    ("oracle_four_photon_counts", COLLINEAR, GLAUBER, REL_TOL),
+    ("variance_cross_check", COLLINEAR, ND_VARIANCE, 1e-6),
+)
 
 
 @dataclass(frozen=True)
@@ -56,51 +67,38 @@ def _tolerance_ratio(engine: float, reference: float,
     return abs(engine - reference) / max(abs_tol, rel * abs(reference))
 
 
+def _engine_values(apply_mor_fn, source: SourceSpec, media, observables) -> list[list[float]]:
+    """Per medium, each observable read through ``_measure`` off the source's
+    state evolved through that medium: one channel call per medium."""
+    state = build_state(source)
+    geometry = Geometry.NONCOLLINEAR if source.kind is NONCOLLINEAR else Geometry.COLLINEAR
+    evolved = (apply_mor_fn(state, medium, geometry) for medium in media)
+    return [[_measure(out, obs) for obs in observables] for out in evolved]
+
+
 def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
-    """Numeric fringes against the four closed-form curves plus the variance
-    identity, on 33 angles per interaction strength."""
+    """Every ORACLE_ROWS observable on the engine against its closed form, on 33
+    angles per interaction strength; one evolved state per source and angle
+    serves all of the source's rows."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 33)
-    worst = {"two": 0.0, "non_proj": 0.0, "col_proj": 0.0, "four": 0.0, "var": 0.0}
-
+    media = [MediumSpec(theta=float(t)) for t in thetas]
+    worst = dict.fromkeys((name for name, *_ in ORACLE_ROWS), 0.0)
     for r in ORACLE_R_VALUES:
-        n_max = ORACLE_N_MAX[r]
-        col = collinear_state(r, n_max=n_max)
-        col4 = collinear_state(r, n_max=2)   # the |2,2> sector is exact
-        non4 = noncollinear_state(r, n_max=2)
-        for theta in map(float, thetas):
-            medium = MediumSpec(theta=theta)
-            evolved = apply_mor_fn(col, medium, Geometry.COLLINEAR)
-            ihv = normally_ordered_moment(evolved, (1, 1, 0, 0))
-            ihhvv = normally_ordered_moment(evolved, (2, 2, 0, 0))
-            worst["two"] = max(worst["two"], _tolerance_ratio(
-                ihv, oracles.collinear_two_photon(r, theta)))
-            worst["four"] = max(worst["four"], _tolerance_ratio(
-                ihhvv, oracles.collinear_four_photon_counts(r, theta)))
-
-            worst["var"] = max(worst["var"], _tolerance_ratio(
-                _measure(evolved, ND_VARIANCE), oracles.collinear_nd_variance(r, theta),
-                rel=1e-6))
-
-            p_col = projection_probability(
-                apply_mor_fn(col4, medium, Geometry.COLLINEAR), (2, 2, 0, 0))
-            worst["col_proj"] = max(worst["col_proj"], _tolerance_ratio(
-                p_col, oracles.collinear_four_photon_probability(r, theta)))
-            p_non = projection_probability(
-                apply_mor_fn(non4, medium, Geometry.NONCOLLINEAR), (1, 1, 1, 1))
-            worst["non_proj"] = max(worst["non_proj"], _tolerance_ratio(
-                p_non, oracles.noncollinear_four_photon_probability(r, theta)))
-
-    names = {
-        "two": ("oracle_two_photon_coincidence", "relative 1e-8, absolute 1e-12 at zeros"),
-        "non_proj": ("oracle_noncollinear_projection", "relative 1e-8, absolute 1e-12 at zeros"),
-        "col_proj": ("oracle_collinear_projection", "relative 1e-8, absolute 1e-12 at zeros"),
-        "four": ("oracle_four_photon_counts", "relative 1e-8, absolute 1e-12 at zeros"),
-        "var": ("variance_cross_check", "relative 1e-6, absolute 1e-12 at zeros"),
-    }
+        for kind in (COLLINEAR, NONCOLLINEAR):
+            rows = [row for row in ORACLE_ROWS if row[1] is kind]
+            # the non-collinear source is checked on its projection only, whose
+            # four-photon sector n_max = 2 holds exactly
+            source = SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
+            engine = zip(*_engine_values(apply_mor_fn, source, media, [row[2] for row in rows]))
+            for (name, _, obs, rel), values in zip(rows, engine):
+                exact = closed_form_scan(source, thetas, obs).values
+                ratios = [_tolerance_ratio(v, e, rel) for v, e in zip(values, exact)]
+                worst[name] = max(worst[name], *ratios)
     return [
-        CheckResult(name=name, passed=worst[key] <= 1.0, max_error=worst[key],
-                    tolerance=1.0, detail=f"error / allowance; {detail}")
-        for key, (name, detail) in names.items()
+        CheckResult(name=name, passed=worst[name] <= 1.0, max_error=worst[name], tolerance=1.0,
+                    detail=f"error / allowance; relative 1e{round(math.log10(rel))}, "
+                           "absolute 1e-12 at zeros")
+        for name, _, _, rel in ORACLE_ROWS
     ]
 
 
@@ -128,25 +126,16 @@ def check_fringe_frequencies() -> CheckResult:
     intensity, two-photon coincidence and the four-photon projection."""
     grid = 2.0 * math.pi * np.arange(256) / 256.0
     coherent = SourceSpec(kind=SourceKind.COHERENT, alpha=1.0)
-    intensity = ObservableSpec(kind=ObservableKind.INTENSITY, mode=0)
+    intensity = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
     f_coh = dominant_frequency(fringe_scan(coherent, grid, Geometry.COLLINEAR, intensity))
-    two = ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE)
-    f_two = dominant_frequency(fringe_scan(
-        SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=0.5, n_max=48),
-        grid, Geometry.COLLINEAR, two))
-    proj = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=(1, 1, 1, 1))
-    f_four = dominant_frequency(fringe_scan(
-        SourceSpec(kind=SourceKind.NONCOLLINEAR_PDC, r=0.5, n_max=8),
-        grid, Geometry.NONCOLLINEAR, proj))
+    f_two = dominant_frequency(fringe_scan(SourceSpec(kind=COLLINEAR, r=0.5, n_max=48),
+                                           grid, Geometry.COLLINEAR, TWO_PHOTON))
+    f_four = dominant_frequency(fringe_scan(SourceSpec(kind=NONCOLLINEAR, r=0.5, n_max=8), grid,
+                                            Geometry.NONCOLLINEAR, PROJECTION[NONCOLLINEAR]))
     mismatches = int(f_coh != 1) + int(f_two != 2 * f_coh) + int(f_four != 4 * f_coh)
     return CheckResult(name="fringe_frequency_factor_of_four", passed=mismatches == 0,
                        max_error=float(mismatches), tolerance=0.0,
                        detail=f"frequencies {f_coh}:{f_two}:{f_four}, expected 1:2:4")
-
-
-def _exact_fringe(values, thetas) -> FringeSeries:
-    return FringeSeries(theta_grid=tuple(map(float, thetas)),
-                        values=tuple(map(float, values)))
 
 
 def check_visibility_curve() -> list[CheckResult]:
@@ -158,15 +147,12 @@ def check_visibility_curve() -> list[CheckResult]:
     monotone_violations = 0
     previous = None
     for r in map(float, r_grid):
-        series = _exact_fringe([oracles.collinear_two_photon(r, t) for t in thetas], thetas)
-        v = visibility(series).v
+        v = visibility(closed_form_scan(SourceSpec(kind=COLLINEAR, r=r), thetas, TWO_PHOTON)).v
         worst_dev = max(worst_dev, abs(v - oracles.two_photon_visibility_closed(r)))
         if previous is not None and v >= previous:
             monotone_violations += 1
         previous = v
-    series4 = _exact_fringe(
-        [oracles.collinear_four_photon_counts(0.01, t) for t in thetas], thetas)
-    v4 = visibility(series4).v
+    v4 = visibility(closed_form_scan(SourceSpec(kind=COLLINEAR, r=0.01), thetas, GLAUBER)).v
     return [
         CheckResult(name="visibility_two_photon_closed_form", passed=worst_dev < 1e-6,
                     max_error=worst_dev, tolerance=1e-6,
@@ -184,13 +170,8 @@ def check_sensitivity_scaling() -> list[CheckResult]:
     """Log-log slope of the minimum detectable angle against the mean photon
     number: -1/2 for coherent light, -1 for collinear PDC."""
     mean_n = np.geomspace(10.0, 1.0e4, 25)
-    coh = [min_detectable_angle(SourceSpec(kind=SourceKind.COHERENT, alpha=math.sqrt(n)))
-           for n in mean_n]
-    col = [min_detectable_angle(SourceSpec(kind=SourceKind.COLLINEAR_PDC,
-                                           r=math.asinh(math.sqrt(n / 2.0))))
-           for n in mean_n]
-    slope_coh = float(np.polyfit(np.log(mean_n), np.log(coh), 1)[0])
-    slope_col = float(np.polyfit(np.log(mean_n), np.log(col), 1)[0])
+    slope_coh = sensitivity_curve(SourceKind.COHERENT, mean_n)[1]
+    slope_col = sensitivity_curve(COLLINEAR, mean_n)[1]
     return [
         CheckResult(name="sensitivity_slope_coherent", passed=abs(slope_coh + 0.5) <= 0.02,
                     max_error=abs(slope_coh + 0.5), tolerance=0.02,
@@ -203,37 +184,23 @@ def check_sensitivity_scaling() -> list[CheckResult]:
 
 def check_glauber_vs_projection(apply_mor_fn=apply_mor) -> list[CheckResult]:
     """Four-photon counting dominates the post-selected projection, and the
-    two coincide at weak pumping."""
+    two coincide at weak pumping; both are read off one evolved state."""
     thetas = np.linspace(0.0, math.pi, 17)
+    media = [MediumSpec(theta=float(t)) for t in thetas]
     violations = 0
     worst_gap = 0.0
+    worst_ratio = 0.0
     for r in (0.01, 0.1, 0.5, 1.0, 1.3):
-        col = collinear_state(r, n_max=ORACLE_N_MAX[r])
-        col4 = collinear_state(r, n_max=2)
-        for theta in map(float, thetas):
-            medium = MediumSpec(theta=theta)
-            glauber = normally_ordered_moment(
-                apply_mor_fn(col, medium, Geometry.COLLINEAR), (2, 2, 0, 0))
-            proj = projection_probability(
-                apply_mor_fn(col4, medium, Geometry.COLLINEAR), (2, 2, 0, 0))
+        source = SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
+        values = _engine_values(apply_mor_fn, source, media, (GLAUBER, PROJECTION[COLLINEAR]))
+        for medium, (glauber, proj) in zip(media, values):
             gap = 4.0 * proj - glauber
             worst_gap = max(worst_gap, gap)
             if gap > 1e-12:
                 violations += 1
-
-    worst_ratio = 0.0
-    col = collinear_state(0.01, n_max=ORACLE_N_MAX[0.01])
-    col4 = collinear_state(0.01, n_max=2)
-    for theta in map(float, thetas):
-        # the ratio is 0/0 where (3 cos^2 theta - 1) vanishes; stay clear of it
-        if abs(3.0 * math.cos(theta) ** 2 - 1.0) < 0.4:
-            continue
-        medium = MediumSpec(theta=theta)
-        glauber = normally_ordered_moment(
-            apply_mor_fn(col, medium, Geometry.COLLINEAR), (2, 2, 0, 0))
-        proj = projection_probability(
-            apply_mor_fn(col4, medium, Geometry.COLLINEAR), (2, 2, 0, 0))
-        worst_ratio = max(worst_ratio, abs(glauber / (4.0 * proj) - 1.0))
+            # the ratio is 0/0 where (3 cos^2 theta - 1) vanishes; stay clear of it
+            if r == 0.01 and abs(3.0 * math.cos(medium.theta) ** 2 - 1.0) >= 0.4:
+                worst_ratio = max(worst_ratio, abs(glauber / (4.0 * proj) - 1.0))
     return [
         CheckResult(name="glauber_dominates_projection", passed=violations == 0,
                     max_error=max(worst_gap, 0.0), tolerance=1e-12,
@@ -266,32 +233,17 @@ def check_normalization_and_invariance(apply_mor_fn=apply_mor) -> list[CheckResu
             (out.norm_squared() + out.truncation_tail)
             - (state.norm_squared() + state.truncation_tail)))
 
-    worst_phase = 0.0
-    non = noncollinear_state(0.9, n_max=8)
-    reference = None
-    for theta_plus in (0.0, 0.7, math.pi):
-        out = apply_mor_fn(non, MediumSpec(theta=0.8, theta_plus=theta_plus),
-                           Geometry.NONCOLLINEAR)
-        probe = (projection_probability(out, (1, 1, 1, 1)),
-                 normally_ordered_moment(out, (1, 1, 0, 0)),
-                 normally_ordered_moment(out, (2, 2, 0, 0)))
-        if reference is None:
-            reference = probe
-        else:
-            worst_phase = max(worst_phase,
-                              max(abs(a - b) for a, b in zip(probe, reference)))
-    reference = None
-    for phi in (0.0, 1.3):
-        col = collinear_state(0.9, phi=phi, n_max=48)
-        out = apply_mor_fn(col, MediumSpec(theta=0.8), Geometry.COLLINEAR)
-        probe = (normally_ordered_moment(out, (1, 1, 0, 0)),
-                 normally_ordered_moment(out, (2, 2, 0, 0)),
-                 projection_probability(out, (2, 2, 0, 0)))
-        if reference is None:
-            reference = probe
-        else:
-            worst_phase = max(worst_phase,
-                              max(abs(a - b) for a, b in zip(probe, reference)))
+    def probe(source: SourceSpec, medium: MediumSpec) -> list[float]:
+        return _engine_values(apply_mor_fn, source, [medium],
+                              (TWO_PHOTON, GLAUBER, PROJECTION[source.kind]))[0]
+
+    # each run varies only theta_plus, or only the pump phase
+    non = SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)
+    runs = ([probe(non, MediumSpec(theta=0.8, theta_plus=p)) for p in (0.0, 0.7, math.pi)],
+            [probe(SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48), MediumSpec(theta=0.8))
+             for phi in (0.0, 1.3)])
+    worst_phase = max(abs(a - b) for run in runs for values in run[1:]
+                      for a, b in zip(values, run[0]))
 
     return [
         CheckResult(name="source_norm_plus_tail", passed=worst_norm < 1e-12,

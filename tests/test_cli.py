@@ -130,6 +130,24 @@ def test_non_finite_input_exits_1(capsys, command):
     assert err.startswith(f"error: {NON_FINITE[command]} must be finite")
 
 
+# inputs that overflow a float in a source amplitude or a closed form
+OVERFLOWING = (
+    "envelope --r-max 800 --points 5",
+    "fringe --source collinear --r 800 --n-max 4",
+    "fringe --mode exact --r 400",
+    "fringe --source coherent --alpha 1e200 --observable nd-variance",
+)
+
+
+@pytest.mark.parametrize("command", OVERFLOWING)
+def test_overflow_exits_1_with_one_error_line(command):
+    proc = subprocess.run([sys.executable, "-m", "morsim", *command.split()],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_fringe_exact_mode_checks_source_geometry_pairing(capsys):
     # numeric mode rejects coherent light in the noncollinear geometry; exact
     # mode must not print a fringe for it either

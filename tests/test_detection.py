@@ -13,6 +13,7 @@ from morsim import (
     ObservableKind,
     ObservableSpec,
     SourceSpec,
+    closed_form_scan,
     dominant_frequency,
     evaluate,
     fringe_period,
@@ -21,6 +22,7 @@ from morsim import (
     min_detectable_angle_error_propagation,
     nd_variance,
     oracles,
+    sensitivity_curve,
     visibility,
 )
 
@@ -138,6 +140,24 @@ def test_observable_spec_validation():
         ObservableSpec(kind=ObservableKind.INTENSITY)
 
 
+def test_intensity_mode_given_as_an_integer_is_that_mode():
+    # 0 is aH: the coherent aH intensity is |alpha|^2 at theta = 0, not 0
+    obs = ObservableSpec(kind=ObservableKind.INTENSITY, mode=0)
+    assert obs.mode is Mode.AH
+    src = SourceSpec(kind="coherent", alpha=2.0)
+    assert evaluate(src, MediumSpec(theta=0.0), Geometry.COLLINEAR, obs) == 4.0
+    assert closed_form_scan(src, [0.0], obs).values == (4.0,)
+
+
+def test_closed_form_scan_is_the_table_at_each_angle():
+    grid = np.linspace(0.0, math.pi, 9)
+    series = closed_form_scan(collinear(0.7, n_max=4), grid, GLAUBER)
+    assert series.theta_grid == tuple(grid)
+    assert series.values == tuple(oracles.collinear_four_photon_counts(0.7, t) for t in grid)
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_scan(noncollinear(0.7), grid, TWO_PHOTON)
+
+
 def test_fringe_scan_pointwise_equals_evaluate():
     src = noncollinear(0.8, n_max=8)
     grid = np.linspace(0.0, math.pi, 7)
@@ -244,6 +264,17 @@ def test_min_detectable_angle():
         min_detectable_angle(SourceSpec(kind="coherent", alpha=1.0))
     with pytest.raises(ValueError):
         min_detectable_angle(noncollinear(2.0))
+
+
+def test_sensitivity_curve_slopes():
+    mean_n = np.geomspace(10.0, 1.0e4, 25)
+    theta_m, slope = sensitivity_curve("collinear_pdc", mean_n)
+    assert theta_m == [min_detectable_angle(collinear(math.asinh(math.sqrt(n / 2.0))))
+                       for n in mean_n]
+    assert slope == pytest.approx(-1.0, abs=0.02)
+    assert sensitivity_curve("coherent", mean_n)[1] == pytest.approx(-0.5, abs=0.02)
+    with pytest.raises(ValueError, match="coherent and collinear"):
+        sensitivity_curve("noncollinear_pdc", mean_n)
 
 
 def test_min_detectable_angle_error_propagation():

@@ -76,6 +76,18 @@ def test_inner_product_normalization_and_orthogonality():
     assert abs(total + psi.truncation_tail - 1.0) < 1e-15
 
 
+def test_amplitude_reads_every_entry_of_the_sector_blocks():
+    # a rotated state fills its blocks densely; amplitude indexes the flat buffer
+    out = apply_mor(noncollinear_state(0.8, n_max=5), MediumSpec(theta=0.7),
+                    Geometry.NONCOLLINEAR)
+    for (n_a, n_b), x in out.sectors.items():
+        for k_a in range(n_a + 1):
+            for k_b in range(n_b + 1):
+                occ = (n_a - k_a, k_a, n_b - k_b, k_b)
+                assert out.amplitude(occ) == x[k_a, k_b]
+    assert out.amplitude((1, 0, 0, 0)) == 0j  # no (1, 0) sector
+
+
 def test_inner_product_noncollinear_four_photon_component():
     # |1111> sits in the n=2, m=1 term: amplitude -tanh^2 r / cosh^2 r
     psi = noncollinear_state(1.0, n_max=8)
@@ -291,5 +303,3 @@ def test_spectral_decomposition_inequality():
 
 def test_mode_ordering_and_attributes():
     assert Mode.AH < Mode.AV < Mode.BH < Mode.BV
-    assert Mode.AH.spatial == "a" and Mode.BV.spatial == "b"
-    assert Mode.AH.polarization == "H" and Mode.BV.polarization == "V"

@@ -10,7 +10,7 @@ from morsim import oracles
 
 
 def closed_form(source, observable, detail=None, theta=0.0, **params):
-    return oracles.closed_form(source, observable, detail, theta, **params)
+    return oracles.closed_form(source, observable, detail, [theta], **params)[0]
 
 
 def test_p_non_spot_value():

@@ -1,6 +1,11 @@
 import math
 
-from morsim import Geometry, apply_mor
+import numpy as np
+import pytest
+
+from morsim import Geometry, MediumSpec, apply_mor, detection, oracles, verify
+from morsim.detection import ObservableKind
+from morsim.sources import collinear_state
 from morsim.verify import (
     check_two_photon_closed_form,
     check_normalization_and_invariance,
@@ -40,6 +45,58 @@ def test_mutated_b_rotation_is_caught_by_projection_oracle(monkeypatch):
     assert results["oracle_two_photon_coincidence"].passed
     assert results["oracle_collinear_projection"].passed
     assert results["oracle_four_photon_counts"].passed
+
+
+# oracle check -> the closed-form table entry it compares the engine against
+ENTRY_CHECKED_BY = {
+    "oracle_two_photon_coincidence": ("collinear_pdc", "two_photon_coincidence", None),
+    "oracle_noncollinear_projection": ("noncollinear_pdc", "four_photon_projection",
+                                       (1, 1, 1, 1)),
+    "oracle_collinear_projection": ("collinear_pdc", "four_photon_projection", (2, 2, 0, 0)),
+    "oracle_four_photon_counts": ("collinear_pdc", "four_photon_glauber", None),
+    "variance_cross_check": ("collinear_pdc", "nd_variance", None),
+}
+
+
+def test_every_pdc_closed_form_is_checked_against_the_engine():
+    checked = {name: (kind.value, obs.kind.value, obs.target)
+               for name, kind, obs, _ in verify.ORACLE_ROWS}
+    assert checked == ENTRY_CHECKED_BY
+    assert set(checked.values()) == {key for key in oracles._CLOSED_FORMS
+                                     if key[0] != "coherent"}
+
+
+def _passed_at_one_strength(monkeypatch):
+    monkeypatch.setattr(verify, "ORACLE_R_VALUES", (0.5,))
+    return {r.name: r.passed for r in check_oracle_equivalence()}
+
+
+@pytest.mark.parametrize("name", ENTRY_CHECKED_BY)
+def test_a_wrong_closed_form_entry_fails_its_check_only(monkeypatch, name):
+    key = ENTRY_CHECKED_BY[name]
+    fn, parameter = oracles._CLOSED_FORMS[key]
+    monkeypatch.setitem(oracles._CLOSED_FORMS, key,
+                        (lambda p, theta: fn(p, theta) * (1.0 + 1e-5), parameter))
+    passed = _passed_at_one_strength(monkeypatch)
+    assert passed == {n: n != name for n in ENTRY_CHECKED_BY}
+
+
+def test_a_wrong_glauber_power_fails_the_four_photon_check_only(monkeypatch):
+    monkeypatch.setitem(detection._MOMENT_POWERS, ObservableKind.FOUR_PHOTON_GLAUBER, 1)
+    passed = _passed_at_one_strength(monkeypatch)
+    assert passed == {n: n != "oracle_four_photon_counts" for n in ENTRY_CHECKED_BY}
+
+
+def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
+    # verify reads P(|2,2>) off the state it evolves for the moments; the
+    # channel acts per sector, so the truncation depth cannot move a bit
+    deep, shallow = collinear_state(1.3, n_max=128), collinear_state(1.3, n_max=2)
+    for theta in np.linspace(0.0, 2.0 * math.pi, 25):
+        medium = MediumSpec(theta=float(theta))
+        values = [detection._measure(apply_mor(state, medium, Geometry.COLLINEAR),
+                                     verify.PROJECTION[verify.COLLINEAR])
+                  for state in (deep, shallow)]
+        assert values[0] == values[1]
 
 
 def test_mutated_channel_still_norm_preserving():
