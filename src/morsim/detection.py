@@ -109,12 +109,36 @@ _MOMENT_POWERS = {
 }
 
 
+def _detector_powers(obs: ObservableSpec) -> list[int] | None:
+    """Per-mode powers of a moment observable; None for the other kinds."""
+    power = _MOMENT_POWERS.get(obs.kind)
+    if power is None:
+        return None
+    modes = (obs.mode,) if obs.kind is ObservableKind.INTENSITY else obs.pair
+    return [power if m in modes else 0 for m in Mode]
+
+
+def _fringe_degree(obs: ObservableSpec) -> int:
+    """Highest harmonic of theta in the observable's fringe: the number of
+    photons its detectors absorb.  The channel conserves photon number per
+    beam, so in the Heisenberg picture each mode operator is a combination
+    of cos(theta/2) and sin(theta/2) and the global phases cancel: a moment
+    with powers p has degree sum(p), the number-difference variance 2, and a
+    projection onto k photons k, whatever the truncation, theta_plus or
+    pump phase."""
+    powers = _detector_powers(obs)
+    if powers is not None:
+        return sum(powers)
+    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+        return sum(obs.target)
+    return 2
+
+
 def _measure(state: KetState, obs: ObservableSpec) -> float:
     """The observable's value on an evolved state."""
-    power = _MOMENT_POWERS.get(obs.kind)
-    if power is not None:
-        modes = (obs.mode,) if obs.kind is ObservableKind.INTENSITY else obs.pair
-        return normally_ordered_moment(state, [power if m in modes else 0 for m in Mode])
+    powers = _detector_powers(obs)
+    if powers is not None:
+        return normally_ordered_moment(state, powers)
     if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
         return projection_probability(state, obs.target)
     # number-difference variance over the pair
@@ -130,10 +154,10 @@ def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
         return build_state(source)
     n_a, n_b = sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
     # only the matching (n_a, n_b) sector contributes to the projection
-    # amplitude, so a shallow exact truncation suffices at any r
-    if source.n_max is None:
-        source = dataclasses.replace(source, n_max=max(n_a, n_b, (n_a + n_b) // 2, 1))
-    state = build_state(source)
+    # amplitude, so a shallow exact truncation suffices at any r; a deeper
+    # n_max would only build sectors that are dropped below
+    depth = max(n_a, n_b, (n_a + n_b) // 2, 1)
+    state = build_state(dataclasses.replace(source, n_max=min(source.n_max or depth, depth)))
     # exact: the channel conserves photon number per spatial pair
     return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})
 
@@ -182,15 +206,36 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     truncated Fock state: moments carry the source's documented truncation
     error, projections are exact because only one photon-number sector
     contributes.
+
+    A PDC fringe is a trigonometric polynomial in theta of degree
+    K = ``_fringe_degree(obs)`` (at most 4), so a grid longer than
+    N = 2K + 2 points costs N channel calls: the channel is evaluated at
+    the nodes 2 pi j / N, at the caller's ``theta_plus``, and the
+    polynomial through them, whose coefficients the DFT of the samples
+    gives exactly, is evaluated on the grid.  N is even so that 0 and pi
+    are nodes; a grid angle equal to a node takes that node's sample.
+    Shorter grids are evaluated point by point.
     """
     geometry = check_pairing(source, geometry)
     media = [MediumSpec(theta=float(t), theta_plus=theta_plus) for t in thetas]
+    grid = tuple(m.theta for m in media)
     if source.kind is SourceKind.COHERENT:
-        values = [_coherent_value(source, m.theta, obs) for m in media]
-    else:
-        state = _prepare_state(source, obs)
+        return FringeSeries(theta_grid=grid,
+                            values=tuple(_coherent_value(source, t, obs) for t in grid))
+    state = _prepare_state(source, obs)
+    degree = _fringe_degree(obs)
+    if len(grid) <= 2 * degree + 2:
         values = [_measure(apply_mor(state, m, geometry), obs) for m in media]
-    return FringeSeries(theta_grid=tuple(m.theta for m in media), values=tuple(values))
+        return FringeSeries(theta_grid=grid, values=tuple(values))
+    nodes = np.pi * np.arange(2 * degree + 2) / (degree + 1)
+    samples = [_measure(apply_mor(state, MediumSpec(theta=float(t), theta_plus=theta_plus),
+                                  geometry), obs) for t in nodes]
+    coefficients = np.fft.rfft(samples)[:degree + 1] / len(nodes)
+    harmonics = np.exp(1j * np.outer(grid, np.arange(1, degree + 1)))
+    values = coefficients[0].real + 2.0 * (harmonics @ coefficients[1:]).real
+    at_node = dict(zip(nodes.tolist(), samples))
+    return FringeSeries(theta_grid=grid,
+                        values=tuple(at_node.get(t, v) for t, v in zip(grid, values.tolist())))
 
 
 def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeSeries:
@@ -198,8 +243,10 @@ def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeS
     ValueError where the table has none."""
     grid = tuple(map(float, thetas))
     detail = obs.mode.name if obs.kind is ObservableKind.INTENSITY else obs.target
+    # only coherent forms take alpha; squaring it for PDC could overflow for nothing
+    alpha_sq = abs(source.alpha) ** 2 if source.kind is SourceKind.COHERENT else None
     values = oracles.closed_form(source.kind.value, obs.kind.value, detail, grid,
-                                 r=source.r, alpha_sq=abs(source.alpha) ** 2)
+                                 r=source.r, alpha_sq=alpha_sq)
     return FringeSeries(theta_grid=grid, values=values)
 
 

@@ -139,8 +139,9 @@ def check_fringe_frequencies() -> CheckResult:
 
 
 def check_visibility_curve() -> list[CheckResult]:
-    """Two-photon visibility against its closed form and monotonicity,
-    plus the weak-pumping limit of the four-photon visibility."""
+    """Two-photon visibility, of the closed-form fringe and of the engine's,
+    against its closed form, the closed-form curve's monotonicity, and the
+    weak-pumping limit of the four-photon visibility."""
     thetas = np.linspace(0.0, math.pi, 513)
     r_grid = np.linspace(0.01, 3.0, 60)
     worst_dev = 0.0
@@ -152,11 +153,16 @@ def check_visibility_curve() -> list[CheckResult]:
         if previous is not None and v >= previous:
             monotone_violations += 1
         previous = v
+    for r in ORACLE_R_VALUES:
+        source = SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
+        v = visibility(fringe_scan(source, thetas, Geometry.COLLINEAR, TWO_PHOTON)).v
+        worst_dev = max(worst_dev, abs(v - oracles.two_photon_visibility_closed(r)))
     v4 = visibility(closed_form_scan(SourceSpec(kind=COLLINEAR, r=0.01), thetas, GLAUBER)).v
     return [
         CheckResult(name="visibility_two_photon_closed_form", passed=worst_dev < 1e-6,
                     max_error=worst_dev, tolerance=1e-6,
-                    detail="max |v - 1/(1+2 tanh^2 r)| on r in [0.01, 3]"),
+                    detail="max |v - 1/(1+2 tanh^2 r)|, closed form on r in [0.01, 3], "
+                           "engine at r = 0.1 to 1.3"),
         CheckResult(name="visibility_two_photon_monotone", passed=monotone_violations == 0,
                     max_error=float(monotone_violations), tolerance=0.0,
                     detail="count of non-decreasing steps in r"),

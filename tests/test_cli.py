@@ -5,8 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from morsim import verify
+from morsim import (
+    Geometry,
+    MediumSpec,
+    ObservableKind,
+    ObservableSpec,
+    SourceSpec,
+    evaluate,
+    verify,
+)
 from morsim.cli import main
+from morsim.sources import DEFAULT_EPSILON, truncation_tail
 from morsim.verify import CheckResult
 
 
@@ -260,6 +269,38 @@ def test_visibility_numeric_mode_spot_value(tmp_path):
     assert code == 0
     _, rows, _ = read_rows(out)
     assert rows[1][1] == pytest.approx(1.0 / (1.0 + 2.0 * math.tanh(1.0) ** 2), abs=1e-8)
+
+
+def test_numeric_visibility_sweep_at_deep_truncation(capsys):
+    argv = ["visibility", "--mode", "numeric", "--n-max", "128", "--points", "20"]
+    outputs = []
+    for _ in range(2):
+        assert run_cli(*argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert run_cli("visibility", "--mode", "exact", "--points", "20") == 0
+    exact = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    rows = [tuple(map(float, line.split(","))) for line in outputs[0].splitlines()[1:]]
+    assert len(rows) == len(exact) == 20
+    obs = ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE)
+    for (r, v), v_exact in zip(rows, exact):
+        # the engine's own visibility, from its extremes at theta = 0 and pi/2
+        source = SourceSpec(kind="collinear_pdc", r=r, n_max=128)
+        peak, dip = (evaluate(source, MediumSpec(theta=t), Geometry.COLLINEAR, obs)
+                     for t in (0.0, math.pi / 2))
+        assert v == pytest.approx((peak - dip) / (peak + dip), rel=1e-12)
+        # the closed form holds where n_max = 128 meets the default truncation
+        # target; at r = 3 the truncated weight is 0.28 and v is 1% off
+        if truncation_tail("collinear_pdc", r, 128) * (128 + 4) ** 4 < DEFAULT_EPSILON:
+            assert v == pytest.approx(v_exact, rel=1e-8)
+
+
+def test_pdc_closed_form_ignores_the_coherent_amplitude(capsys):
+    argv = ["fringe", "--source", "collinear", "--mode", "exact", "--points", "9"]
+    assert run_cli(*argv) == 0
+    plain = capsys.readouterr()
+    assert run_cli(*argv, "--alpha", "1e200") == 0
+    assert capsys.readouterr() == plain
 
 
 def test_envelope_noncollinear(tmp_path):

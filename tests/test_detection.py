@@ -13,7 +13,9 @@ from morsim import (
     ObservableKind,
     ObservableSpec,
     SourceSpec,
+    apply_mor,
     closed_form_scan,
+    detection,
     dominant_frequency,
     evaluate,
     fringe_period,
@@ -25,6 +27,8 @@ from morsim import (
     sensitivity_curve,
     visibility,
 )
+from morsim.cli import main as cli_main
+from morsim.sources import build_state
 
 TWO_PHOTON = ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE)
 GLAUBER = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER)
@@ -343,3 +347,99 @@ def test_observables_invariant_under_theta_plus_and_pump_phase(pairing, r, n_max
         medium = MediumSpec(theta=theta, theta_plus=theta_plus)
         values.append([evaluate(source, medium, geometry, obs) for obs in EVERY_OBSERVABLE])
     assert values[0] == pytest.approx(values[1], rel=1e-12, abs=1e-12)
+
+
+def _node(j, degree):
+    # the sampling nodes 2 pi j / (2K + 2), computed as fringe_scan does
+    return math.pi * j / (degree + 1)
+
+
+@PROPERTY_SETTINGS
+@given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES, ANGLES)
+def test_fringes_have_no_harmonic_above_the_detected_photon_number(pairing, r, n_max,
+                                                                    theta_plus, phi):
+    # 2K + 3 direct samples over one turn: harmonics K + 1 and K + 2 land in
+    # the DFT bin K + 1, which must be empty
+    kind, geometry = pairing
+    state = build_state(SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max))
+    for degree in (1, 2, 4):
+        observables = [o for o in EVERY_OBSERVABLE if detection._fringe_degree(o) == degree]
+        assert observables
+        n = 2 * degree + 3
+        samples = np.array([
+            [detection._measure(apply_mor(state, MediumSpec(theta=2 * math.pi * j / n,
+                                                            theta_plus=theta_plus),
+                                          geometry), obs) for obs in observables]
+            for j in range(n)])
+        above = 2.0 * np.abs(np.fft.rfft(samples, axis=0)[degree + 1:]) / n
+        assert np.all(above <= 1e-13 * np.abs(samples).max(axis=0))
+
+
+@PROPERTY_SETTINGS
+@given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 24), ANGLES,
+       st.sampled_from(EVERY_OBSERVABLE), st.data())
+def test_fringe_scan_reconstructs_direct_evaluation(pairing, r, n_max, theta_plus, obs, data):
+    kind, geometry = pairing
+    source = SourceSpec(kind=kind, r=r, n_max=n_max)
+    degree = detection._fringe_degree(obs)
+    nodes = [_node(j, degree) for j in range(2 * degree + 2)]
+    angles = st.one_of(st.floats(-3 * math.pi, 5 * math.pi), st.sampled_from(nodes))
+    grid = sorted(data.draw(st.sets(angles, min_size=2 * degree + 3, max_size=2 * degree + 12)))
+    series = fringe_scan(source, grid, geometry, obs, theta_plus=theta_plus)
+    direct = [evaluate(source, MediumSpec(theta=t, theta_plus=theta_plus), geometry, obs)
+              for t in grid]
+    scale = max(map(abs, direct))
+    for theta, value, expected in zip(grid, series.values, direct):
+        if theta in nodes:
+            assert value == expected
+        assert abs(value - expected) <= 1e-13 * scale
+
+
+def _count_channel_calls(monkeypatch):
+    calls = []
+
+    def counted(state, medium, geometry):
+        calls.append(medium.theta)
+        return apply_mor(state, medium, geometry)
+
+    monkeypatch.setattr(detection, "apply_mor", counted)
+    return calls
+
+
+def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
+    calls = _count_channel_calls(monkeypatch)
+    assert cli_main(["fringe", "--source", "collinear", "--r", "1.3", "--n-max", "128",
+                     "--observable", "four-photon-glauber", "--points", "201",
+                     "--mode", "both"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 202
+    assert calls == [_node(j, 4) for j in range(10)]
+
+
+@pytest.mark.parametrize("obs", [ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AV),
+                                 TWO_PHOTON, ND_VAR, GLAUBER, PROJ_COL])
+def test_a_short_sweep_is_evaluated_point_by_point(monkeypatch, obs):
+    calls = _count_channel_calls(monkeypatch)
+    points = 2 * detection._fringe_degree(obs) + 2
+    grid = np.linspace(0.1, 2.0, points)
+    fringe_scan(collinear(0.6, n_max=16), grid, Geometry.COLLINEAR, obs, theta_plus=0.3)
+    assert calls == list(grid)
+
+
+def test_projection_builds_only_the_target_depth(monkeypatch):
+    from morsim import fock
+
+    built = []
+
+    def recorded(spec):
+        built.append(spec.n_max)
+        return build_state(spec)
+
+    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    monkeypatch.setattr(detection, "build_state", recorded)
+    grid = np.linspace(0.0, math.pi, 7)
+    deep = fringe_scan(noncollinear(0.5, n_max=200), grid, Geometry.NONCOLLINEAR, PROJ_NON)
+    default = fringe_scan(noncollinear(0.5), grid, Geometry.NONCOLLINEAR, PROJ_NON)
+    assert deep.values == default.values
+    # (1,1,1,1) lies in sector (2, 2): two pairs, bases of 2 photons per beam
+    assert built == [2, 2]
+    assert max(fock._ROT_BASIS_CACHE) <= 2

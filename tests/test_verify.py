@@ -87,6 +87,20 @@ def test_a_wrong_glauber_power_fails_the_four_photon_check_only(monkeypatch):
     assert passed == {n: n != "oracle_four_photon_counts" for n in ENTRY_CHECKED_BY}
 
 
+def test_a_wrong_engine_visibility_fails_the_visibility_check_only(monkeypatch):
+    # lift every engine fringe by the constant that scales its visibility
+    # by 1 + 1e-5; the dominant frequency ignores a constant
+    def lifted(*args, **kwargs):
+        series = detection.fringe_scan(*args, **kwargs)
+        top, bottom = max(series.values), min(series.values)
+        shift = (top + bottom) / 2.0 * (1.0 / (1.0 + 1e-5) - 1.0)
+        return detection.FringeSeries(series.theta_grid, [v + shift for v in series.values])
+
+    monkeypatch.setattr(verify, "fringe_scan", lifted)
+    failed = [r.name for r in run_all() if not r.passed]
+    assert failed == ["visibility_two_photon_closed_form"]
+
+
 def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
     # verify reads P(|2,2>) off the state it evolves for the moments; the
     # channel acts per sector, so the truncation depth cannot move a bit
