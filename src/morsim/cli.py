@@ -25,7 +25,7 @@ from .detection import (
 )
 from .fock import Mode
 from .medium import Geometry, MediumSpec
-from .sources import SourceKind, SourceSpec
+from .sources import SourceKind, SourceSpec, truncation_bound
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -116,6 +116,20 @@ def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> 
     return spacing(lo, hi, points)
 
 
+def _warn_if_truncation_misses(sources, obs: ObservableSpec) -> None:
+    """One stderr line when an explicit n_max leaves the moment bound above its
+    source's epsilon, naming the r where the bound is worst.  A projection reads
+    one sector, exactly at any n_max that reaches it, so it never warns."""
+    explicit = [s for s in sources if s.is_pdc and s.n_max is not None]
+    if not explicit or obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+        return
+    worst = max(explicit, key=lambda s: truncation_bound(s.kind, s.r, s.n_max))
+    bound = truncation_bound(worst.kind, worst.r, worst.n_max)
+    if bound > worst.epsilon:
+        print(f"warning: n_max={worst.n_max} misses the truncation target at r={worst.r:g}: "
+              f"tail*(n_max+4)^4 = {bound:.3g} > epsilon={worst.epsilon:g}", file=sys.stderr)
+
+
 def cmd_fringe(args) -> int:
     source = _source_from_args(args)
     geometry = check_pairing(source, _geometry_from_args(args, source))
@@ -131,6 +145,8 @@ def cmd_fringe(args) -> int:
     if args.mode in ("exact", "both"):
         columns.append(closed_form_scan(source, thetas, obs).values)
     header = "theta,value,value_exact" if args.mode == "both" else "theta,value"
+    if args.mode != "exact":
+        _warn_if_truncation_misses([source], obs)
     _write_csv(args.out, header, zip(*columns))
     return 0
 
@@ -141,14 +157,17 @@ def cmd_visibility(args) -> int:
         raise ValueError("visibility sweep needs r > 0")
     thetas = np.linspace(0.0, math.pi, args.theta_points)
     obs = ObservableSpec(kind=OBSERVABLE_NAMES[args.observable])
+    sources = [SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
+               for r in map(float, r_grid)]
     rows = []
-    for r in map(float, r_grid):
-        source = SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
+    for source in sources:
         if args.mode == "exact":
             series = closed_form_scan(source, thetas, obs)
         else:
             series = fringe_scan(source, thetas, Geometry.COLLINEAR, obs)
-        rows.append((r, visibility(series).v))
+        rows.append((source.r, visibility(series).v))
+    if args.mode != "exact":
+        _warn_if_truncation_misses(sources, obs)
     _write_csv(args.out, "r,visibility", rows)
     return 0
 

@@ -155,8 +155,10 @@ def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
     n_a, n_b = sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
     # only the matching (n_a, n_b) sector contributes to the projection
     # amplitude, so a shallow exact truncation suffices at any r; a deeper
-    # n_max would only build sectors that are dropped below
-    depth = max(n_a, n_b, (n_a + n_b) // 2, 1)
+    # n_max would only build sectors that are dropped below.  A collinear pair
+    # puts both photons in beam a, a non-collinear pair one in each beam.
+    collinear = source.kind is SourceKind.COLLINEAR_PDC
+    depth = max(n_a // 2 if collinear else max(n_a, n_b), 1)
     state = build_state(dataclasses.replace(source, n_max=min(source.n_max or depth, depth)))
     # exact: the channel conserves photon number per spatial pair
     return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})

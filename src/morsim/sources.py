@@ -22,7 +22,7 @@ DEFAULT_EPSILON = 1e-10
 DEFAULT_N_MAX_CAP = 64
 # Refuse a truncation whose state and rotation bases would need more: at the cap
 # (collinear n_max = 581, up to 1162 photons) the recurrence that builds the bases
-# alone runs ~13 s on a 2-vCPU Xeon (non-collinear, 367 photons: 0.26 s) and the
+# alone runs ~2.5 s on a 2-vCPU Xeon (non-collinear, 367 photons: 0.1 s) and the
 # process risks exhausting the machine's memory, while 2 GiB is still ~85x what the
 # deepest truncation the paper's curves use needs (collinear n_max = 128, ~24 MB).
 MEMORY_BUDGET_BYTES = 2 * 2**30
@@ -95,20 +95,24 @@ def truncation_tail(kind, r: float, n_max: int) -> float:
     return t ** (n_max + 1) * ((n_max + 1) * (1.0 - t) + 1.0)
 
 
-def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
-    """Smallest power-of-two-ish n_max whose fourth-moment bound beats epsilon.
+def truncation_bound(kind, r: float, n_max: int) -> float:
+    """tail(n_max) * (n_max + 4)^4: bounds the truncation error of every moment
+    measured here (weights grow at most like n^4)."""
+    return truncation_tail(kind, r, n_max) * (n_max + 4) ** 4
 
-    The bound tail(n_max) * (n_max + 4)^4 is conservative for every moment
-    measured here (weights grow at most like n^4).  Doubles from 8 up to
-    DEFAULT_N_MAX_CAP and raises TruncationError if even the cap cannot meet
-    the target.
+
+def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
+    """Smallest power-of-two-ish n_max whose ``truncation_bound`` beats epsilon.
+
+    Doubles from 8 up to DEFAULT_N_MAX_CAP and raises TruncationError if even
+    the cap cannot meet the target.
     """
     kind = SourceKind(kind)
     if kind is SourceKind.COHERENT:
         return 1
     n = 8
     while True:
-        if truncation_tail(kind, r, n) * (n + 4) ** 4 < epsilon:
+        if truncation_bound(kind, r, n) < epsilon:
             return n
         if n >= DEFAULT_N_MAX_CAP:
             raise TruncationError(

@@ -8,6 +8,8 @@ the helpers that put the engine's output next to the reference;
 ``state_from_amplitudes`` builds test states from occupation tuples, and
 ``reference_moment`` / ``reference_nd_variance`` are the per-occupation
 loops the engine's vectorised moments are checked against.
+``reference_rotation_bases`` is the full-row two-path recurrence the engine's
+half-row one must reproduce bit for bit.
 """
 
 import cmath
@@ -107,6 +109,40 @@ def reference_nd_variance(state, pair):
         e1 += abs(amp) ** 2 * d
         e2 += abs(amp) ** 2 * d * d
     return e2 - e1 * e1
+
+
+def reference_risbo_step(u, n):
+    """U_n from all rows of U_{n-1}, the lifts of the half turn [[c, -s], [s, c]],
+    c = s = 1/sqrt(2):
+
+    U_n[k', k] = [sqrt(n-k) (c sqrt(n-k') U[k', k] + s sqrt(k') U[k'-1, k])
+                  + sqrt(k) (-s sqrt(n-k') U[k', k-1] + c sqrt(k') U[k'-1, k-1])] / n,
+
+    with the engine's operations in the engine's order, on every row.
+    """
+    p = np.sqrt(np.arange(n, 0, -1.0))  # sqrt(n - k) for k < n
+    q = np.sqrt(np.arange(1.0, n + 1))  # sqrt(k) for k > 0
+    x, y = p[:, None] * u, q[:, None] * u
+    h, v = np.empty((n + 1, n)), np.empty((n + 1, n))  # the last photon in H, in V
+    h[0], h[n], v[0], v[n] = x[0], y[-1], -x[0], y[-1]
+    np.add(x[1:], y[:-1], out=h[1:n])
+    np.subtract(y[:-1], x[1:], out=v[1:n])
+    g = np.sqrt(0.5) / n
+    h *= p * g
+    v *= q * g
+    out = np.empty((n + 1, n + 1))
+    out[:, 0], out[:, n] = h[:, 0], v[:, -1]
+    np.add(h[:, 1:], v[:, :-1], out=out[:, 1:n])
+    return out
+
+
+def reference_rotation_bases(n_top):
+    """W_n = U_n with its columns reversed, for n = 0..n_top, by the full-row recurrence."""
+    u, bases = np.ones((1, 1)), [np.ones((1, 1))]
+    for n in range(1, n_top + 1):
+        u = reference_risbo_step(u, n)
+        bases.append(np.ascontiguousarray(u[:, ::-1]))
+    return bases
 
 
 def max_difference(left, right):

@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morsim
 from morsim import (
     Geometry,
     MediumSpec,
@@ -21,6 +24,14 @@ from morsim.verify import CheckResult
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """``python -m morsim`` in a child process, importing the morsim under test."""
+    src = str(Path(morsim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "morsim", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def read_rows(path):
@@ -150,8 +161,7 @@ OVERFLOWING = (
 
 @pytest.mark.parametrize("command", OVERFLOWING)
 def test_overflow_exits_1_with_one_error_line(command):
-    proc = subprocess.run([sys.executable, "-m", "morsim", *command.split()],
-                          capture_output=True, text=True)
+    proc = run_module(*command.split())
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
@@ -276,7 +286,11 @@ def test_numeric_visibility_sweep_at_deep_truncation(capsys):
     outputs = []
     for _ in range(2):
         assert run_cli(*argv) == 0
-        outputs.append(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        outputs.append(out)
+        # one warning for the whole sweep, at the r where the bound is worst
+        [line] = err.splitlines()
+        assert line.startswith("warning: n_max=128 misses the truncation target at r=3: ")
     assert outputs[0] == outputs[1]
     assert run_cli("visibility", "--mode", "exact", "--points", "20") == 0
     exact = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
@@ -293,6 +307,23 @@ def test_numeric_visibility_sweep_at_deep_truncation(capsys):
         # target; at r = 3 the truncated weight is 0.28 and v is 1% off
         if truncation_tail("collinear_pdc", r, 128) * (128 + 4) ** 4 < DEFAULT_EPSILON:
             assert v == pytest.approx(v_exact, rel=1e-8)
+
+
+def test_explicit_n_max_that_misses_the_target_warns_on_stderr_only(capsys):
+    argv = ["fringe", "--r", "0.5", "--n-max", "16", "--points", "9", "--mode", "both"]
+    assert run_cli(*argv) == 0
+    warned, warning = capsys.readouterr()
+    bound = truncation_tail("collinear_pdc", 0.5, 16) * (16 + 4) ** 4
+    assert warning == (f"warning: n_max=16 misses the truncation target at r=0.5: "
+                       f"tail*(n_max+4)^4 = {bound:.3g} > epsilon=1e-10\n")
+    # epsilon plays no part once n_max is given: a target the bound meets silences
+    # the warning and leaves the bytes on stdout as they were
+    assert run_cli(*argv, "--epsilon", "1e-6") == 0
+    assert capsys.readouterr() == (warned, "")
+    # neither a closed form nor a projection, exact at this n_max, reads the truncation
+    for extra in (["--mode", "exact"], ["--observable", "four-photon-projection"]):
+        assert run_cli(*argv, *extra) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_pdc_closed_form_ignores_the_coherent_amplitude(capsys):
@@ -399,11 +430,8 @@ def test_verify_exit_codes(monkeypatch, capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "morsim", "fringe", "--source", "collinear",
-         "--r", "0.2", "--points", "3", "--mode", "exact"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("fringe", "--source", "collinear", "--r", "0.2", "--points", "3",
+                      "--mode", "exact")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "theta,value"
 

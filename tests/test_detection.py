@@ -443,3 +443,15 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
     # (1,1,1,1) lies in sector (2, 2): two pairs, bases of 2 photons per beam
     assert built == [2, 2]
     assert max(fock._ROT_BASIS_CACHE) <= 2
+
+    # (2,2,0,0) lies in sector (4, 0): two collinear pairs, not four
+    built.clear()
+    deep = fringe_scan(collinear(0.5, n_max=200), grid, Geometry.COLLINEAR, PROJ_COL)
+    default = fringe_scan(collinear(0.5), grid, Geometry.COLLINEAR, PROJ_COL)
+    assert built == [2, 2]
+    assert deep.values == default.values
+    # the same bits as the projection read off a four-pair state
+    four_pairs = build_state(collinear(0.5, n_max=4))
+    assert default.values == tuple(
+        fock.projection_probability(apply_mor(four_pairs, MediumSpec(theta=t), Geometry.COLLINEAR),
+                                    PROJ_COL.target) for t in grid)

@@ -21,6 +21,7 @@ from morsim import (
 from reference_channel import (
     lifted_generator,
     max_difference,
+    reference_rotation_bases,
     rotation_generator,
     rotation_matrix,
     sector_matrix,
@@ -251,7 +252,8 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     steps = []
     step = fock._risbo_step
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
-    monkeypatch.setattr(fock, "_risbo_step", lambda u, n: steps.append(n) or step(u, n))
+    monkeypatch.setattr(fock, "_risbo_step", lambda u, n, *buffers:
+                        steps.append(n) or step(u, n, *buffers))
     psi = collinear_state(1.3, 0.0, 128)
     out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
     assert steps == list(range(1, 257))
@@ -259,6 +261,27 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     apply_mor(out, MediumSpec(theta=0.7), Geometry.COLLINEAR)
     apply_mor(collinear_state(0.4, 0.0, 128), MediumSpec(theta=0.3), Geometry.COLLINEAR)
     assert steps == list(range(1, 257))
+
+
+def test_half_row_bases_match_the_full_row_recurrence_bit_for_bit(monkeypatch):
+    # one pass of the half-row recurrence, unfolded, against every row computed
+    rows = []
+    step = fock._risbo_step
+
+    def recorded(u, n, *buffers):
+        out = step(u, n, *buffers)
+        rows.append(out.shape)
+        return out
+
+    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    monkeypatch.setattr(fock, "_risbo_step", recorded)
+    built = fock._rotation_bases(range(301))
+    assert rows == [(n // 2 + 1, n + 1) for n in range(1, 301)]
+    for n, (w, ref) in enumerate(zip(built, reference_rotation_bases(300))):
+        assert w.tobytes() == ref.tobytes(), n
+        # W[n - k', k] = (-1)^(k' + k) W[k', n - k]: the half turn squared swaps the modes
+        signs = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
+        assert np.array_equal(w[::-1], signs * w[:, ::-1]), n
 
 
 def test_moment_zeroth_power_is_norm():
