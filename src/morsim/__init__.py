@@ -8,11 +8,8 @@ from .detection import (
     closed_form_scan,
     dominant_frequency,
     evaluate,
-    fringe_period,
     fringe_scan,
     min_detectable_angle,
-    min_detectable_angle_error_propagation,
-    nd_variance,
     sensitivity_curve,
     visibility,
 )
@@ -58,13 +55,10 @@ __all__ = [
     "collinear_state",
     "dominant_frequency",
     "evaluate",
-    "fringe_period",
     "fringe_scan",
     "make_basis_state",
     "mean_photon_number",
     "min_detectable_angle",
-    "min_detectable_angle_error_propagation",
-    "nd_variance",
     "noncollinear_state",
     "normally_ordered_moment",
     "projection_probability",

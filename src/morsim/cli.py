@@ -16,6 +16,7 @@ from . import verify
 from .detection import (
     ObservableKind,
     ObservableSpec,
+    _projection_depth,
     check_pairing,
     closed_form_scan,
     evaluate,
@@ -106,9 +107,10 @@ def _observable_from_args(args, source: SourceSpec) -> ObservableSpec:
     return ObservableSpec(kind=kind)
 
 
-def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> np.ndarray:
-    if points < 2:
-        raise ValueError(f"{name} grid needs at least 2 points, got {points}")
+def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace,
+          min_points: int = 2) -> np.ndarray:
+    if points < min_points:
+        raise ValueError(f"{name} grid needs at least {min_points} points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} grid bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
@@ -119,9 +121,18 @@ def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> 
 def _warn_if_truncation_misses(sources, obs: ObservableSpec) -> None:
     """One stderr line when an explicit n_max leaves the moment bound above its
     source's epsilon, naming the r where the bound is worst.  A projection reads
-    one sector, exactly at any n_max that reaches it, so it never warns."""
+    one sector, exactly at any n_max that reaches it, so it warns only when an
+    n_max stops short of its target's sector and every value reads 0."""
     explicit = [s for s in sources if s.is_pdc and s.n_max is not None]
-    if not explicit or obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+    if not explicit:
+        return
+    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+        # a sweep's sources share one kind, and with it the target's depth
+        n_max = min(s.n_max for s in explicit)
+        depth = _projection_depth(explicit[0].kind, obs.target)
+        if n_max < depth:
+            print(f"warning: n_max={n_max} cannot reach the projection target "
+                  f"{','.join(map(str, obs.target))}, which needs {depth} pairs", file=sys.stderr)
         return
     worst = max(explicit, key=lambda s: truncation_bound(s.kind, s.r, s.n_max))
     bound = truncation_bound(worst.kind, worst.r, worst.n_max)
@@ -155,7 +166,8 @@ def cmd_visibility(args) -> int:
     r_grid = _grid(args.r_min, args.r_max, args.points, "r")
     if args.r_min <= 0:
         raise ValueError("visibility sweep needs r > 0")
-    thetas = np.linspace(0.0, math.pi, args.theta_points)
+    # the fringes repeat after pi, so two points read one point of the fringe twice
+    thetas = _grid(0.0, math.pi, args.theta_points, "theta", min_points=3)
     obs = ObservableSpec(kind=OBSERVABLE_NAMES[args.observable])
     sources = [SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
                for r in map(float, r_grid)]

@@ -28,8 +28,6 @@ from .sources import (
     mean_photon_number,
 )
 
-TWO_PI = 2.0 * math.pi
-
 
 class ObservableKind(str, Enum):
     INTENSITY = "intensity"
@@ -149,16 +147,22 @@ def _measure(state: KetState, obs: ObservableSpec) -> float:
     return float((d * d) @ p) - e1 * e1
 
 
+def _projection_depth(kind: SourceKind, target: Occupation) -> int:
+    """Photon pairs a PDC source must keep to reach the target's (n_a, n_b)
+    sector: a collinear pair puts both photons in beam a, a non-collinear
+    pair one in each beam."""
+    n_a, n_b = target[0] + target[1], target[2] + target[3]
+    return max(n_a // 2 if kind is SourceKind.COLLINEAR_PDC else max(n_a, n_b), 1)
+
+
 def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
     if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION:
         return build_state(source)
-    n_a, n_b = sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
+    sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
     # only the matching (n_a, n_b) sector contributes to the projection
     # amplitude, so a shallow exact truncation suffices at any r; a deeper
-    # n_max would only build sectors that are dropped below.  A collinear pair
-    # puts both photons in beam a, a non-collinear pair one in each beam.
-    collinear = source.kind is SourceKind.COLLINEAR_PDC
-    depth = max(n_a // 2 if collinear else max(n_a, n_b), 1)
+    # n_max would only build sectors that are dropped below
+    depth = _projection_depth(source.kind, obs.target)
     state = build_state(dataclasses.replace(source, n_max=min(source.n_max or depth, depth)))
     # exact: the channel conserves photon number per spatial pair
     return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})
@@ -200,6 +204,26 @@ def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSp
     return fringe_scan(source, (medium.theta,), geometry, obs, medium.theta_plus).values[0]
 
 
+def _sampler(source: SourceSpec, geometry: Geometry, obs: ObservableSpec,
+             theta_plus: float = 0.0):
+    """theta -> the observable's value: coherent light in closed form, PDC
+    light through the channel from a state prepared once."""
+    if source.kind is SourceKind.COHERENT:
+        return lambda theta: _coherent_value(source, theta, obs)
+    state = _prepare_state(source, obs)
+    return lambda theta: _measure(
+        apply_mor(state, MediumSpec(theta=theta, theta_plus=theta_plus), geometry), obs)
+
+
+def _fourier(sample, degree: int) -> tuple[dict, np.ndarray]:
+    """The fringe's samples at the N = 2K + 2 nodes pi j / (K + 1), keyed by
+    node, and its exact Fourier coefficients c_0..c_K: the fringe is
+    c_0 + 2 Re sum_m c_m e^{i m theta}."""
+    nodes = np.pi * np.arange(2 * degree + 2) / (degree + 1)
+    samples = [sample(float(t)) for t in nodes]
+    return dict(zip(nodes.tolist(), samples)), np.fft.rfft(samples)[:degree + 1] / len(nodes)
+
+
 def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
                 theta_plus: float = 0.0) -> FringeSeries:
     """Evaluate an observable over a theta grid.
@@ -219,25 +243,25 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     Shorter grids are evaluated point by point.
     """
     geometry = check_pairing(source, geometry)
-    media = [MediumSpec(theta=float(t), theta_plus=theta_plus) for t in thetas]
-    grid = tuple(m.theta for m in media)
-    if source.kind is SourceKind.COHERENT:
-        return FringeSeries(theta_grid=grid,
-                            values=tuple(_coherent_value(source, t, obs) for t in grid))
-    state = _prepare_state(source, obs)
+    grid = tuple(MediumSpec(theta=float(t), theta_plus=theta_plus).theta for t in thetas)
+    sample = _sampler(source, geometry, obs, theta_plus)
     degree = _fringe_degree(obs)
-    if len(grid) <= 2 * degree + 2:
-        values = [_measure(apply_mor(state, m, geometry), obs) for m in media]
-        return FringeSeries(theta_grid=grid, values=tuple(values))
-    nodes = np.pi * np.arange(2 * degree + 2) / (degree + 1)
-    samples = [_measure(apply_mor(state, MediumSpec(theta=float(t), theta_plus=theta_plus),
-                                  geometry), obs) for t in nodes]
-    coefficients = np.fft.rfft(samples)[:degree + 1] / len(nodes)
+    if source.kind is SourceKind.COHERENT or len(grid) <= 2 * degree + 2:
+        return FringeSeries(theta_grid=grid, values=tuple(map(sample, grid)))
+    at_node, coefficients = _fourier(sample, degree)
     harmonics = np.exp(1j * np.outer(grid, np.arange(1, degree + 1)))
     values = coefficients[0].real + 2.0 * (harmonics @ coefficients[1:]).real
-    at_node = dict(zip(nodes.tolist(), samples))
     return FringeSeries(theta_grid=grid,
                         values=tuple(at_node.get(t, v) for t, v in zip(grid, values.tolist())))
+
+
+def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int:
+    """Dominant integer frequency (cycles per 2 pi) of the observable's fringe:
+    the harmonic m >= 1 with the largest exact Fourier coefficient |c_m|.
+    The global phase theta_plus does not move the spectrum."""
+    geometry = check_pairing(source, geometry)
+    coefficients = _fourier(_sampler(source, geometry, obs), _fringe_degree(obs))[1]
+    return int(np.argmax(np.abs(coefficients[1:])) + 1)
 
 
 def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeSeries:
@@ -266,17 +290,13 @@ def visibility(series: FringeSeries) -> VisibilityResult:
     )
 
 
-def nd_variance(source: SourceSpec, medium: MediumSpec, geometry) -> float:
-    """Variance of the photon-number difference between the aV and aH outputs."""
-    obs = ObservableSpec(kind=ObservableKind.ND_VARIANCE, pair=A_MODES)
-    return evaluate(source, medium, geometry, obs)
-
-
 def min_detectable_angle(source: SourceSpec) -> float:
     """Smallest theta > 0 with unit number-difference fluctuation.
 
     Coherent: arcsin(1/|alpha|).  Collinear PDC: arcsin(1/sinh 2r).  Requires
-    a mean photon number above one.
+    a mean photon number above one.  The variance, not the error propagated
+    through the mean, sets theta_m: collinear PDC's mean number difference
+    does not depend on theta.
     """
     if source.kind is SourceKind.NONCOLLINEAR_PDC:
         raise ValueError("minimum detectable angle is defined for coherent and "
@@ -304,55 +324,3 @@ def sensitivity_curve(kind, mean_n) -> tuple[list[float], float]:
             source = SourceSpec(kind=kind, r=math.asinh(math.sqrt(n / 2.0)))
         theta_m.append(min_detectable_angle(source))
     return theta_m, float(np.polyfit(np.log(mean_n), np.log(theta_m), 1)[0])
-
-
-def min_detectable_angle_error_propagation(source: SourceSpec) -> float:
-    """Alternate estimator Delta(N_d) / |d<N_d>/d theta|.
-
-    For coherent light this is the theta-independent shot-noise value
-    1/|alpha|.  For collinear PDC the mean number difference does not depend
-    on theta at all (both output intensities equal sinh^2 r), so the
-    estimator carries no signal and the result is infinite.
-    """
-    if source.kind is SourceKind.COHERENT:
-        if abs(source.alpha) == 0:
-            raise ValueError("coherent amplitude must be nonzero")
-        return 1.0 / abs(source.alpha)
-    if source.kind is SourceKind.COLLINEAR_PDC:
-        return math.inf
-    raise ValueError("error-propagation estimator is defined for coherent and "
-                     "collinear PDC sources")
-
-
-def fringe_period(source: SourceSpec, obs: ObservableSpec, geometry) -> float:
-    """Period in theta of the named observable (a valid period, not always
-    the fundamental one for constant fringes)."""
-    geometry = Geometry(geometry)
-    if obs.kind is ObservableKind.INTENSITY:
-        return TWO_PI if source.kind is SourceKind.COHERENT else math.pi
-    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-        if obs.target == (1, 1, 1, 1) and geometry is Geometry.NONCOLLINEAR:
-            return math.pi / 2.0
-        if obs.target in ((2, 2, 0, 0), (0, 0, 2, 2)):
-            return math.pi
-        return TWO_PI
-    return math.pi
-
-
-def dominant_frequency(series: FringeSeries) -> int:
-    """Dominant integer frequency (cycles per 2 pi) of a fringe sampled on a
-    uniform grid spanning exactly one 2 pi window, endpoint excluded."""
-    grid = np.asarray(series.theta_grid)
-    if len(grid) < 8:
-        raise ValueError("need at least 8 samples for frequency extraction")
-    steps = np.diff(grid)
-    step = steps[0]
-    if np.max(np.abs(steps - step)) > 1e-9:
-        raise ValueError("frequency extraction needs a uniform theta grid")
-    span = grid[-1] - grid[0] + step
-    if abs(span - TWO_PI) > 1e-8:
-        raise ValueError("frequency extraction needs a grid spanning one 2*pi window")
-    spectrum = np.abs(np.fft.rfft(np.asarray(series.values)))
-    if len(spectrum) < 2:
-        raise ValueError("grid too coarse for frequency extraction")
-    return int(np.argmax(spectrum[1:]) + 1)

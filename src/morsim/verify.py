@@ -123,15 +123,15 @@ def check_two_photon_closed_form(apply_mor_fn=apply_mor) -> CheckResult:
 
 def check_fringe_frequencies() -> CheckResult:
     """The factor-of-four: dominant fringe frequencies 1 : 2 : 4 for coherent
-    intensity, two-photon coincidence and the four-photon projection."""
-    grid = 2.0 * math.pi * np.arange(256) / 256.0
+    intensity, two-photon coincidence and the four-photon projection, read
+    off each fringe's exact Fourier coefficients."""
     coherent = SourceSpec(kind=SourceKind.COHERENT, alpha=1.0)
     intensity = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
-    f_coh = dominant_frequency(fringe_scan(coherent, grid, Geometry.COLLINEAR, intensity))
-    f_two = dominant_frequency(fringe_scan(SourceSpec(kind=COLLINEAR, r=0.5, n_max=48),
-                                           grid, Geometry.COLLINEAR, TWO_PHOTON))
-    f_four = dominant_frequency(fringe_scan(SourceSpec(kind=NONCOLLINEAR, r=0.5, n_max=8), grid,
-                                            Geometry.NONCOLLINEAR, PROJECTION[NONCOLLINEAR]))
+    f_coh = dominant_frequency(coherent, Geometry.COLLINEAR, intensity)
+    f_two = dominant_frequency(SourceSpec(kind=COLLINEAR, r=0.5, n_max=48),
+                               Geometry.COLLINEAR, TWO_PHOTON)
+    f_four = dominant_frequency(SourceSpec(kind=NONCOLLINEAR, r=0.5, n_max=8),
+                                Geometry.NONCOLLINEAR, PROJECTION[NONCOLLINEAR])
     mismatches = int(f_coh != 1) + int(f_two != 2 * f_coh) + int(f_four != 4 * f_coh)
     return CheckResult(name="fringe_frequency_factor_of_four", passed=mismatches == 0,
                        max_error=float(mismatches), tolerance=0.0,

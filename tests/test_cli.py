@@ -326,6 +326,30 @@ def test_explicit_n_max_that_misses_the_target_warns_on_stderr_only(capsys):
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("source, target", [("collinear", "2,2,0,0"),
+                                            ("noncollinear", "1,1,1,1")])
+def test_projection_n_max_below_its_target_depth_warns_on_stderr_only(capsys, source, target):
+    argv = ["fringe", "--source", source, "--observable", "four-photon-projection",
+            "--points", "3"]
+    assert run_cli(*argv, "--n-max", "1") == 0
+    shallow, warning = capsys.readouterr()
+    # stdout is what it always was: the target's sector is never built
+    assert [line.split(",")[1] for line in shallow.splitlines()[1:]] == ["0", "0", "0"]
+    assert warning == (f"warning: n_max=1 cannot reach the projection target {target}, "
+                       "which needs 2 pairs\n")
+    assert run_cli(*argv, "--n-max", "2") == 0
+    deep, quiet = capsys.readouterr()
+    assert quiet == "" and deep != shallow
+
+
+@pytest.mark.parametrize("points", ["-3", "0", "1", "2"])
+def test_visibility_needs_three_theta_points(capsys, points):
+    assert run_cli("visibility", "--theta-points", points) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err == f"error: theta grid needs at least 3 points, got {points}\n"
+
+
 def test_pdc_closed_form_ignores_the_coherent_amplitude(capsys):
     argv = ["fringe", "--source", "collinear", "--mode", "exact", "--points", "9"]
     assert run_cli(*argv) == 0

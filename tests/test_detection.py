@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +15,15 @@ from morsim import (
     Mode,
     ObservableKind,
     ObservableSpec,
+    SourceKind,
     SourceSpec,
     apply_mor,
     closed_form_scan,
     detection,
     dominant_frequency,
     evaluate,
-    fringe_period,
     fringe_scan,
     min_detectable_angle,
-    min_detectable_angle_error_propagation,
-    nd_variance,
     oracles,
     sensitivity_curve,
     visibility,
@@ -173,23 +174,14 @@ def test_fringe_scan_pointwise_equals_evaluate():
 
 
 def test_fringe_series_validation():
+    # the grid and its values only: no Fourier coefficients reach a CSV
+    assert [field.name for field in dataclasses.fields(FringeSeries)] == ["theta_grid", "values"]
     with pytest.raises(ValueError):
         FringeSeries(theta_grid=(), values=())
     with pytest.raises(ValueError):
         FringeSeries(theta_grid=(0.0, 0.0), values=(1.0, 1.0))
     with pytest.raises(ValueError):
         FringeSeries(theta_grid=(0.0, 1.0), values=(1.0,))
-
-
-def test_fringe_periods():
-    coh = SourceSpec(kind="coherent", alpha=1.0)
-    ih = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
-    assert fringe_period(coh, ih, Geometry.COLLINEAR) == pytest.approx(2 * math.pi)
-    assert fringe_period(collinear(1.0), TWO_PHOTON, Geometry.COLLINEAR) == pytest.approx(math.pi)
-    assert fringe_period(noncollinear(1.0), PROJ_NON, Geometry.NONCOLLINEAR) == pytest.approx(
-        math.pi / 2
-    )
-    assert fringe_period(collinear(1.0), PROJ_COL, Geometry.COLLINEAR) == pytest.approx(math.pi)
 
 
 def test_fringe_periodicity_checks_out_numerically():
@@ -233,27 +225,28 @@ def test_visibility_undefined_for_all_zero_series():
         visibility(FringeSeries(theta_grid=(0.0, 1.0), values=(0.0, 0.0)))
 
 
+def _nd_variance(source, theta):
+    return evaluate(source, MediumSpec(theta=theta), Geometry.COLLINEAR, ND_VAR)
+
+
 def test_nd_variance_zero_without_rotation():
-    assert nd_variance(collinear(1.0, n_max=48), MediumSpec(theta=0.0),
-                       Geometry.COLLINEAR) == pytest.approx(0.0, abs=1e-12)
-    coh = SourceSpec(kind="coherent", alpha=3.0)
-    assert nd_variance(coh, MediumSpec(theta=0.0), Geometry.COLLINEAR) == 0.0
+    assert _nd_variance(collinear(1.0, n_max=48), 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert _nd_variance(SourceSpec(kind="coherent", alpha=3.0), 0.0) == 0.0
 
 
 def test_nd_variance_coherent():
-    coh = SourceSpec(kind="coherent", alpha=3.0)
-    got = nd_variance(coh, MediumSpec(theta=math.pi / 2), Geometry.COLLINEAR)
+    got = _nd_variance(SourceSpec(kind="coherent", alpha=3.0), math.pi / 2)
     assert got == pytest.approx(9.0, rel=1e-12)
 
 
 def test_nd_variance_collinear_matches_closed_form():
     src = collinear(1.0, n_max=96)
-    got = nd_variance(src, MediumSpec(theta=math.pi / 2), Geometry.COLLINEAR)
+    got = _nd_variance(src, math.pi / 2)
     expected = 4.0 * math.sinh(1.0) ** 2 * math.cosh(1.0) ** 2
     assert got == pytest.approx(expected, rel=1e-8)
     assert abs(expected - 13.1539) < 1e-3
     for theta in (0.3, 1.1, 2.5):
-        got = nd_variance(src, MediumSpec(theta=theta), Geometry.COLLINEAR)
+        got = _nd_variance(src, theta)
         assert got == pytest.approx(oracles.collinear_nd_variance(1.0, theta), rel=1e-8)
 
 
@@ -281,15 +274,6 @@ def test_sensitivity_curve_slopes():
         sensitivity_curve("noncollinear_pdc", mean_n)
 
 
-def test_min_detectable_angle_error_propagation():
-    assert min_detectable_angle_error_propagation(
-        SourceSpec(kind="coherent", alpha=4.0)
-    ) == pytest.approx(0.25, rel=1e-15)
-    assert math.isinf(min_detectable_angle_error_propagation(collinear(1.0)))
-    with pytest.raises(ValueError):
-        min_detectable_angle_error_propagation(noncollinear(1.0))
-
-
 @PROPERTY_SETTINGS
 @given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES)
 def test_glauber_dominates_projection(pairing, r, n_max, theta):
@@ -305,26 +289,63 @@ def test_glauber_dominates_projection(pairing, r, n_max, theta):
 
 
 def test_dominant_frequency_hierarchy():
-    grid = 2.0 * math.pi * np.arange(256) / 256.0
     coh = SourceSpec(kind="coherent", alpha=1.0)
     ih = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
-    f_coh = dominant_frequency(fringe_scan(coh, grid, Geometry.COLLINEAR, ih))
-    f_two = dominant_frequency(
-        fringe_scan(collinear(0.5, n_max=32), grid, Geometry.COLLINEAR, TWO_PHOTON)
-    )
-    f_four = dominant_frequency(
-        fringe_scan(noncollinear(0.5, n_max=8), grid, Geometry.NONCOLLINEAR, PROJ_NON)
-    )
+    f_coh = dominant_frequency(coh, Geometry.COLLINEAR, ih)
+    f_two = dominant_frequency(collinear(0.5, n_max=32), Geometry.COLLINEAR, TWO_PHOTON)
+    f_four = dominant_frequency(noncollinear(0.5, n_max=8), Geometry.NONCOLLINEAR, PROJ_NON)
     assert (f_coh, f_two, f_four) == (1, 2, 4)
 
 
-def test_dominant_frequency_grid_validation():
-    values = tuple(float(v) for v in np.ones(16))
-    with pytest.raises(ValueError):
-        dominant_frequency(FringeSeries(theta_grid=tuple(np.linspace(0, 1, 16)), values=values))
-    uneven = (0.0, 0.1, 0.3, 0.8, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    with pytest.raises(ValueError):
-        dominant_frequency(FringeSeries(theta_grid=uneven, values=tuple(range(10))))
+def _reference_dominant_frequency(source, geometry, obs):
+    # the argmax of a 256-point FFT of direct samples over one turn
+    thetas = 2.0 * math.pi * np.arange(256) / 256.0
+    if source.kind is SourceKind.COHERENT:
+        samples = [detection._coherent_value(source, float(t), obs) for t in thetas]
+    else:
+        state = build_state(source)
+        samples = [detection._measure(apply_mor(state, MediumSpec(theta=float(t)), geometry), obs)
+                   for t in thetas]
+    return int(np.argmax(np.abs(np.fft.rfft(samples))[1:]) + 1)
+
+
+BV_PAIR = (Mode.AH, Mode.BV)
+FREQUENCY_CASES = (
+    [(SourceSpec(kind="coherent", alpha=1.5), Geometry.COLLINEAR, obs)
+     for obs in (ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH), ND_VAR)]
+    # the degree and the harmonics do not depend on the truncation depth
+    + [(collinear(r, n_max=32), Geometry.COLLINEAR, obs)
+       for r in (0.1, 1.3) for obs in (TWO_PHOTON, ND_VAR, GLAUBER, PROJ_COL)]
+    + [(noncollinear(0.5, n_max=8), Geometry.NONCOLLINEAR, obs)
+       for obs in (PROJ_NON, ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE,
+                                            pair=BV_PAIR),
+                   ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER, pair=BV_PAIR))]
+)
+
+
+@pytest.mark.parametrize("source, geometry, obs", FREQUENCY_CASES,
+                         ids=[f"{s.kind.value}-{o.kind.value}-r{s.r}"
+                              for s, _, o in FREQUENCY_CASES])
+def test_dominant_frequency_matches_a_long_fft_of_direct_samples(source, geometry, obs):
+    assert dominant_frequency(source, geometry, obs) == _reference_dominant_frequency(
+        source, geometry, obs)
+
+
+def test_every_public_detection_function_has_a_caller_in_the_package():
+    package = Path(detection.__file__).parent
+    public = {node.name for node in ast.parse(Path(detection.__file__).read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in package.glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            # a call inside a function's own definition does not count
+            owner = statement.name if isinstance(statement, ast.FunctionDef) else None
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name != owner:
+                        called.add(name)
+    assert sorted(public - called) == []
 
 
 def test_observables_independent_of_pump_phase():
@@ -412,6 +433,10 @@ def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
                      "--observable", "four-photon-glauber", "--points", "201",
                      "--mode", "both"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 202
+    assert calls == [_node(j, 4) for j in range(10)]
+    # the dominant frequency reads the coefficients off the same ten node calls
+    calls.clear()
+    assert dominant_frequency(collinear(1.3, n_max=128), Geometry.COLLINEAR, GLAUBER) == 2
     assert calls == [_node(j, 4) for j in range(10)]
 
 

@@ -88,8 +88,9 @@ def test_a_wrong_glauber_power_fails_the_four_photon_check_only(monkeypatch):
 
 
 def test_a_wrong_engine_visibility_fails_the_visibility_check_only(monkeypatch):
-    # lift every engine fringe by the constant that scales its visibility
-    # by 1 + 1e-5; the dominant frequency ignores a constant
+    # lift every engine fringe that verify scans by the constant that scales
+    # its visibility by 1 + 1e-5; the 1:2:4 check reads Fourier coefficients,
+    # not a scanned fringe
     def lifted(*args, **kwargs):
         series = detection.fringe_scan(*args, **kwargs)
         top, bottom = max(series.values), min(series.values)
