@@ -27,9 +27,7 @@ from .sources import (
     TruncationError,
     build_state,
     coherent_intensity_pair,
-    collinear_state,
     mean_photon_number,
-    noncollinear_state,
     select_n_max,
     truncation_tail,
 )
@@ -52,14 +50,12 @@ __all__ = [
     "build_state",
     "closed_form_scan",
     "coherent_intensity_pair",
-    "collinear_state",
     "dominant_frequency",
     "evaluate",
     "fringe_scan",
     "make_basis_state",
     "mean_photon_number",
     "min_detectable_angle",
-    "noncollinear_state",
     "normally_ordered_moment",
     "projection_probability",
     "select_n_max",

@@ -1,7 +1,8 @@
 """Command-line front end: fringe/visibility/envelope/sensitivity sweeps as
 deterministic CSV, plus the self-verification suite.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 invalid input (or a numeric overflow, or out of memory),
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -343,9 +344,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
-        overflow = "numeric overflow: " if isinstance(exc, OverflowError) else ""
-        print(f"error: {overflow}{exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        kind = ("numeric overflow: " if isinstance(exc, OverflowError)
+                else "out of memory: " if isinstance(exc, MemoryError) else "")
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
 
 

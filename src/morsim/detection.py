@@ -16,6 +16,7 @@ from .fock import (
     KetState,
     Mode,
     Occupation,
+    SectorLayout,
     normally_ordered_moment,
     projection_probability,
 )
@@ -165,7 +166,9 @@ def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
     depth = _projection_depth(source.kind, obs.target)
     state = build_state(dataclasses.replace(source, n_max=min(source.n_max or depth, depth)))
     # exact: the channel conserves photon number per spatial pair
-    return KetState(sectors={k: x for k, x in state.sectors.items() if k == sector})
+    layout = SectorLayout([key for key in state.layout.keys if key == sector])
+    start = state.layout.starts.get(sector, 0)
+    return KetState(layout, state.buffer[start:start + layout.offsets[-1]])
 
 
 def _coherent_value(source: SourceSpec, theta: float, obs: ObservableSpec) -> float:
@@ -257,11 +260,15 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
 
 def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int:
     """Dominant integer frequency (cycles per 2 pi) of the observable's fringe:
-    the harmonic m >= 1 with the largest exact Fourier coefficient |c_m|.
+    the harmonic m >= 1 with the largest exact Fourier coefficient |c_m|, or 0
+    for a fringe that does not oscillate, where no |c_m| with m >= 1 exceeds
+    1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
     The global phase theta_plus does not move the spectrum."""
     geometry = check_pairing(source, geometry)
-    coefficients = _fourier(_sampler(source, geometry, obs), _fringe_degree(obs))[1]
-    return int(np.argmax(np.abs(coefficients[1:])) + 1)
+    magnitudes = np.abs(_fourier(_sampler(source, geometry, obs), _fringe_degree(obs))[1])
+    if magnitudes[1:].max() <= 1e-13 * magnitudes.max():
+        return 0
+    return int(np.argmax(magnitudes[1:]) + 1)
 
 
 def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeSeries:

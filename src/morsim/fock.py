@@ -52,22 +52,22 @@ A_MODES = (Mode.AH, Mode.AV)
 
 
 class SectorLayout:
-    """Where each (n_a, n_b) sector's block lies in a flat buffer, plus the per-entry
-    vectors the channel and detectors use, built once per layout on first use."""
+    """Where each (n_a, n_b) sector's block of shape (n_a+1, n_b+1) lies in a flat
+    buffer, for the ordered sector ``keys``, plus the per-entry vectors the channel
+    and detectors use, built once per layout on first use."""
 
-    def __init__(self, shapes: dict[tuple[int, int], tuple[int, int]]):
-        if any(tuple(s) != (n_a + 1, n_b + 1) for (n_a, n_b), s in shapes.items()):
-            raise ValueError("sector (n_a, n_b) needs a block of shape (n_a+1, n_b+1)")
-        self.shapes = dict(shapes)
-        self.offsets = np.cumsum([0] + [a * b for a, b in self.shapes.values()])
+    def __init__(self, keys):
+        self.keys = list(keys)
+        self.shapes = [(n_a + 1, n_b + 1) for n_a, n_b in self.keys]
+        self.offsets = np.cumsum([0] + [a * b for a, b in self.shapes])
         self.entries = [slice(i, j) for i, j in zip(self.offsets[:-1], self.offsets[1:])]
-        self.starts = dict(zip(self.shapes, self.offsets[:-1].tolist()))
+        self.starts = dict(zip(self.keys, self.offsets[:-1].tolist()))
         self._weights: dict[tuple[int, ...], np.ndarray] = {}
 
     @cached_property
     def occupations(self) -> np.ndarray:
         """(4, size) photon numbers (n_aH, n_aV, n_bH, n_bV) of every entry."""
-        keys = np.array(list(self.shapes), dtype=float).reshape(-1, 2)
+        keys = np.array(self.keys, dtype=float).reshape(-1, 2)
         sector = np.repeat(np.arange(len(keys)), np.diff(self.offsets))
         k_a, k_b = np.divmod(np.arange(self.offsets[-1]) - self.offsets[sector],
                              keys[sector, 1].astype(int) + 1)
@@ -89,7 +89,7 @@ class SectorLayout:
     @cached_property
     def bases(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W_a, W_b) of every sector, in layout order, all built in one pass."""
-        bases = iter(_rotation_bases([n - 1 for shape in self.shapes.values() for n in shape]))
+        bases = iter(_rotation_bases([n for key in self.keys for n in key]))
         return list(zip(bases, bases))
 
     def weights(self, powers: tuple[int, ...]) -> np.ndarray:
@@ -101,36 +101,22 @@ class SectorLayout:
 
 
 class KetState:
-    """Pure state as per-sector amplitude blocks plus analytic truncation tail.
+    """Pure state: flat amplitudes over a sector layout plus analytic truncation tail.
 
-    ``sectors`` maps (n_a, n_b) to the sector's complex block (module
-    docstring); absent sectors are empty.  The blocks are read-only views
-    into the flat ``buffer`` that ``layout`` describes, so cached
-    eigen-coefficients cannot go stale.  ``truncation_tail`` is the squared
-    weight discarded analytically at construction, so norm_squared() +
-    truncation_tail == 1 for source states; the channel never changes it.
+    ``buffer`` holds the blocks of the sectors ``layout`` lists back to back
+    (module docstring); absent sectors are empty.  The buffer is taken, not
+    copied, and made read-only, so cached eigen-coefficients cannot go
+    stale.  ``truncation_tail`` is the squared weight discarded analytically
+    at construction, so norm_squared() + truncation_tail == 1 for source
+    states; the channel never changes it.
     """
 
-    def __init__(self, sectors: dict[tuple[int, int], np.ndarray], truncation_tail: float = 0.0):
-        self._hold(SectorLayout({key: np.shape(x) for key, x in sectors.items()}),
-                   np.concatenate([np.zeros(0)] + [np.ravel(x) for x in sectors.values()],
-                                  dtype=complex), truncation_tail)
-
-    @classmethod
-    def from_buffer(cls, layout: SectorLayout, buffer: np.ndarray, truncation_tail: float = 0.0):
-        """The state whose flat amplitudes are ``buffer`` (taken, not copied)."""
-        state = cls.__new__(cls)
-        state._hold(layout, buffer, truncation_tail)
-        return state
-
-    def _hold(self, layout: SectorLayout, buffer: np.ndarray, truncation_tail: float) -> None:
+    def __init__(self, layout: SectorLayout, buffer: np.ndarray, truncation_tail: float = 0.0):
+        if buffer.shape != (layout.offsets[-1],) or buffer.dtype != complex:
+            raise ValueError(f"layout needs a flat complex buffer of {layout.offsets[-1]} "
+                             f"amplitudes, got {buffer.dtype} of shape {buffer.shape}")
         buffer.flags.writeable = False
         self.layout, self.buffer, self.truncation_tail = layout, buffer, truncation_tail
-
-    @cached_property
-    def sectors(self) -> dict[tuple[int, int], np.ndarray]:
-        return {key: self.buffer[entries].reshape(shape) for (key, shape), entries
-                in zip(self.layout.shapes.items(), self.layout.entries)}
 
     @cached_property
     def eigen_coefficients(self) -> np.ndarray:
@@ -146,31 +132,32 @@ class KetState:
         return dict(zip(occs, self.buffer[nonzero].tolist()))
 
     def amplitude(self, occ: Occupation) -> complex:
-        n_ah, n_av, n_bh, n_bv = _check_occupation(occ)
-        start = self.layout.starts.get((n_ah + n_av, n_bh + n_bv))
-        if start is None:
-            return 0j
-        return complex(self.buffer[start + n_av * (n_bh + n_bv + 1) + n_bv])
+        key, index = _locate(occ)
+        start = self.layout.starts.get(key)
+        return 0j if start is None else complex(self.buffer[start + index])
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.buffer, self.buffer).real)
 
 
-def _check_occupation(occ) -> Occupation:
+def _locate(occ) -> tuple[tuple[int, int], int]:
+    """The (n_a, n_b) sector of an occupation and the index of its entry in the block."""
     occ = tuple(int(n) for n in occ)
     if len(occ) != 4:
         raise ValueError(f"occupation must have 4 entries, got {len(occ)}")
     if any(n < 0 for n in occ):
         raise ValueError(f"occupation counts must be nonnegative, got {occ}")
-    return occ
+    n_ah, n_av, n_bh, n_bv = occ
+    return (n_ah + n_av, n_bh + n_bv), n_av * (n_bh + n_bv + 1) + n_bv
 
 
 def make_basis_state(occ) -> KetState:
     """Single-component normalized Fock state |occ>."""
-    n_ah, n_av, n_bh, n_bv = _check_occupation(occ)
-    x = np.zeros((n_ah + n_av + 1, n_bh + n_bv + 1), dtype=complex)
-    x[n_av, n_bv] = 1.0
-    return KetState(sectors={(n_ah + n_av, n_bh + n_bv): x})
+    key, index = _locate(occ)
+    layout = SectorLayout([key])
+    x = np.zeros(layout.offsets[-1], dtype=complex)
+    x[index] = 1.0
+    return KetState(layout, x)
 
 
 def normally_ordered_moment(state: KetState, powers) -> float:
@@ -292,7 +279,7 @@ def rotate_sectors(layout: SectorLayout, x: np.ndarray, inverse: bool = False) -
     W_a^T y W_b when ``inverse``, in a new buffer.  W is real: it multiplies
     the interleaved (re, im) floats of C-ordered complex rows, uncopied."""
     out = np.empty_like(x)
-    for entries, (a, b), (w_a, w_b) in zip(layout.entries, layout.shapes.values(), layout.bases):
+    for entries, (a, b), (w_a, w_b) in zip(layout.entries, layout.shapes, layout.bases):
         y = out[entries].reshape(a, b)
         np.matmul(w_a.T if inverse else w_a, x[entries].reshape(a, b).view(np.float64),
                   out=y.view(np.float64))

@@ -35,13 +35,6 @@ class MediumSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    @classmethod
-    def from_susceptibilities(cls, chi_plus: float, chi_minus: float,
-                              k: float, l: float) -> "MediumSpec":
-        if l < 0:
-            raise ValueError("medium length must be nonnegative")
-        return cls(theta=k * l * (chi_plus - chi_minus), theta_plus=k * l * chi_plus)
-
 
 def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     """Evolve a state through the medium.
@@ -56,11 +49,11 @@ def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     """
     geometry = Geometry(geometry)
     layout = state.layout
-    n_b = max((n_b for _, n_b in layout.shapes), default=0)
+    n_b = max((n_b for _, n_b in layout.keys), default=0)
     if geometry is Geometry.COLLINEAR and n_b:
         raise ValueError(f"collinear geometry requires empty b modes; found {n_b} b photons")
     (a, i_a), (b, i_b), post_phase = layout.phases
     phase = np.exp(1j * (medium.theta * a))[i_a] * np.exp(1j * (medium.theta_plus * b))[i_b]
     out = rotate_sectors(layout, state.eigen_coefficients * phase)
     out *= post_phase
-    return KetState.from_buffer(layout, out, state.truncation_tail)
+    return KetState(layout, out, state.truncation_tail)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import KetState
+from .fock import KetState, SectorLayout
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_N_MAX_CAP = 64
@@ -122,63 +122,45 @@ def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
         n = min(2 * n, DEFAULT_N_MAX_CAP)
 
 
-def collinear_state(r: float, phi: float = 0.0, n_max: int = DEFAULT_N_MAX_CAP) -> KetState:
-    """Two-mode squeezed vacuum in the aH/aV pair.
-
-    Amplitude on |n, n, 0, 0> (sector (2n, 0), entry [n, 0]) is
-    (-e^{i phi} tanh r)^n / cosh r for n <= n_max; the dropped weight
-    tanh^{2(n_max+1)} r goes into the tail.
-    """
-    if r < 0:
-        raise ValueError("interaction parameter r must be nonnegative")
-    ratio = -cmath.exp(1j * phi) * math.tanh(r)
-    sectors = {}
-    term = complex(1.0 / math.cosh(r))
-    for n in range(n_max + 1):
-        if term != 0:
-            sectors[(2 * n, 0)] = np.zeros((2 * n + 1, 1), dtype=complex)
-            sectors[(2 * n, 0)][n, 0] = term
-        term = term * ratio
-    return KetState(sectors=sectors,
-                    truncation_tail=truncation_tail(SourceKind.COLLINEAR_PDC, r, n_max))
-
-
-def noncollinear_state(r: float, n_max: int = DEFAULT_N_MAX_CAP) -> KetState:
-    """Four-mode PDC state with counter-propagating arms.
-
-    Amplitude on |n-m, m, m, n-m> (sector (n, n), the anti-diagonal entry
-    [m, n-m]) is (-1)^m tanh^n r / cosh^2 r for 0 <= m <= n <= n_max.
-    """
-    if r < 0:
-        raise ValueError("interaction parameter r must be nonnegative")
-    t = math.tanh(r)
-    sectors = {}
-    weight = 1.0 / math.cosh(r) ** 2
-    for n in range(n_max + 1):
-        if weight != 0:
-            m = np.arange(n + 1)
-            sectors[(n, n)] = np.zeros((n + 1, n + 1), dtype=complex)
-            sectors[(n, n)][m, n - m] = weight * (-1.0) ** m
-        weight *= t
-    return KetState(sectors=sectors,
-                    truncation_tail=truncation_tail(SourceKind.NONCOLLINEAR_PDC, r, n_max))
-
-
 def build_state(spec: SourceSpec) -> KetState:
-    """Construct the truncated Fock state for a PDC source spec."""
+    """The truncated Fock state of a PDC source spec.
+
+    Pair n of collinear PDC fills sector (2n, 0) with amplitude
+    (-e^{i phi} tanh r)^n / cosh r on |n, n, 0, 0> (entry [n, 0]); pair n of
+    non-collinear PDC fills sector (n, n) with (-1)^m tanh^n r / cosh^2 r on
+    |n-m, m, m, n-m> (entry [m, n-m]), 0 <= m <= n.  Pairs n <= n_max are kept,
+    up to the first whose amplitude underflows to 0; the weight beyond n_max
+    goes into the analytic tail.
+    """
     if spec.kind is SourceKind.COHERENT:
         raise ValueError("coherent sources are handled analytically; no Fock state")
     n_max = spec.resolve_n_max()
     collinear = spec.kind is SourceKind.COLLINEAR_PDC
+    keys = [(2 * n, 0) if collinear else (n, n) for n in range(n_max + 1)]
     # each sector needs its per-amplitude buffers and the real basis rotating its rows
-    shapes = [(2 * n + 1, 1) if collinear else (n + 1, n + 1) for n in range(n_max + 1)]
-    needed = sum(BYTES_PER_AMPLITUDE * a * b + 8 * a * a for a, b in shapes)
+    needed = sum(BYTES_PER_AMPLITUDE * (n_a + 1) * (n_b + 1) + 8 * (n_a + 1) ** 2
+                 for n_a, n_b in keys)
     if needed > MEMORY_BUDGET_BYTES:
         raise ValueError(f"n_max={n_max} needs {needed / 2**30:.3g} GiB for the state and its "
                          f"rotation bases, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")
+    t = math.tanh(spec.r)
     if collinear:
-        return collinear_state(spec.r, spec.phi, n_max)
-    return noncollinear_state(spec.r, n_max)
+        term, ratio = complex(1.0 / math.cosh(spec.r)), -cmath.exp(1j * spec.phi) * t
+    else:
+        term, ratio = 1.0 / math.cosh(spec.r) ** 2, t
+    terms = []
+    while len(terms) <= n_max and term != 0:
+        terms.append(term)
+        term *= ratio
+    layout = SectorLayout(keys[:len(terms)])
+    buffer = np.zeros(layout.offsets[-1], dtype=complex)
+    for n, (start, amplitude) in enumerate(zip(layout.offsets.tolist(), terms)):
+        if collinear:
+            buffer[start + n] = amplitude
+        else:
+            m = np.arange(n + 1)
+            buffer[start + m * (n + 1) + n - m] = amplitude * (-1.0) ** m
+    return KetState(layout, buffer, truncation_tail(spec.kind, spec.r, n_max))
 
 
 def coherent_intensity_pair(alpha: complex, theta: float) -> tuple[float, float]:

@@ -5,7 +5,10 @@ generator lifted from the 2x2 rotation generator; nothing is shared with the
 engine's cached J_y eigenbasis.  Sector index k <-> |n-k, k> (k photons in
 the V mode), as in the engine.  ``sector_matrix`` and ``max_difference`` are
 the helpers that put the engine's output next to the reference;
-``state_from_amplitudes`` builds test states from occupation tuples, and
+``sectors`` reads a state's blocks, ``state_from_sectors`` and
+``state_from_amplitudes`` build test states from blocks or occupation tuples,
+``reference_collinear_state`` / ``reference_noncollinear_state`` build PDC
+states sector by sector for ``build_state`` to reproduce bit for bit, and
 ``reference_moment`` / ``reference_nd_variance`` are the per-occupation
 loops the engine's vectorised moments are checked against.
 ``reference_rotation_bases`` is the full-row two-path recurrence the engine's
@@ -18,7 +21,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from morsim import Geometry, KetState, MediumSpec, apply_mor, make_basis_state
+from morsim import (Geometry, KetState, MediumSpec, SourceKind, apply_mor, make_basis_state,
+                    truncation_tail)
+from morsim.fock import SectorLayout
 
 
 def rotation_matrix(theta, theta_plus=0.0):
@@ -50,23 +55,68 @@ def sector_unitary(theta, theta_plus, n):
     return expm(1j * lifted_generator(rotation_generator(theta, theta_plus), n))
 
 
+def sectors(state):
+    """{(n_a, n_b): block} of a state: read-only views into its flat buffer."""
+    layout = state.layout
+    return {key: state.buffer[entries].reshape(shape)
+            for key, shape, entries in zip(layout.keys, layout.shapes, layout.entries)}
+
+
+def state_from_sectors(blocks, tail=0.0):
+    """KetState holding the given {(n_a, n_b): block} sectors, in dict order."""
+    buffer = np.concatenate([np.zeros(0)] + [np.ravel(x) for x in blocks.values()],
+                            dtype=complex)
+    return KetState(SectorLayout(blocks), buffer, tail)
+
+
 def state_from_amplitudes(amps, tail=0.0):
     """KetState holding the given {occupation: amplitude} components."""
-    sectors = {}
+    blocks = {}
     for (n_ah, n_av, n_bh, n_bv), amp in amps.items():
         key = (n_ah + n_av, n_bh + n_bv)
-        if key not in sectors:
-            sectors[key] = np.zeros((key[0] + 1, key[1] + 1), dtype=complex)
-        sectors[key][n_av, n_bv] = amp
-    return KetState(sectors=sectors, truncation_tail=tail)
+        if key not in blocks:
+            blocks[key] = np.zeros((key[0] + 1, key[1] + 1), dtype=complex)
+        blocks[key][n_av, n_bv] = amp
+    return state_from_sectors(blocks, tail)
+
+
+def reference_collinear_state(r, phi, n_max):
+    """Two-mode squeezed vacuum in the aH/aV pair, sector by sector: amplitude
+    (-e^{i phi} tanh r)^n / cosh r on |n, n, 0, 0> (sector (2n, 0), entry
+    [n, 0]) for n <= n_max, skipping terms that underflow to 0."""
+    ratio = -cmath.exp(1j * phi) * math.tanh(r)
+    blocks = {}
+    term = complex(1.0 / math.cosh(r))
+    for n in range(n_max + 1):
+        if term != 0:
+            blocks[(2 * n, 0)] = np.zeros((2 * n + 1, 1), dtype=complex)
+            blocks[(2 * n, 0)][n, 0] = term
+        term = term * ratio
+    return state_from_sectors(blocks, truncation_tail(SourceKind.COLLINEAR_PDC, r, n_max))
+
+
+def reference_noncollinear_state(r, n_max):
+    """Four-mode PDC state with counter-propagating arms, sector by sector:
+    amplitude (-1)^m tanh^n r / cosh^2 r on |n-m, m, m, n-m> (sector (n, n),
+    entry [m, n-m]) for 0 <= m <= n <= n_max, skipping terms that underflow."""
+    t = math.tanh(r)
+    blocks = {}
+    weight = 1.0 / math.cosh(r) ** 2
+    for n in range(n_max + 1):
+        if weight != 0:
+            m = np.arange(n + 1)
+            blocks[(n, n)] = np.zeros((n + 1, n + 1), dtype=complex)
+            blocks[(n, n)][m, n - m] = weight * (-1.0) ** m
+        weight *= t
+    return state_from_sectors(blocks, truncation_tail(SourceKind.NONCOLLINEAR_PDC, r, n_max))
 
 
 def reference_channel(state, a_angles, b_angles=(0.0, 0.0)):
     """Rotate the aH/aV pair by a_angles = (theta, theta_plus) and the bH/bV
     pair by b_angles, sector by sector."""
-    sectors = {(n_a, n_b): sector_unitary(*a_angles, n_a) @ x @ sector_unitary(*b_angles, n_b).T
-               for (n_a, n_b), x in state.sectors.items()}
-    return KetState(sectors=sectors, truncation_tail=state.truncation_tail)
+    blocks = {(n_a, n_b): sector_unitary(*a_angles, n_a) @ x @ sector_unitary(*b_angles, n_b).T
+              for (n_a, n_b), x in sectors(state).items()}
+    return state_from_sectors(blocks, state.truncation_tail)
 
 
 def reference_mor(state, medium, geometry):

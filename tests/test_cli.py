@@ -167,6 +167,28 @@ def test_overflow_exits_1_with_one_error_line(command):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["fringe --points 1000000000000 --mode exact",
+                                     "visibility --theta-points 1000000000000"])
+def test_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, command):
+    # the grid builder refuses as numpy does when the OS cannot supply the
+    # array, without asking the OS for it
+    from morsim import cli
+
+    grid = cli._grid
+
+    def refuse_large(lo, hi, points, name, *args, **kwargs):
+        if points > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * points / 2**40:.2f} TiB for an array "
+                              f"with shape ({points},) and data type float64")
+        return grid(lo, hi, points, name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_grid", refuse_large)
+    assert run_cli(*command.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: out of memory: Unable to allocate 7.28 TiB")
+
+
 def test_fringe_exact_mode_checks_source_geometry_pairing(capsys):
     # numeric mode rejects coherent light in the noncollinear geometry; exact
     # mode must not print a fringe for it either
@@ -206,7 +228,7 @@ def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("built an oversized truncation")
 
-    monkeypatch.setattr(sources, "collinear_state", must_not_run)
+    monkeypatch.setattr(sources, "SectorLayout", must_not_run)
     monkeypatch.setattr(fock, "_rotation_bases", must_not_run)
     assert run_cli("fringe", "--n-max", "100000") == 1
     out, err = capsys.readouterr()

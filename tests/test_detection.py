@@ -331,21 +331,54 @@ def test_dominant_frequency_matches_a_long_fft_of_direct_samples(source, geometr
         source, geometry, obs)
 
 
-def test_every_public_detection_function_has_a_caller_in_the_package():
-    package = Path(detection.__file__).parent
-    public = {node.name for node in ast.parse(Path(detection.__file__).read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    called = set()
-    for path in package.glob("*.py"):
-        for statement in ast.parse(path.read_text()).body:
-            # a call inside a function's own definition does not count
-            owner = statement.name if isinstance(statement, ast.FunctionDef) else None
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name != owner:
-                        called.add(name)
-    assert sorted(public - called) == []
+# fringes with no harmonic above c_0: a mode's mean photon number does not
+# move under either PDC pairing, and the collinear source's b beam is empty
+FLAT_CASES = (
+    [(SourceSpec(kind=kind, r=r, n_max=8), geometry,
+      ObservableSpec(kind=ObservableKind.INTENSITY, mode=mode))
+     for kind, geometry in (("collinear_pdc", Geometry.COLLINEAR),
+                            ("noncollinear_pdc", Geometry.NONCOLLINEAR))
+     for r in (0.5, 0.9) for mode in Mode]
+    + [(collinear(0.7, n_max=40), Geometry.COLLINEAR,
+        ObservableSpec(kind=ObservableKind.ND_VARIANCE, pair=(Mode.BH, Mode.BV)))]
+)
+
+
+@pytest.mark.parametrize("source, geometry, obs", FLAT_CASES,
+                         ids=[f"{s.kind.value}-{g.value}-{o.kind.value}-{o.mode}-r{s.r}"
+                              for s, g, o in FLAT_CASES])
+def test_dominant_frequency_is_0_for_a_fringe_that_does_not_oscillate(source, geometry, obs):
+    assert dominant_frequency(source, geometry, obs) == 0
+
+
+def _definitions(tree):
+    """Names of the top-level functions and of the classmethods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                        and any(getattr(d, "id", None) == "classmethod" for d in f.decorator_list))
+
+
+def _references(node, owner=None):
+    """Every name and attribute under ``node``, called or passed on as a value,
+    except inside the body of a function that bears the same name."""
+    if isinstance(node, ast.FunctionDef):
+        owner = node.name
+    name = getattr(node, "id", getattr(node, "attr", None))
+    if isinstance(name, str) and name != owner:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, owner)
+
+
+def test_every_public_function_has_a_use_in_the_package():
+    # no module keeps a public function or classmethod that only tests reach
+    trees = [ast.parse(path.read_text()) for path in Path(detection.__file__).parent.glob("*.py")]
+    public = {name for tree in trees for name in _definitions(tree) if not name.startswith("_")}
+    used = {name for tree in trees for name in _references(tree)}
+    assert sorted(public - used) == []
 
 
 def test_observables_independent_of_pump_phase():

@@ -10,11 +10,11 @@ from morsim import (
     KetState,
     MediumSpec,
     Mode,
+    SourceSpec,
     apply_mor,
-    collinear_state,
+    build_state,
     fock,
     make_basis_state,
-    noncollinear_state,
     normally_ordered_moment,
     projection_probability,
 )
@@ -25,6 +25,7 @@ from reference_channel import (
     rotation_generator,
     rotation_matrix,
     sector_matrix,
+    sectors,
     state_from_amplitudes,
 )
 
@@ -72,16 +73,16 @@ def test_inner_product_normalization_and_orthogonality():
     for bra in occs:
         for ket in occs:
             assert make_basis_state(ket).amplitude(bra) == (1.0 if bra == ket else 0.0)
-    psi = noncollinear_state(0.7, n_max=12)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.7, n_max=12))
     total = sum(abs(psi.amplitude(occ)) ** 2 for occ in psi.amplitudes)
     assert abs(total + psi.truncation_tail - 1.0) < 1e-15
 
 
 def test_amplitude_reads_every_entry_of_the_sector_blocks():
     # a rotated state fills its blocks densely; amplitude indexes the flat buffer
-    out = apply_mor(noncollinear_state(0.8, n_max=5), MediumSpec(theta=0.7),
-                    Geometry.NONCOLLINEAR)
-    for (n_a, n_b), x in out.sectors.items():
+    out = apply_mor(build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=5)),
+                    MediumSpec(theta=0.7), Geometry.NONCOLLINEAR)
+    for (n_a, n_b), x in sectors(out).items():
         for k_a in range(n_a + 1):
             for k_b in range(n_b + 1):
                 occ = (n_a - k_a, k_a, n_b - k_b, k_b)
@@ -91,7 +92,7 @@ def test_amplitude_reads_every_entry_of_the_sector_blocks():
 
 def test_inner_product_noncollinear_four_photon_component():
     # |1111> sits in the n=2, m=1 term: amplitude -tanh^2 r / cosh^2 r
-    psi = noncollinear_state(1.0, n_max=8)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=1.0, n_max=8))
     amp = psi.amplitude((1, 1, 1, 1))
     expected = math.tanh(1.0) ** 2 / math.cosh(1.0) ** 2
     assert abs(amp + expected) < 1e-15
@@ -159,7 +160,7 @@ def test_subspace_matrix_matches_generator_exponential(n):
 
 
 def test_apply_unitary_identity_is_noop():
-    psi = noncollinear_state(0.8, n_max=6)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=6))
     out = apply_mor(psi, MediumSpec(theta=0.0), Geometry.NONCOLLINEAR)
     assert max_difference(out, psi) < 1e-14
 
@@ -172,7 +173,7 @@ def test_apply_unitary_half_turn_swaps_modes():
 
 
 def test_apply_unitary_preserves_norm_and_other_modes():
-    psi = noncollinear_state(0.9, n_max=8)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.9, n_max=8))
     out = apply_mor(psi, MediumSpec(theta=0.7, theta_plus=0.3), Geometry.NONCOLLINEAR)
     assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
     # photon numbers per beam unchanged per component
@@ -185,7 +186,7 @@ def test_apply_unitary_preserves_norm_and_other_modes():
 
 
 def test_apply_unitary_sequential_composition():
-    psi = noncollinear_state(0.6, n_max=5)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.6, n_max=5))
     step = apply_mor(apply_mor(psi, MediumSpec(0.4, 1.2), Geometry.NONCOLLINEAR),
                      MediumSpec(2.5, -0.3), Geometry.NONCOLLINEAR)
     once = apply_mor(psi, MediumSpec(2.9, 0.9), Geometry.NONCOLLINEAR)
@@ -195,12 +196,12 @@ def test_apply_unitary_sequential_composition():
 
 def test_state_blocks_are_read_only_views_of_one_buffer():
     # the channel caches a state's eigen-coefficients, so no block may change
-    psi = noncollinear_state(0.5, n_max=3)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.5, n_max=3))
     out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.NONCOLLINEAR)
     assert psi.eigen_coefficients.shape == psi.buffer.shape
     for state in (psi, out):
         assert state.layout is psi.layout
-        for x in state.sectors.values():
+        for x in sectors(state).values():
             assert np.shares_memory(x, state.buffer)
             with pytest.raises(ValueError, match="read-only"):
                 x[...] = 0.0
@@ -208,9 +209,11 @@ def test_state_blocks_are_read_only_views_of_one_buffer():
             state.buffer[0] = 1.0
 
 
-def test_state_rejects_misshapen_sector():
-    with pytest.raises(ValueError, match=r"needs a block of shape \(n_a\+1, n_b\+1\)"):
-        KetState(sectors={(2, 0): np.zeros((2, 1), dtype=complex)})
+def test_state_rejects_a_buffer_its_layout_does_not_describe():
+    layout = fock.SectorLayout([(2, 0)])  # one block of 3 x 1 entries
+    for buffer in (np.zeros(2, dtype=complex), np.zeros((3, 1), dtype=complex), np.zeros(3)):
+        with pytest.raises(ValueError, match="flat complex buffer of 3 amplitudes"):
+            KetState(layout, buffer)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 255, 256, 581])
@@ -254,12 +257,13 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
     monkeypatch.setattr(fock, "_risbo_step", lambda u, n, *buffers:
                         steps.append(n) or step(u, n, *buffers))
-    psi = collinear_state(1.3, 0.0, 128)
+    psi = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
     out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
     assert steps == list(range(1, 257))
     assert sorted(fock._ROT_BASIS_CACHE) == list(range(0, 257, 2))
     apply_mor(out, MediumSpec(theta=0.7), Geometry.COLLINEAR)
-    apply_mor(collinear_state(0.4, 0.0, 128), MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    apply_mor(build_state(SourceSpec(kind="collinear_pdc", r=0.4, n_max=128)),
+              MediumSpec(theta=0.3), Geometry.COLLINEAR)
     assert steps == list(range(1, 257))
 
 
@@ -285,7 +289,7 @@ def test_half_row_bases_match_the_full_row_recurrence_bit_for_bit(monkeypatch):
 
 
 def test_moment_zeroth_power_is_norm():
-    psi = noncollinear_state(1.1, n_max=10)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=1.1, n_max=10))
     assert abs(normally_ordered_moment(psi, (0, 0, 0, 0)) - psi.norm_squared()) < 1e-14
 
 

@@ -11,10 +11,10 @@ from morsim import (
     Mode,
     ObservableKind,
     ObservableSpec,
+    SourceSpec,
     apply_mor,
-    collinear_state,
+    build_state,
     make_basis_state,
-    noncollinear_state,
     normally_ordered_moment,
     oracles,
     projection_probability,
@@ -136,7 +136,7 @@ def test_apply_mor_preserves_norm(case, theta, theta_plus):
 
 
 def test_apply_mor_theta_zero_changes_no_observable():
-    psi = noncollinear_state(0.8, n_max=8)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=8))
     out = apply_mor(psi, MediumSpec(theta=0.0, theta_plus=0.6), Geometry.NONCOLLINEAR)
     for occ in [(1, 0, 0, 1), (1, 1, 1, 1), (2, 0, 0, 2)]:
         assert abs(abs(out.amplitude(occ)) - abs(psi.amplitude(occ))) < 1e-14
@@ -170,7 +170,7 @@ def test_cached_eigen_coefficients_serve_angles_in_any_order(case, angles):
 
 def test_collinear_two_photon_fringe_matches_closed_form():
     r = 0.8
-    psi = collinear_state(r, n_max=64)
+    psi = build_state(SourceSpec(kind="collinear_pdc", r=r, n_max=64))
     for theta in np.linspace(0.0, math.pi, 9):
         out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.COLLINEAR)
         got = normally_ordered_moment(out, (1, 1, 0, 0))
@@ -179,7 +179,7 @@ def test_collinear_two_photon_fringe_matches_closed_form():
 
 def test_noncollinear_projection_matches_closed_form():
     r = 1.0
-    psi = noncollinear_state(r, n_max=10)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=r, n_max=10))
     for theta in np.linspace(0.0, math.pi, 11):
         out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.NONCOLLINEAR)
         got = projection_probability(out, (1, 1, 1, 1))
@@ -188,7 +188,7 @@ def test_noncollinear_projection_matches_closed_form():
 
 
 def test_observables_invariant_under_global_phase_angle():
-    psi = noncollinear_state(0.9, n_max=8)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.9, n_max=8))
     reference = None
     for theta_plus in (0.0, 0.7, math.pi):
         out = apply_mor(psi, MediumSpec(theta=0.8, theta_plus=theta_plus),
@@ -209,9 +209,11 @@ def test_observables_invariant_under_global_phase_angle():
        st.integers(1, 32), ANGLES, ANGLES)
 def test_observables_even_in_theta(geometry, r, phi, n_max, theta, theta_plus):
     if geometry is Geometry.COLLINEAR:
-        psi, target = collinear_state(r, phi=phi, n_max=n_max), (2, 2, 0, 0)
+        source, target = SourceSpec(kind="collinear_pdc", r=r, phi=phi, n_max=n_max), (2, 2, 0, 0)
     else:
-        psi, target = noncollinear_state(r, n_max=min(n_max, 8)), (1, 1, 1, 1)
+        source = SourceSpec(kind="noncollinear_pdc", r=r, n_max=min(n_max, 8))
+        target = (1, 1, 1, 1)
+    psi = build_state(source)
     plus = apply_mor(psi, MediumSpec(theta, theta_plus), geometry)
     minus = apply_mor(psi, MediumSpec(-theta, theta_plus), geometry)
     for powers in [(1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1)]:
@@ -224,20 +226,12 @@ def test_observables_even_in_theta(geometry, r, phi, n_max, theta, theta_plus):
 def test_counter_propagation_sign_swap_leaves_projection_invariant():
     # swapping which beam sees +theta flips both pair rotations; the
     # coincidence projection depends on theta only through cos^2(2 theta)
-    psi = noncollinear_state(0.8, n_max=8)
+    psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=8))
     for theta in (0.2, 0.9, 1.7):
         forward = apply_mor(psi, MediumSpec(theta=theta), Geometry.NONCOLLINEAR)
         swapped = apply_mor(psi, MediumSpec(theta=-theta), Geometry.NONCOLLINEAR)
         assert abs(projection_probability(forward, (1, 1, 1, 1))
                    - projection_probability(swapped, (1, 1, 1, 1))) < 1e-13
-
-
-def test_medium_spec_from_susceptibilities():
-    m = MediumSpec.from_susceptibilities(chi_plus=0.4, chi_minus=0.1, k=2.0, l=3.0)
-    assert m.theta == pytest.approx(2.0 * 3.0 * 0.3, rel=1e-15)
-    assert m.theta_plus == pytest.approx(2.0 * 3.0 * 0.4, rel=1e-15)
-    with pytest.raises(ValueError):
-        MediumSpec.from_susceptibilities(0.4, 0.1, 2.0, -1.0)
 
 
 def test_medium_spec_rejects_non_finite():

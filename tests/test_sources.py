@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morsim import sources
 from morsim import (
@@ -10,47 +12,46 @@ from morsim import (
     TruncationError,
     build_state,
     coherent_intensity_pair,
-    collinear_state,
     mean_photon_number,
-    noncollinear_state,
     select_n_max,
     truncation_tail,
 )
+from reference_channel import reference_collinear_state, reference_noncollinear_state
 
 
 def test_collinear_r_zero_is_vacuum():
-    state = collinear_state(0.0, n_max=10)
+    state = build_state(SourceSpec(kind="collinear_pdc", r=0.0, n_max=10))
     assert state.amplitudes == {(0, 0, 0, 0): 1.0 + 0j}
     assert state.truncation_tail == 0.0
 
 
 def test_collinear_first_pair_amplitude():
-    state = collinear_state(1.0, phi=0.0, n_max=10)
+    state = build_state(SourceSpec(kind="collinear_pdc", r=1.0, phi=0.0, n_max=10))
     expected = -math.tanh(1.0) / math.cosh(1.0)
     assert state.amplitude((1, 1, 0, 0)) == pytest.approx(expected, abs=1e-15)
     assert abs(expected + 0.493569) < 1e-4
 
 
 def test_collinear_stored_norm():
-    state = collinear_state(1.0, n_max=20)
+    state = build_state(SourceSpec(kind="collinear_pdc", r=1.0, n_max=20))
     assert state.norm_squared() == pytest.approx(1.0 - math.tanh(1.0) ** 42, abs=1e-14)
 
 
 def test_collinear_pump_phase_enters_amplitudes():
     phi = 0.8
-    state = collinear_state(0.7, phi=phi, n_max=6)
+    state = build_state(SourceSpec(kind="collinear_pdc", r=0.7, phi=phi, n_max=6))
     for n in range(1, 7):
         expected = (-cmath.exp(1j * phi) * math.tanh(0.7)) ** n / math.cosh(0.7)
         assert abs(state.amplitude((n, n, 0, 0)) - expected) < 1e-14
 
 
 def test_noncollinear_r_zero_is_vacuum():
-    state = noncollinear_state(0.0, n_max=10)
+    state = build_state(SourceSpec(kind="noncollinear_pdc", r=0.0, n_max=10))
     assert state.amplitudes == {(0, 0, 0, 0): 1.0 + 0j}
 
 
 def test_noncollinear_single_pair_components_alternate_sign():
-    state = noncollinear_state(1.0, n_max=10)
+    state = build_state(SourceSpec(kind="noncollinear_pdc", r=1.0, n_max=10))
     expected = math.tanh(1.0) / math.cosh(1.0) ** 2
     assert state.amplitude((1, 0, 0, 1)) == pytest.approx(expected, abs=1e-15)
     assert state.amplitude((0, 1, 1, 0)) == pytest.approx(-expected, abs=1e-15)
@@ -67,18 +68,15 @@ def test_noncollinear_pair_weights_sum_to_one():
 @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n_max", [1, 3, 10, 40])
 def test_norm_plus_tail_is_one(kind, r, n_max):
-    if kind is SourceKind.COLLINEAR_PDC:
-        state = collinear_state(r, n_max=n_max)
-    else:
-        state = noncollinear_state(r, n_max=n_max)
+    state = build_state(SourceSpec(kind=kind, r=r, n_max=n_max))
     assert state.norm_squared() + state.truncation_tail == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_structure():
-    col = collinear_state(1.2, n_max=15)
+    col = build_state(SourceSpec(kind="collinear_pdc", r=1.2, n_max=15))
     for occ in col.amplitudes:
         assert occ[0] == occ[1] and occ[2] == occ[3] == 0
-    non = noncollinear_state(1.2, n_max=12)
+    non = build_state(SourceSpec(kind="noncollinear_pdc", r=1.2, n_max=12))
     for occ in non.amplitudes:
         assert occ[0] == occ[3] and occ[1] == occ[2]
 
@@ -86,11 +84,11 @@ def test_pair_structure():
 def test_truncation_tail_matches_stored_norm():
     for r in (0.3, 0.8, 1.4):
         for n_max in (2, 5, 9):
-            col = collinear_state(r, n_max=n_max)
+            col = build_state(SourceSpec(kind="collinear_pdc", r=r, n_max=n_max))
             assert truncation_tail("collinear_pdc", r, n_max) == pytest.approx(
                 1.0 - col.norm_squared(), abs=1e-12
             )
-            non = noncollinear_state(r, n_max=n_max)
+            non = build_state(SourceSpec(kind="noncollinear_pdc", r=r, n_max=n_max))
             assert truncation_tail("noncollinear_pdc", r, n_max) == pytest.approx(
                 1.0 - non.norm_squared(), abs=1e-12
             )
@@ -145,13 +143,41 @@ def test_spec_validation():
 
 def test_memory_budget_counts_every_per_amplitude_buffer(monkeypatch):
     # the state, its eigen-coefficients, a channel output and the layout's
-    # vectors all scale with the amplitude count; nothing is built here
-    monkeypatch.setattr(sources, "collinear_state", lambda r, phi, n_max: n_max)
-    monkeypatch.setattr(sources, "noncollinear_state", lambda r, n_max: n_max)
+    # vectors all scale with the amplitude count; the budget is checked before
+    # the layout and the buffer are built, so neither is built here
+    class Built(Exception):
+        pass
+
+    def layout(keys):
+        raise Built(len(keys))
+
+    monkeypatch.setattr(sources, "SectorLayout", layout)
     for kind, largest in (("collinear_pdc", 581), ("noncollinear_pdc", 367)):
-        assert build_state(SourceSpec(kind=kind, r=0.5, n_max=largest)) == largest
+        with pytest.raises(Built) as built:
+            build_state(SourceSpec(kind=kind, r=0.5, n_max=largest))
+        assert built.value.args == (largest + 1,)
         with pytest.raises(ValueError, match="GiB budget"):
             build_state(SourceSpec(kind=kind, r=0.5, n_max=largest + 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["collinear_pdc", "noncollinear_pdc"]),
+       st.floats(0.0, 20.0) | st.floats(1e-4, 0.1),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 300))
+@example("collinear_pdc", 1e-3, 2.5, 300)
+@example("noncollinear_pdc", 1e-3, 0.0, 300)
+@example("collinear_pdc", 5e-324, 0.4, 2)
+def test_build_state_matches_the_per_sector_reference_bit_for_bit(kind, r, phi, n_max):
+    # one flat buffer written in place holds the bits the per-sector blocks
+    # held, including where the running product underflows
+    state = build_state(SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max))
+    if kind == "collinear_pdc":
+        reference = reference_collinear_state(r, phi, n_max)
+    else:
+        reference = reference_noncollinear_state(r, n_max)
+    assert state.layout.keys == reference.layout.keys
+    assert state.buffer.tobytes() == reference.buffer.tobytes()
+    assert state.truncation_tail == reference.truncation_tail
 
 
 def test_build_state_rejects_coherent():
@@ -188,9 +214,9 @@ def test_mean_photon_number():
 
 def test_mean_photon_number_matches_truncated_state():
     # cross-check the closed forms against mode occupations of deep truncations
-    col = collinear_state(1.0, n_max=48)
+    col = build_state(SourceSpec(kind="collinear_pdc", r=1.0, n_max=48))
     total = sum(abs(a) ** 2 * sum(occ) for occ, a in col.amplitudes.items())
     assert total == pytest.approx(2.0 * math.sinh(1.0) ** 2, rel=1e-8)
-    non = noncollinear_state(1.0, n_max=48)
+    non = build_state(SourceSpec(kind="noncollinear_pdc", r=1.0, n_max=48))
     total = sum(abs(a) ** 2 * sum(occ) for occ, a in non.amplitudes.items())
     assert total == pytest.approx(4.0 * math.sinh(1.0) ** 2, rel=1e-8)

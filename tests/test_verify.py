@@ -5,7 +5,7 @@ import pytest
 
 from morsim import Geometry, MediumSpec, apply_mor, detection, oracles, verify
 from morsim.detection import ObservableKind
-from morsim.sources import collinear_state
+from morsim.sources import SourceSpec, build_state
 from morsim.verify import (
     check_two_photon_closed_form,
     check_normalization_and_invariance,
@@ -105,7 +105,8 @@ def test_a_wrong_engine_visibility_fails_the_visibility_check_only(monkeypatch):
 def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
     # verify reads P(|2,2>) off the state it evolves for the moments; the
     # channel acts per sector, so the truncation depth cannot move a bit
-    deep, shallow = collinear_state(1.3, n_max=128), collinear_state(1.3, n_max=2)
+    deep, shallow = (build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=n_max))
+                     for n_max in (128, 2))
     for theta in np.linspace(0.0, 2.0 * math.pi, 25):
         medium = MediumSpec(theta=float(theta))
         values = [detection._measure(apply_mor(state, medium, Geometry.COLLINEAR),
