@@ -17,7 +17,6 @@ from .fock import (
     KetState,
     Mode,
     make_basis_state,
-    normally_ordered_moment,
     projection_probability,
 )
 from .medium import Geometry, MediumSpec, apply_mor
@@ -56,7 +55,6 @@ __all__ = [
     "make_basis_state",
     "mean_photon_number",
     "min_detectable_angle",
-    "normally_ordered_moment",
     "projection_probability",
     "select_n_max",
     "sensitivity_curve",

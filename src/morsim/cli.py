@@ -224,6 +224,9 @@ def cmd_envelope(args) -> int:
         return evaluate(source, MediumSpec(theta=0.0), geometry, obs)
 
     values = [value_at(float(r)) for r in r_grid]
+    if not any(values):
+        raise ValueError(f"the envelope is 0 at every r in [{args.r_min:g}, {args.r_max:g}]; "
+                         "it has no maximum to locate")
     best = int(np.argmax(values))
     lo = float(r_grid[max(best - 1, 0)])
     hi = float(r_grid[min(best + 1, len(r_grid) - 1)])

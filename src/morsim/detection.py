@@ -1,5 +1,17 @@
 """Measured quantities: coincidences, projections, fringes, visibility,
-number-difference variance and the minimum detectable rotation angle."""
+number-difference variance and the minimum detectable rotation angle.
+
+Moments are read in the Heisenberg picture.  The channel is passive linear
+optics, so it turns each annihilator into U^dag a_k U = sum_i T[k, i] a_i with
+T the 4 x 4 matrix of its one-photon sector, which is read off the channel
+itself for each angle.  A normally ordered moment of K annihilators is then
+v^dag G v: G[S, S'] = <a_S psi | a_S' psi> over the multisets S of K modes is
+built once per source, and v holds the coefficients of the expanded product of
+K rows of T.  The number-difference variance is m^dag H m with H the Gram
+matrix of the centred bilinears (a_i^dag a_j - <a_i^dag a_j>) psi and m the
+entries of T^dag Z T.  A projection still passes its target's sector through
+the channel.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -17,7 +30,9 @@ from .fock import (
     Mode,
     Occupation,
     SectorLayout,
-    normally_ordered_moment,
+    annihilator_coefficients,
+    centred_bilinear_gram,
+    lowered_gram,
     projection_probability,
 )
 from .medium import Geometry, MediumSpec, apply_mor
@@ -133,21 +148,6 @@ def _fringe_degree(obs: ObservableSpec) -> int:
     return 2
 
 
-def _measure(state: KetState, obs: ObservableSpec) -> float:
-    """The observable's value on an evolved state."""
-    powers = _detector_powers(obs)
-    if powers is not None:
-        return normally_ordered_moment(state, powers)
-    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-        return projection_probability(state, obs.target)
-    # number-difference variance over the pair
-    m1, m2 = obs.pair
-    occ, x = state.layout.occupations, state.buffer
-    d, p = occ[m2] - occ[m1], x.real ** 2 + x.imag ** 2
-    e1 = float(d @ p)
-    return float((d * d) @ p) - e1 * e1
-
-
 def _projection_depth(kind: SourceKind, target: Occupation) -> int:
     """Photon pairs a PDC source must keep to reach the target's (n_a, n_b)
     sector: a collinear pair puts both photons in beam a, a non-collinear
@@ -156,16 +156,14 @@ def _projection_depth(kind: SourceKind, target: Occupation) -> int:
     return max(n_a // 2 if kind is SourceKind.COLLINEAR_PDC else max(n_a, n_b), 1)
 
 
-def _prepare_state(source: SourceSpec, obs: ObservableSpec) -> KetState:
-    if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION:
-        return build_state(source)
-    sector = (obs.target[0] + obs.target[1], obs.target[2] + obs.target[3])
-    # only the matching (n_a, n_b) sector contributes to the projection
-    # amplitude, so a shallow exact truncation suffices at any r; a deeper
-    # n_max would only build sectors that are dropped below
-    depth = _projection_depth(source.kind, obs.target)
+def _sector_state(source: SourceSpec, target: Occupation) -> KetState:
+    """The source's amplitudes in the target's (n_a, n_b) sector, the only one that
+    contributes to the projection: the channel conserves photon number per beam.
+    The state is built only to the target's depth, so the projection is exact at
+    any r, and a deeper n_max would only build sectors that are dropped here."""
+    sector = (target[0] + target[1], target[2] + target[3])
+    depth = _projection_depth(source.kind, target)
     state = build_state(dataclasses.replace(source, n_max=min(source.n_max or depth, depth)))
-    # exact: the channel conserves photon number per spatial pair
     layout = SectorLayout([key for key in state.layout.keys if key == sector])
     start = state.layout.starts.get(sector, 0)
     return KetState(layout, state.buffer[start:start + layout.offsets[-1]])
@@ -207,15 +205,96 @@ def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSp
     return fringe_scan(source, (medium.theta,), geometry, obs, medium.theta_plus).values[0]
 
 
-def _sampler(source: SourceSpec, geometry: Geometry, obs: ObservableSpec,
-             theta_plus: float = 0.0):
-    """theta -> the observable's value: coherent light in closed form, PDC
-    light through the channel from a state prepared once."""
+@cache
+def _one_photon_probes(geometry: Geometry) -> tuple[KetState, KetState]:
+    """Probe j holds one photon in mode j of beam a and, in the non-collinear
+    geometry, one in mode j of beam b, each beam in its own sector, so that the
+    channel's image of probe j holds column j of T for each beam.  The buffer of
+    the layout [(1, 0), (0, 1)] lists the modes aH, aV, bH, bV in order."""
+    layout = SectorLayout([(1, 0)] if geometry is Geometry.COLLINEAR else [(1, 0), (0, 1)])
+    probes = []
+    for j in (0, 1):
+        buffer = np.zeros(layout.offsets[-1], dtype=complex)
+        buffer[j::2] = 1.0
+        probes.append(KetState(layout, buffer))
+    return tuple(probes)
+
+
+def _one_photon_matrix(channel, medium: MediumSpec, geometry: Geometry) -> np.ndarray:
+    """T with U^dag a_k U = sum_i T[k, i] a_i: T[k, i] = <1_k|U|1_i>, read off the
+    channel's images of the one-photon probes.  The collinear geometry leaves the
+    b beam alone."""
+    t = np.eye(4, dtype=complex)
+    for j, probe in enumerate(_one_photon_probes(geometry)):
+        image = channel(probe, medium, geometry).buffer
+        t[:2, j] = image[:2]
+        if len(image) == 4:
+            t[2:, j + 2] = image[2:]
+    return t
+
+
+def _annihilated_modes(obs: ObservableSpec) -> list[int]:
+    """The modes of a moment observable's annihilators, each as often as its power."""
+    return [m for m, p in enumerate(_detector_powers(obs)) for _ in range(p)]
+
+
+def _nd_variance(t: np.ndarray, pair, expectations: np.ndarray, centred: np.ndarray,
+                 norm: float) -> float:
+    """<D^2> - <D>^2 of D = N_{pair[1]} - N_{pair[0]} on the evolved state, from
+    U^dag D U = sum_ij M_ij a_i^dag a_j, M = T^dag Z T: the squared norm of
+    (U^dag D U - <D>) psi is m^dag H m, and (1 - |psi|^2) <D>^2 completes it for a
+    truncated state."""
+    z = np.zeros(4)
+    z[pair[0]], z[pair[1]] = -1.0, 1.0
+    m = (t.conj().T @ (z[:, None] * t)).ravel()
+    mean = float((m @ expectations.ravel()).real)
+    return float((m.conj() @ centred @ m).real) + (1.0 - norm) * mean * mean
+
+
+def _moment_reader(state: KetState, moments):
+    """(T, obs) -> the value of the moment observable ``obs``, one of ``moments``, on
+    the state passed through the channel whose one-photon matrix is T.  The Gram
+    matrices the moments need are built here, once."""
+    # the variance centres its bilinears on the one-photon Gram matrix <a_i^dag a_j>
+    sizes = {1 if obs.kind is ObservableKind.ND_VARIANCE else len(_annihilated_modes(obs))
+             for obs in moments}
+    grams = {size: lowered_gram(state, size) for size in sizes}
+    if any(obs.kind is ObservableKind.ND_VARIANCE for obs in moments):
+        centred, norm = centred_bilinear_gram(state, grams[1]), state.norm_squared()
+
+    def read(t: np.ndarray, obs: ObservableSpec) -> float:
+        if obs.kind is ObservableKind.ND_VARIANCE:
+            return _nd_variance(t, obs.pair, grams[1], centred, norm)
+        modes = _annihilated_modes(obs)
+        v = annihilator_coefficients(t[modes])
+        return float((v.conj() @ grams[len(modes)] @ v).real)
+
+    return read
+
+
+def _sampler(source: SourceSpec, geometry: Geometry, observables, channel=None):
+    """medium -> the values of ``observables`` on the source passed through it.
+
+    Coherent light is read off its closed form.  For PDC light each medium costs
+    the channel on the one-photon probes, if any observable is a moment, and on
+    each projection target's sector.  ``channel`` defaults to the ``apply_mor``
+    this module holds when the sampler is made."""
     if source.kind is SourceKind.COHERENT:
-        return lambda theta: _coherent_value(source, theta, obs)
-    state = _prepare_state(source, obs)
-    return lambda theta: _measure(
-        apply_mor(state, MediumSpec(theta=theta, theta_plus=theta_plus), geometry), obs)
+        return lambda medium: [_coherent_value(source, medium.theta, obs) for obs in observables]
+    channel = apply_mor if channel is None else channel
+    projections = {obs.target: _sector_state(source, obs.target) for obs in observables
+                   if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION}
+    moments = [obs for obs in observables if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION]
+    read = _moment_reader(build_state(source), moments) if moments else None
+
+    def sample(medium: MediumSpec) -> list[float]:
+        t = _one_photon_matrix(channel, medium, geometry) if moments else None
+        return [read(t, obs) if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION
+                else projection_probability(channel(projections[obs.target], medium, geometry),
+                                            obs.target)
+                for obs in observables]
+
+    return sample
 
 
 def _fourier(sample, degree: int) -> tuple[dict, np.ndarray]:
@@ -232,13 +311,13 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     """Evaluate an observable over a theta grid.
 
     Coherent sources are evaluated in closed form.  PDC sources use the
-    truncated Fock state: moments carry the source's documented truncation
-    error, projections are exact because only one photon-number sector
-    contributes.
+    truncated Fock state through ``_sampler``: moments carry the source's
+    documented truncation error, projections are exact because only one
+    photon-number sector contributes.
 
     A PDC fringe is a trigonometric polynomial in theta of degree
     K = ``_fringe_degree(obs)`` (at most 4), so a grid longer than
-    N = 2K + 2 points costs N channel calls: the channel is evaluated at
+    N = 2K + 2 points costs N samples: the sampler is evaluated at
     the nodes 2 pi j / N, at the caller's ``theta_plus``, and the
     polynomial through them, whose coefficients the DFT of the samples
     gives exactly, is evaluated on the grid.  N is even so that 0 and pi
@@ -247,7 +326,11 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     """
     geometry = check_pairing(source, geometry)
     grid = tuple(MediumSpec(theta=float(t), theta_plus=theta_plus).theta for t in thetas)
-    sample = _sampler(source, geometry, obs, theta_plus)
+    sampler = _sampler(source, geometry, [obs])
+
+    def sample(theta: float) -> float:
+        return sampler(MediumSpec(theta=theta, theta_plus=theta_plus))[0]
+
     degree = _fringe_degree(obs)
     if source.kind is SourceKind.COHERENT or len(grid) <= 2 * degree + 2:
         return FringeSeries(theta_grid=grid, values=tuple(map(sample, grid)))
@@ -265,7 +348,9 @@ def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int
     1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
     The global phase theta_plus does not move the spectrum."""
     geometry = check_pairing(source, geometry)
-    magnitudes = np.abs(_fourier(_sampler(source, geometry, obs), _fringe_degree(obs))[1])
+    sampler = _sampler(source, geometry, [obs])
+    magnitudes = np.abs(_fourier(lambda theta: sampler(MediumSpec(theta=theta))[0],
+                                 _fringe_degree(obs))[1])
     if magnitudes[1:].max() <= 1e-13 * magnitudes.max():
         return 0
     return int(np.argmax(magnitudes[1:]) + 1)

@@ -5,8 +5,12 @@ fixed canonical order aH < aV < bH < bV.  The medium conserves the photon
 number of each beam, so a state is one complex block per sector (n_a, n_b),
 of shape (n_a+1, n_b+1): entry [k_a, k_b] is the amplitude of
 |n_a-k_a, k_a, n_b-k_b, k_b>; the blocks lie back to back in one flat
-buffer.  Detector observables are diagonal in this basis: a moment is one
-dot product of a weight vector with |amplitude|^2.
+buffer.  A detector moment is read in the Heisenberg picture from Gram
+matrices of the state: <a_S psi | a_S' psi> over multisets S of modes
+(``lowered_gram``), and the Gram matrix of the centred bilinears
+(a_i^dag a_j - E_ij) psi (``centred_bilinear_gram``), both built from the
+nonzero amplitudes only, while ``annihilator_coefficients`` expands a
+product of Heisenberg-picture annihilators over the same multisets.
 
 The polarization rotation of one spatial pair acts on the rows (beam a) or
 columns (beam b) of a sector.  It is generated by the tridiagonal J_y
@@ -32,7 +36,8 @@ one matmul per beam-sector.
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -54,7 +59,7 @@ A_MODES = (Mode.AH, Mode.AV)
 class SectorLayout:
     """Where each (n_a, n_b) sector's block of shape (n_a+1, n_b+1) lies in a flat
     buffer, for the ordered sector ``keys``, plus the per-entry vectors the channel
-    and detectors use, built once per layout on first use."""
+    uses, built once per layout on first use."""
 
     def __init__(self, keys):
         self.keys = list(keys)
@@ -62,17 +67,20 @@ class SectorLayout:
         self.offsets = np.cumsum([0] + [a * b for a, b in self.shapes])
         self.entries = [slice(i, j) for i, j in zip(self.offsets[:-1], self.offsets[1:])]
         self.starts = dict(zip(self.keys, self.offsets[:-1].tolist()))
-        self._weights: dict[tuple[int, ...], np.ndarray] = {}
+
+    def occupations_at(self, index: np.ndarray) -> np.ndarray:
+        """(4, len(index)) photon numbers (n_aH, n_aV, n_bH, n_bV) of the entries at
+        the flat positions ``index``."""
+        keys = np.array(self.keys, dtype=np.int64).reshape(-1, 2)
+        sector = np.searchsorted(self.offsets, index, side="right") - 1
+        n_a, n_b = keys[sector].T
+        k_a, k_b = np.divmod(index - self.offsets[sector], n_b + 1)
+        return np.stack([n_a - k_a, k_a, n_b - k_b, k_b])
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        """(4, size) photon numbers (n_aH, n_aV, n_bH, n_bV) of every entry."""
-        keys = np.array(self.keys, dtype=float).reshape(-1, 2)
-        sector = np.repeat(np.arange(len(keys)), np.diff(self.offsets))
-        k_a, k_b = np.divmod(np.arange(self.offsets[-1]) - self.offsets[sector],
-                             keys[sector, 1].astype(int) + 1)
-        n_a, n_b = keys[sector].T
-        return np.stack([n_a - k_a, k_a, n_b - k_b, k_b])
+        """(4, size) photon numbers of every entry."""
+        return self.occupations_at(np.arange(self.offsets[-1]))
 
     @cached_property
     def phases(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray],
@@ -82,7 +90,7 @@ class SectorLayout:
         B = n_a - n_b = b[i_b] over the distinct integers a and b, and
         d = i^(k_a + k_b) are the phases of V = diag(i^k) W on both beams."""
         n_ah, n_av, n_bh, n_bv = self.occupations
-        d = np.array([1, 1j, -1, -1j])[(n_av + n_bv).astype(int) % 4]
+        d = np.array([1, 1j, -1, -1j])[(n_av + n_bv) % 4]
         return (np.unique(n_av - n_bv, return_inverse=True),
                 np.unique(n_ah + n_av - n_bh - n_bv, return_inverse=True), d)
 
@@ -91,13 +99,6 @@ class SectorLayout:
         """(W_a, W_b) of every sector, in layout order, all built in one pass."""
         bases = iter(_rotation_bases([n for key in self.keys for n in key]))
         return list(zip(bases, bases))
-
-    def weights(self, powers: tuple[int, ...]) -> np.ndarray:
-        """Falling factorials prod_m n_m! / (n_m - p_m)! per entry (0 if p_m > n_m)."""
-        if powers not in self._weights:
-            factors = [n - j for n, p in zip(self.occupations, powers) for j in range(p)]
-            self._weights[powers] = np.prod([np.ones(self.offsets[-1])] + factors, axis=0)
-        return self._weights[powers]
 
 
 class KetState:
@@ -127,9 +128,14 @@ class KetState:
     @property
     def amplitudes(self) -> dict[Occupation, complex]:
         """The nonzero amplitudes keyed by occupation tuple, as a new dict."""
-        nonzero = np.flatnonzero(self.buffer)
-        occs = zip(*self.layout.occupations[:, nonzero].astype(int).tolist())
-        return dict(zip(occs, self.buffer[nonzero].tolist()))
+        occupations, values = self.nonzero_entries()
+        return dict(zip(zip(*occupations.tolist()), values.tolist()))
+
+    def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(4, k) photon numbers and the k amplitudes of the nonzero entries, in
+        buffer order."""
+        index = np.flatnonzero(self.buffer)
+        return self.layout.occupations_at(index), self.buffer[index]
 
     def amplitude(self, occ: Occupation) -> complex:
         key, index = _locate(occ)
@@ -160,23 +166,110 @@ def make_basis_state(occ) -> KetState:
     return KetState(layout, x)
 
 
-def normally_ordered_moment(state: KetState, powers) -> float:
-    """<prod_m a_m^dag^p a_m^p> for per-mode powers p.
-
-    Diagonal in the Fock basis: the layout's falling-factorial weights
-    dotted with |amplitude|^2.
-    """
-    powers = tuple(int(p) for p in powers)
-    if len(powers) != 4 or any(p < 0 for p in powers):
-        raise ValueError(f"powers must be 4 nonnegative integers, got {powers}")
-    x = state.buffer
-    return float(state.layout.weights(powers) @ (x.real ** 2 + x.imag ** 2))
-
-
 def projection_probability(state: KetState, occ) -> float:
     """|<occ|state>|^2 for a Fock basis target."""
     a = state.amplitude(occ)
     return a.real * a.real + a.imag * a.imag
+
+
+@cache
+def _multisets(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, position): row S of ``powers`` holds the per-mode powers of the S-th
+    multiset of ``size`` modes, in the order of ``combinations_with_replacement`` (for
+    one mode, row m is mode m), and ``position`` maps each of the 4^size ordered mode
+    tuples, as a base-4 number, to the row of its multiset."""
+    multisets = list(combinations_with_replacement(range(4), size))
+    row = {multiset: i for i, multiset in enumerate(multisets)}
+    position = [row[tuple(sorted(modes))] for modes in product(range(4), repeat=size)]
+    powers = [np.bincount(multiset, minlength=4) for multiset in multisets]
+    return np.array(powers, dtype=np.int64), np.array(position)
+
+
+def annihilator_coefficients(rows: np.ndarray) -> np.ndarray:
+    """v with prod_t (sum_i rows[t, i] a_i) = sum_S v_S a_S over the multisets S of
+    len(rows) modes, in the order of ``lowered_gram``."""
+    powers, position = _multisets(len(rows))
+    terms = np.ones(1, dtype=complex)
+    for row in rows:
+        terms = np.multiply.outer(terms, row).ravel()
+    return (np.bincount(position, terms.real, len(powers))
+            + 1j * np.bincount(position, terms.imag, len(powers)))
+
+
+def _encode(occupations: np.ndarray, base: int) -> np.ndarray:
+    """One integer per column of a (4, k) array of photon numbers below ``base``."""
+    return ((occupations[0] * base + occupations[1]) * base + occupations[2]) * base \
+        + occupations[3]
+
+
+def _gram(keys: np.ndarray, columns: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """G[c, c'] = sum_key conj(u_c[key]) u_c'[key] for the sparse vectors u_0..u_{size-1}
+    given as (key, column, value) triples; triples that share a key and a column are
+    added first.  Every entry of G sums its products in increasing key order, so two
+    equal vectors u_c = u_c' give G[c, c] = G[c', c'] = G[c, c'] to the last bit."""
+    order = np.lexsort((columns, keys))
+    keys, columns, values = keys[order], columns[order], values[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (columns[1:] != columns[:-1])
+    group = np.cumsum(first) - 1
+    values = np.bincount(group, values.real) + 1j * np.bincount(group, values.imag)
+    # a zero adds nothing to any sum
+    kept = values != 0
+    keys, columns, values = keys[first][kept], columns[first][kept], values[kept]
+    # the entries of one key are adjacent, at most one per column, so an entry of G
+    # gets at most one product per key; ordering the pairs by their first entry
+    # orders every entry's products by key
+    left, right = [np.arange(len(keys))], [np.arange(len(keys))]
+    for shift in range(1, min(size, len(keys))):
+        i = np.flatnonzero(keys[shift:] == keys[:len(keys) - shift])
+        left += [i, i + shift]
+        right += [i + shift, i]
+    left, right = np.concatenate(left), np.concatenate(right)
+    order = np.argsort(left, kind="stable")
+    left, right = left[order], right[order]
+    bins = columns[left] * size + columns[right]
+    products = values[left].conj() * values[right]
+    return (np.bincount(bins, products.real, size * size)
+            + 1j * np.bincount(bins, products.imag, size * size)).reshape(size, size)
+
+
+def lowered_gram(state: KetState, size: int) -> np.ndarray:
+    """G[S, S'] = <a_S psi | a_S' psi> over the multisets S of ``size`` modes, from
+    the state's nonzero amplitudes: a_S |n> = sqrt(prod_m n_m! / (n_m - s_m)!) |n - s>
+    for the powers s of S."""
+    occupations, amplitudes = state.nonzero_entries()
+    base = int(occupations.max(initial=0)) + 1
+    keys, columns, values = [], [], []
+    for column, powers in enumerate(_multisets(size)[0]):
+        reach = np.all(occupations >= powers[:, None], axis=0)
+        n = occupations[:, reach]
+        weight = np.prod([np.ones(n.shape[1])] + [n[m] - j for m, p in enumerate(powers)
+                                                  for j in range(p)], axis=0)
+        keys.append(_encode(n - powers[:, None], base))
+        columns.append(np.full(n.shape[1], column))
+        values.append(amplitudes[reach] * np.sqrt(weight))
+    return _gram(*map(np.concatenate, (keys, columns, values)), len(_multisets(size)[0]))
+
+
+def centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarray:
+    """H[4i + j, 4k + l] = <phi_ij | phi_kl> for the centred bilinears
+    phi_ij = (a_i^dag a_j - E_ij) psi, E = ``expectations`` (4 x 4), from the state's
+    nonzero amplitudes: a_i^dag a_j |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n + e_i - e_j>."""
+    occupations, amplitudes = state.nonzero_entries()
+    base = int(occupations.max(initial=0)) + 2
+    own = _encode(occupations, base)
+    keys, columns, values = [], [], []
+    for i, j in product(range(4), repeat=2):
+        reach = occupations[j] > 0
+        n = occupations[:, reach]
+        moved = n.copy()
+        moved[j] -= 1
+        moved[i] += 1
+        keys += [_encode(moved, base), own]
+        columns.append(np.full(n.shape[1] + len(own), 4 * i + j))
+        values += [amplitudes[reach] * np.sqrt(n[j] * (n[i] + (i != j))),
+                   -expectations[i, j] * amplitudes]
+    return _gram(*map(np.concatenate, (keys, columns, values)), 16)
 
 
 _ROT_BASIS_CACHE: dict[int, np.ndarray] = {}

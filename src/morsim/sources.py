@@ -26,8 +26,10 @@ DEFAULT_N_MAX_CAP = 64
 # process risks exhausting the machine's memory, while 2 GiB is still ~85x what the
 # deepest truncation the paper's curves use needs (collinear n_max = 128, ~24 MB).
 MEMORY_BUDGET_BYTES = 2 * 2**30
-# Bytes per amplitude in a sweep: the state, its eigen-coefficients and one channel
-# output (16 each), the layout's occupations (32), phases (32) and one weight (8).
+# Bytes per amplitude when the channel evolves the whole state: the state, its
+# eigen-coefficients and one channel output (16 each), the layout's occupations (32)
+# and phases (32), plus 8 of headroom.  Moment sweeps evolve only one-photon probes
+# and a projection's sector, so this overstates what they hold.
 BYTES_PER_AMPLITUDE = 3 * 16 + 32 + 32 + 8
 
 

@@ -1,6 +1,6 @@
 """Self-verification suite: oracle equivalence and model invariants.
 
-Each check reads the numeric Fock engine through ``detection._measure``, the
+Each check reads the numeric Fock engine through ``detection._sampler``, the
 code every CLI sweep prints from, and the reference values through the
 closed-form table (``detection.closed_form_scan``), the code behind the
 CLI's exact mode; it compares the two (or asserts an invariant) and reports
@@ -19,7 +19,7 @@ from . import oracles
 from .detection import (
     ObservableKind,
     ObservableSpec,
-    _measure,
+    _sampler,
     closed_form_scan,
     dominant_frequency,
     fringe_scan,
@@ -68,12 +68,12 @@ def _tolerance_ratio(engine: float, reference: float,
 
 
 def _engine_values(apply_mor_fn, source: SourceSpec, media, observables) -> list[list[float]]:
-    """Per medium, each observable read through ``_measure`` off the source's
-    state evolved through that medium: one channel call per medium."""
-    state = build_state(source)
+    """Per medium, each observable read through ``_sampler`` with the channel
+    ``apply_mor_fn``: the source's Gram matrices are built once, and each medium
+    costs the channel on the one-photon probes and on any projection's sector."""
     geometry = Geometry.NONCOLLINEAR if source.kind is NONCOLLINEAR else Geometry.COLLINEAR
-    evolved = (apply_mor_fn(state, medium, geometry) for medium in media)
-    return [[_measure(out, obs) for obs in observables] for out in evolved]
+    sample = _sampler(source, geometry, observables, apply_mor_fn)
+    return [sample(medium) for medium in media]
 
 
 def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:

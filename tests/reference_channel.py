@@ -9,9 +9,11 @@ the helpers that put the engine's output next to the reference;
 ``state_from_amplitudes`` build test states from blocks or occupation tuples,
 ``reference_collinear_state`` / ``reference_noncollinear_state`` build PDC
 states sector by sector for ``build_state`` to reproduce bit for bit, and
-``reference_moment`` / ``reference_nd_variance`` are the per-occupation
-loops the engine's vectorised moments are checked against.
-``reference_rotation_bases`` is the full-row two-path recurrence the engine's
+``normally_ordered_moment`` and ``measure`` read a detector value off an
+evolved state in the Schroedinger picture, the reference the engine's
+Heisenberg-picture moments are checked against, and ``reference_moment`` /
+``reference_nd_variance`` are the per-occupation loops that check them in
+turn.  ``reference_rotation_bases`` is the full-row two-path recurrence the engine's
 half-row one must reproduce bit for bit.
 """
 
@@ -21,8 +23,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from morsim import (Geometry, KetState, MediumSpec, SourceKind, apply_mor, make_basis_state,
-                    truncation_tail)
+from morsim import (Geometry, KetState, MediumSpec, ObservableKind, SourceKind, apply_mor,
+                    make_basis_state, projection_probability, truncation_tail)
+from morsim.detection import _detector_powers
 from morsim.fock import SectorLayout
 
 
@@ -159,6 +162,34 @@ def reference_nd_variance(state, pair):
         e1 += abs(amp) ** 2 * d
         e2 += abs(amp) ** 2 * d * d
     return e2 - e1 * e1
+
+
+def normally_ordered_moment(state, powers):
+    """<prod_m a_m^dag^p a_m^p> for per-mode powers p: the falling factorials
+    prod_m n_m! / (n_m - p_m)! of every entry (0 if p_m > n_m) dotted with
+    |amplitude|^2."""
+    powers = tuple(int(p) for p in powers)
+    if len(powers) != 4 or any(p < 0 for p in powers):
+        raise ValueError(f"powers must be 4 nonnegative integers, got {powers}")
+    occupations, x = state.layout.occupations, state.buffer
+    weights = np.prod([np.ones(len(x))] + [n - j for n, p in zip(occupations, powers)
+                                           for j in range(p)], axis=0)
+    return float(weights @ (x.real ** 2 + x.imag ** 2))
+
+
+def measure(state, obs):
+    """The observable's value on an evolved state: a moment or the variance from
+    the occupations of its entries, a projection from its target's amplitude."""
+    powers = _detector_powers(obs)
+    if powers is not None:
+        return normally_ordered_moment(state, powers)
+    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+        return projection_probability(state, obs.target)
+    m1, m2 = obs.pair
+    occ, x = state.layout.occupations, state.buffer
+    d, p = occ[m2] - occ[m1], x.real ** 2 + x.imag ** 2
+    e1 = float(d @ p)
+    return float((d * d) @ p) - e1 * e1
 
 
 def reference_risbo_step(u, n):

@@ -17,7 +17,7 @@ from morsim import (
     evaluate,
     verify,
 )
-from morsim.cli import main
+from morsim.cli import OBSERVABLE_NAMES, main
 from morsim.sources import DEFAULT_EPSILON, truncation_tail
 from morsim.verify import CheckResult
 
@@ -255,6 +255,19 @@ def test_strong_pumping_glauber_sweep_matches_closed_form_repeatably(capsys):
         assert abs(value - exact) <= max(1e-12, 1e-8 * abs(exact))
 
 
+@pytest.mark.parametrize("observable", ["two-photon", "four-photon-glauber", "nd-variance"])
+def test_moment_fringes_at_huge_angles_stay_within_the_verify_allowance(capsys, observable):
+    # T holds e^{i theta} at most, whose argument numpy reduces exactly, as the
+    # closed forms' math.cos does; a whole state's phases e^{i theta A} round theta A
+    assert run_cli("fringe", "--theta-max", "1e150", "--points", "5", "--mode", "both",
+                   "--observable", observable) == 0
+    rel = {row[2].kind: row[3] for row in verify.ORACLE_ROWS}[OBSERVABLE_NAMES[observable]]
+    rows = [tuple(map(float, line.split(","))) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5
+    for _, value, exact in rows:
+        assert verify._tolerance_ratio(value, exact, rel) <= 1.0
+
+
 def test_strong_pumping_sweep_builds_its_bases_without_eigh(monkeypatch, capsys):
     from morsim import fock
 
@@ -265,7 +278,8 @@ def test_strong_pumping_sweep_builds_its_bases_without_eigh(monkeypatch, capsys)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     assert run_cli(*STRONG_GLAUBER) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
-    assert sorted(fock._ROT_BASIS_CACHE) == list(range(0, 257, 2))
+    # the moments read the channel off one-photon probes: no basis above 1 photon
+    assert max(fock._ROT_BASIS_CACHE, default=0) <= 1
 
 
 def test_bad_flag_exits_1(capsys):
@@ -421,6 +435,18 @@ def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
     argmax, value = (part.split("=")[1] for part in comments["none"][2:].split(","))
     assert len(argmax.lstrip("0.").replace(".", "")) == 7
     assert len(value.lstrip("0.").replace(".", "")) <= 12
+
+
+@pytest.mark.parametrize("geometry", ["collinear", "noncollinear"])
+@pytest.mark.parametrize("mode", ["numeric", "exact"])
+def test_an_envelope_that_is_0_everywhere_exits_1(capsys, geometry, mode):
+    # tanh(r)^4 underflows to 0 on the whole range: there is no maximum to print
+    assert run_cli("envelope", "--geometry", geometry, "--mode", mode,
+                   "--r-min", "0", "--r-max", "1e-300") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err == ("error: the envelope is 0 at every r in [0, 1e-300]; "
+                   "it has no maximum to locate\n")
 
 
 def test_envelope_collinear_matches_closed_form(tmp_path):

@@ -30,6 +30,7 @@ from morsim import (
 )
 from morsim.cli import main as cli_main
 from morsim.sources import build_state
+from reference_channel import measure, state_from_amplitudes
 
 TWO_PHOTON = ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE)
 GLAUBER = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER)
@@ -304,7 +305,7 @@ def _reference_dominant_frequency(source, geometry, obs):
         samples = [detection._coherent_value(source, float(t), obs) for t in thetas]
     else:
         state = build_state(source)
-        samples = [detection._measure(apply_mor(state, MediumSpec(theta=float(t)), geometry), obs)
+        samples = [measure(apply_mor(state, MediumSpec(theta=float(t)), geometry), obs)
                    for t in thetas]
     return int(np.argmax(np.abs(np.fft.rfft(samples))[1:]) + 1)
 
@@ -415,16 +416,14 @@ def test_fringes_have_no_harmonic_above_the_detected_photon_number(pairing, r, n
     # 2K + 3 direct samples over one turn: harmonics K + 1 and K + 2 land in
     # the DFT bin K + 1, which must be empty
     kind, geometry = pairing
-    state = build_state(SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max))
+    source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
     for degree in (1, 2, 4):
         observables = [o for o in EVERY_OBSERVABLE if detection._fringe_degree(o) == degree]
         assert observables
         n = 2 * degree + 3
-        samples = np.array([
-            [detection._measure(apply_mor(state, MediumSpec(theta=2 * math.pi * j / n,
-                                                            theta_plus=theta_plus),
-                                          geometry), obs) for obs in observables]
-            for j in range(n)])
+        sample = detection._sampler(source, geometry, observables)
+        samples = np.array([sample(MediumSpec(theta=2 * math.pi * j / n, theta_plus=theta_plus))
+                            for j in range(n)])
         above = 2.0 * np.abs(np.fft.rfft(samples, axis=0)[degree + 1:]) / n
         assert np.all(above <= 1e-13 * np.abs(samples).max(axis=0))
 
@@ -450,14 +449,22 @@ def test_fringe_scan_reconstructs_direct_evaluation(pairing, r, n_max, theta_plu
 
 
 def _count_channel_calls(monkeypatch):
+    """The (theta, photons in the largest sector) of every call of the channel that
+    ``detection`` holds; a moment reads T off one-photon probes, a projection
+    evolves its target's sector."""
     calls = []
 
     def counted(state, medium, geometry):
-        calls.append(medium.theta)
+        calls.append((medium.theta, max(map(sum, state.layout.keys))))
         return apply_mor(state, medium, geometry)
 
     monkeypatch.setattr(detection, "apply_mor", counted)
     return calls
+
+
+def _distinct_angles(calls):
+    """The angles of the calls in order, each run of equal angles counted once."""
+    return [theta for i, (theta, _) in enumerate(calls) if i == 0 or theta != calls[i - 1][0]]
 
 
 def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
@@ -466,11 +473,12 @@ def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
                      "--observable", "four-photon-glauber", "--points", "201",
                      "--mode", "both"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 202
-    assert calls == [_node(j, 4) for j in range(10)]
-    # the dominant frequency reads the coefficients off the same ten node calls
+    assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
+    assert {photons for _, photons in calls} == {1}
+    # the dominant frequency reads the coefficients off the same ten node angles
     calls.clear()
     assert dominant_frequency(collinear(1.3, n_max=128), Geometry.COLLINEAR, GLAUBER) == 2
-    assert calls == [_node(j, 4) for j in range(10)]
+    assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
 
 
 @pytest.mark.parametrize("obs", [ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AV),
@@ -480,7 +488,7 @@ def test_a_short_sweep_is_evaluated_point_by_point(monkeypatch, obs):
     points = 2 * detection._fringe_degree(obs) + 2
     grid = np.linspace(0.1, 2.0, points)
     fringe_scan(collinear(0.6, n_max=16), grid, Geometry.COLLINEAR, obs, theta_plus=0.3)
-    assert calls == list(grid)
+    assert _distinct_angles(calls) == list(grid)
 
 
 def test_projection_builds_only_the_target_depth(monkeypatch):
@@ -513,3 +521,94 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
     assert default.values == tuple(
         fock.projection_probability(apply_mor(four_pairs, MediumSpec(theta=t), Geometry.COLLINEAR),
                                     PROJ_COL.target) for t in grid)
+
+
+# every moment observable: each single-mode intensity, and the two-photon,
+# Glauber and variance observables on a pair within each beam and across them
+MOMENTS = [obs for obs in EVERY_OBSERVABLE if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION]
+NONZERO_ANGLES = st.floats(0.05, 2 * math.pi) | st.floats(-2 * math.pi, -0.05)
+# ten angles over one turn: every fringe of degree K <= 4 is fixed by its values there,
+# so the largest of them is the scale of the fringe
+TURN = [2 * math.pi * j / 10 for j in range(10)]
+
+
+def _assert_close_to_the_reference(heisenberg, schroedinger):
+    """Per observable, every value within 1e-13 of its fringe's largest reference
+    value, over angles that include ``TURN``."""
+    heisenberg, schroedinger = np.array(heisenberg), np.array(schroedinger)
+    scale = np.abs(schroedinger).max(axis=0)
+    assert np.all(np.abs(heisenberg - schroedinger) <= 1e-13 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(PDC_PAIRINGS, st.floats(0.0, 1.2), st.integers(1, 16), NONZERO_ANGLES, NONZERO_ANGLES,
+       st.lists(ANGLES, min_size=1, max_size=4))
+def test_heisenberg_moments_match_the_schroedinger_reference(pairing, r, n_max, theta_plus,
+                                                             phi, thetas):
+    # v^dag G v from the source's Gram matrices and the channel's one-photon
+    # matrix against the moments of the evolved state, at theta_plus, phi != 0
+    kind, geometry = pairing
+    source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
+    sample = detection._sampler(source, geometry, MOMENTS)
+    state = build_state(source)
+    media = [MediumSpec(theta, theta_plus) for theta in thetas + TURN]
+    _assert_close_to_the_reference(
+        [sample(medium) for medium in media],
+        [[measure(apply_mor(state, medium, geometry), obs) for obs in MOMENTS] for medium in media])
+
+
+@st.composite
+def normalized_superpositions(draw, geometry):
+    """Up to six occupations with at most three photons per mode and random
+    complex amplitudes, normalized; the b beam stays empty in the collinear
+    geometry."""
+    n_b = 3 if geometry is Geometry.NONCOLLINEAR else 0
+    occ = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, n_b), st.integers(0, n_b))
+    amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    amps = draw(st.dictionaries(occ, amp, min_size=1, max_size=6))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return state_from_amplitudes({k: a / norm for k, a in amps.items()})
+
+
+def _reference_and_heisenberg(state, geometry, media, transform=lambda t: t):
+    """Per medium, the moments of the evolved state and v^dag G v from the
+    channel's one-photon matrix, passed through ``transform`` first."""
+    read = detection._moment_reader(state, MOMENTS)
+    reference, heisenberg = [], []
+    for medium in media:
+        t = transform(detection._one_photon_matrix(apply_mor, medium, geometry))
+        reference.append([measure(apply_mor(state, medium, geometry), obs) for obs in MOMENTS])
+        heisenberg.append([read(t, obs) for obs in MOMENTS])
+    return reference, heisenberg
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(Geometry).flatmap(
+           lambda g: st.tuples(st.just(g), normalized_superpositions(g))),
+       ANGLES, NONZERO_ANGLES)
+def test_heisenberg_moments_of_any_superposition_match_the_schroedinger_reference(
+        case, theta, theta_plus):
+    # a superposition without the sources' symmetries sees which way T acts: its
+    # single-mode intensities move with theta
+    geometry, state = case
+    media = [MediumSpec(t, theta_plus) for t in [theta] + TURN]
+    reference, heisenberg = _reference_and_heisenberg(state, geometry, media)
+    _assert_close_to_the_reference(heisenberg, reference)
+
+
+@pytest.mark.parametrize("variant", ["transpose", "adjoint"])
+def test_a_transposed_one_photon_matrix_misses_the_reference(variant):
+    # the properties above tell T from T^T and T^dag.  T is a phase per beam
+    # times a real rotation, so conj(T) only flips those phases, which no
+    # normally ordered moment sees: it gives the reference values too
+    state = state_from_amplitudes({(1, 0, 0, 0): 0.6, (0, 1, 0, 0): 0.48, (2, 0, 1, 0): 0.64})
+    media = [MediumSpec(theta=t, theta_plus=0.4) for t in TURN]
+    reference, right = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media)
+    _, wrong = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media,
+                                         {"transpose": np.transpose,
+                                          "adjoint": lambda t: t.conj().T}[variant])
+    _, conjugated = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media, np.conj)
+    _assert_close_to_the_reference(right, reference)
+    _assert_close_to_the_reference(conjugated, reference)
+    intensities = [i for i, obs in enumerate(MOMENTS) if obs.kind is ObservableKind.INTENSITY]
+    assert np.abs(np.array(wrong) - reference)[:, intensities].max() > 0.1

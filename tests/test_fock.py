@@ -15,12 +15,12 @@ from morsim import (
     build_state,
     fock,
     make_basis_state,
-    normally_ordered_moment,
     projection_probability,
 )
 from reference_channel import (
     lifted_generator,
     max_difference,
+    normally_ordered_moment,
     reference_rotation_bases,
     rotation_generator,
     rotation_matrix,

