@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -95,13 +96,13 @@ class FringeSeries:
     values: tuple
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.theta_grid)
-        vals = tuple(float(v) for v in self.values)
+        grid = tuple(map(float, self.theta_grid))
+        vals = tuple(map(float, self.values))
         if not grid:
             raise ValueError("theta grid must be nonempty")
         if len(grid) != len(vals):
             raise ValueError("grid and values must have equal length")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not all(map(operator.lt, grid, grid[1:])):
             raise ValueError("theta grid must be strictly increasing")
         object.__setattr__(self, "theta_grid", grid)
         object.__setattr__(self, "values", vals)

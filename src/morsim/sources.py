@@ -16,21 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import KetState, SectorLayout
+from .fock import KetState, SectorLayout, require_memory
 
 DEFAULT_EPSILON = 1e-10
 DEFAULT_N_MAX_CAP = 64
-# Refuse a truncation whose state and rotation bases would need more: at the cap
-# (collinear n_max = 581, up to 1162 photons) the recurrence that builds the bases
-# alone runs ~2.5 s on a 2-vCPU Xeon (non-collinear, 367 photons: 0.1 s) and the
-# process risks exhausting the machine's memory, while 2 GiB is still ~85x what the
-# deepest truncation the paper's curves use needs (collinear n_max = 128, ~24 MB).
-MEMORY_BUDGET_BYTES = 2 * 2**30
-# Bytes per amplitude when the channel evolves the whole state: the state, its
-# eigen-coefficients and one channel output (16 each), the layout's occupations (32)
-# and phases (32), plus 8 of headroom.  Moment sweeps evolve only one-photon probes
-# and a projection's sector, so this overstates what they hold.
-BYTES_PER_AMPLITUDE = 3 * 16 + 32 + 32 + 8
+# build_state counts only its dense buffer, 16 bytes per amplitude, against
+# fock.MEMORY_BUDGET_BYTES, which stops at n_max 11584 collinear / 736 non-collinear.
+# A moment sweep adds the state's nonzero entries and the Gram matrices' sparse
+# vectors, at most 35 per nonzero amplitude.  Evolving a whole state needs far more
+# (fock.CHANNEL_BYTES_PER_AMPLITUDE and the rotation bases); the channel checks that
+# when such a state first enters it, which stops at n_max 581 / 367.
 
 
 class TruncationError(ValueError):
@@ -139,12 +134,8 @@ def build_state(spec: SourceSpec) -> KetState:
     n_max = spec.resolve_n_max()
     collinear = spec.kind is SourceKind.COLLINEAR_PDC
     keys = [(2 * n, 0) if collinear else (n, n) for n in range(n_max + 1)]
-    # each sector needs its per-amplitude buffers and the real basis rotating its rows
-    needed = sum(BYTES_PER_AMPLITUDE * (n_a + 1) * (n_b + 1) + 8 * (n_a + 1) ** 2
-                 for n_a, n_b in keys)
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ValueError(f"n_max={n_max} needs {needed / 2**30:.3g} GiB for the state and its "
-                         f"rotation bases, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")
+    require_memory(f"n_max={n_max}", sum(16 * (n_a + 1) * (n_b + 1) for n_a, n_b in keys),
+                   "the state")
     t = math.tanh(spec.r)
     if collinear:
         term, ratio = complex(1.0 / math.cosh(spec.r)), -cmath.exp(1j * spec.phi) * t

@@ -14,11 +14,15 @@ evolved state in the Schroedinger picture, the reference the engine's
 Heisenberg-picture moments are checked against, and ``reference_moment`` /
 ``reference_nd_variance`` are the per-occupation loops that check them in
 turn.  ``reference_rotation_bases`` is the full-row two-path recurrence the engine's
-half-row one must reproduce bit for bit.
+half-row one must reproduce bit for bit, and ``reference_lowered_gram`` /
+``reference_centred_bilinear_gram`` (with ``reference_gram``) are the Gram kernels
+with one loop pass per multiset or bilinear that the engine's broadcast ones must
+reproduce bit for bit.
 """
 
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
@@ -26,7 +30,7 @@ from scipy.linalg import expm
 from morsim import (Geometry, KetState, MediumSpec, ObservableKind, SourceKind, apply_mor,
                     make_basis_state, projection_probability, truncation_tail)
 from morsim.detection import _detector_powers
-from morsim.fock import SectorLayout
+from morsim.fock import SectorLayout, _encode, _multisets
 
 
 def rotation_matrix(theta, theta_plus=0.0):
@@ -229,3 +233,77 @@ def reference_rotation_bases(n_top):
 def max_difference(left, right):
     keys = set(left.amplitudes) | set(right.amplitudes)
     return max((abs(left.amplitude(k) - right.amplitude(k)) for k in keys), default=0.0)
+
+
+# The Gram kernels as they were before their loops over multisets and bilinears
+# were vectorised, kept verbatim: the engine's must reproduce them bit for bit.
+def reference_gram(keys: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                   size: int) -> np.ndarray:
+    """G[c, c'] = sum_key conj(u_c[key]) u_c'[key] for the sparse vectors u_0..u_{size-1}
+    given as (key, column, value) triples; triples that share a key and a column are
+    added first.  Every entry of G sums its products in increasing key order, so two
+    equal vectors u_c = u_c' give G[c, c] = G[c', c'] = G[c, c'] to the last bit."""
+    order = np.lexsort((columns, keys))
+    keys, columns, values = keys[order], columns[order], values[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (columns[1:] != columns[:-1])
+    group = np.cumsum(first) - 1
+    values = np.bincount(group, values.real) + 1j * np.bincount(group, values.imag)
+    # a zero adds nothing to any sum
+    kept = values != 0
+    keys, columns, values = keys[first][kept], columns[first][kept], values[kept]
+    # the entries of one key are adjacent, at most one per column, so an entry of G
+    # gets at most one product per key; ordering the pairs by their first entry
+    # orders every entry's products by key
+    left, right = [np.arange(len(keys))], [np.arange(len(keys))]
+    for shift in range(1, min(size, len(keys))):
+        i = np.flatnonzero(keys[shift:] == keys[:len(keys) - shift])
+        left += [i, i + shift]
+        right += [i + shift, i]
+    left, right = np.concatenate(left), np.concatenate(right)
+    order = np.argsort(left, kind="stable")
+    left, right = left[order], right[order]
+    bins = columns[left] * size + columns[right]
+    products = values[left].conj() * values[right]
+    return (np.bincount(bins, products.real, size * size)
+            + 1j * np.bincount(bins, products.imag, size * size)).reshape(size, size)
+
+
+def reference_lowered_gram(state: KetState, size: int) -> np.ndarray:
+    """G[S, S'] = <a_S psi | a_S' psi> over the multisets S of ``size`` modes, from
+    the state's nonzero amplitudes: a_S |n> = sqrt(prod_m n_m! / (n_m - s_m)!) |n - s>
+    for the powers s of S."""
+    occupations, amplitudes = state.nonzero_entries()
+    base = int(occupations.max(initial=0)) + 1
+    keys, columns, values = [], [], []
+    for column, powers in enumerate(_multisets(size)[0]):
+        reach = np.all(occupations >= powers[:, None], axis=0)
+        n = occupations[:, reach]
+        weight = np.prod([np.ones(n.shape[1])] + [n[m] - j for m, p in enumerate(powers)
+                                                  for j in range(p)], axis=0)
+        keys.append(_encode(n - powers[:, None], base))
+        columns.append(np.full(n.shape[1], column))
+        values.append(amplitudes[reach] * np.sqrt(weight))
+    return reference_gram(*map(np.concatenate, (keys, columns, values)),
+                          len(_multisets(size)[0]))
+
+
+def reference_centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarray:
+    """H[4i + j, 4k + l] = <phi_ij | phi_kl> for the centred bilinears
+    phi_ij = (a_i^dag a_j - E_ij) psi, E = ``expectations`` (4 x 4), from the state's
+    nonzero amplitudes: a_i^dag a_j |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n + e_i - e_j>."""
+    occupations, amplitudes = state.nonzero_entries()
+    base = int(occupations.max(initial=0)) + 2
+    own = _encode(occupations, base)
+    keys, columns, values = [], [], []
+    for i, j in product(range(4), repeat=2):
+        reach = occupations[j] > 0
+        n = occupations[:, reach]
+        moved = n.copy()
+        moved[j] -= 1
+        moved[i] += 1
+        keys += [_encode(moved, base), own]
+        columns.append(np.full(n.shape[1] + len(own), 4 * i + j))
+        values += [amplitudes[reach] * np.sqrt(n[j] * (n[i] + (i != j))),
+                   -expectations[i, j] * amplitudes]
+    return reference_gram(*map(np.concatenate, (keys, columns, values)), 16)

@@ -236,6 +236,27 @@ def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
     assert err.startswith("error: n_max=100000 needs") and "GiB budget" in err
 
 
+def test_moment_sweep_past_the_channel_budget_runs(monkeypatch, capsys):
+    # n_max 582 is over what evolving the whole state would need, but a moment sweep
+    # holds only the dense state and its Gram matrices, and the channel evolves only
+    # the one-photon probes
+    from morsim import fock
+
+    sizes = []
+    bases = fock._rotation_bases
+    monkeypatch.setattr(fock, "_rotation_bases", lambda n: sizes.extend(n) or bases(n))
+    assert run_cli("fringe", "--r", "1.9", "--n-max", "582", "--observable",
+                   "four-photon-glauber", "--points", "5", "--mode", "both") == 0
+    out, err = capsys.readouterr()
+    assert err == "" and max(sizes, default=0) <= 1
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 5
+    glauber = OBSERVABLE_NAMES["four-photon-glauber"]
+    rel = {row[2].kind: row[3] for row in verify.ORACLE_ROWS}[glauber]
+    for _, value, exact in rows:
+        assert verify._tolerance_ratio(value, exact, rel) <= 1.0
+
+
 STRONG_GLAUBER = ["fringe", "--source", "collinear", "--r", "1.3", "--n-max", "128",
                   "--observable", "four-photon-glauber", "--points", "9", "--mode", "both"]
 

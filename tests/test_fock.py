@@ -3,6 +3,8 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from morsim import (
@@ -21,6 +23,9 @@ from reference_channel import (
     lifted_generator,
     max_difference,
     normally_ordered_moment,
+    reference_centred_bilinear_gram,
+    reference_lowered_gram,
+    reference_moment,
     reference_rotation_bases,
     rotation_generator,
     rotation_matrix,
@@ -326,6 +331,73 @@ def test_spectral_decomposition_inequality():
         state = state_from_amplitudes(amps)
         moment = normally_ordered_moment(state, (2, 2, 0, 0))
         assert moment >= 4.0 * projection_probability(state, (2, 2, 0, 0)) - 1e-12
+
+
+@pytest.mark.parametrize("size", [1, 7, 10_000, 23_821])
+def test_norm_squared_matches_an_exactly_rounded_sum(size):
+    # long buffers too, where a BLAS dot product would hand the sum to its threads
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x[rng.random(size) < 0.3] = 0.0
+    state = KetState(fock.SectorLayout([(size - 1, 0)]), x)
+    exact = math.fsum((x.real ** 2).tolist() + (x.imag ** 2).tolist())
+    assert abs(state.norm_squared() - exact) <= 1e-15 * exact
+    for occ in [(0, 0, 0, 0), (3, 0, 2, 1), (size - 1, 0, 0, 0)]:
+        assert make_basis_state(occ).norm_squared() == 1.0
+
+
+def assert_hermitian(gram):
+    # numpy may fuse conj(a) b into a multiply-add, so G[c, c'] and conj(G[c', c])
+    # can differ by rounding, bounded by Cauchy-Schwarz
+    scale = np.sqrt(np.outer(np.diag(gram).real, np.diag(gram).real))
+    assert np.all(np.abs(gram - gram.conj().T) <= 1e-14 * scale)
+
+
+def check_grams(state, size):
+    # the broadcast Gram kernels against their loop-per-multiset references, bit
+    # for bit, plus Hermiticity and the diagonal's normally ordered moments
+    gram = fock.lowered_gram(state, size)
+    assert np.array_equal(gram, reference_lowered_gram(state, size))
+    assert_hermitian(gram)
+    for powers, moment in zip(fock._multisets(size)[0], np.diag(gram).real):
+        expected = reference_moment(state, powers)
+        assert abs(moment - expected) <= 1e-13 * expected
+    one = fock.lowered_gram(state, 1)
+    centred = fock.centred_bilinear_gram(state, one)
+    assert np.array_equal(centred, reference_centred_bilinear_gram(state, one))
+    assert_hermitian(centred)
+
+
+@st.composite
+def sparse_states(draw):
+    """1-4 sectors of up to 6 photons per beam, each amplitude 0 or of size 1e-3..2."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                         min_size=1, max_size=4, unique=True))
+    layout = fock.SectorLayout(keys)
+    length = int(layout.offsets[-1])
+    part = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)
+    values = draw(st.lists(st.tuples(part, part), min_size=length, max_size=length))
+    return KetState(layout, np.array([complex(*v) for v in values], dtype=complex))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_states(), st.integers(1, 4))
+def test_grams_match_the_loop_references_bit_for_bit(state, size):
+    check_grams(state, size)
+
+
+@pytest.mark.parametrize("state", [
+    build_state(SourceSpec(kind="collinear_pdc", r=0.0, n_max=4)),
+    build_state(SourceSpec(kind="noncollinear_pdc", r=0.0, n_max=4)),
+    KetState(fock.SectorLayout([(3, 2), (0, 1)]), np.zeros(14, dtype=complex)),
+    KetState(fock.SectorLayout([]), np.zeros(0, dtype=complex)),
+    build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128)),
+    build_state(SourceSpec(kind="noncollinear_pdc", r=0.9, phi=0.4, n_max=24)),
+], ids=["collinear_vacuum", "noncollinear_vacuum", "all_zero", "empty_layout",
+        "collinear_strong", "noncollinear"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_grams_of_edge_and_source_states(state, size):
+    check_grams(state, size)
 
 
 def test_mode_ordering_and_attributes():

@@ -147,6 +147,26 @@ def test_apply_mor_rejects_collinear_geometry_with_b_photons():
         apply_mor(make_basis_state((1, 0, 1, 0)), MediumSpec(theta=0.1), Geometry.COLLINEAR)
 
 
+def test_apply_mor_refuses_a_whole_state_over_the_budget_before_building(monkeypatch):
+    # build_state keeps n_max 582 (5.4 MB), but evolving it whole would need the
+    # layout's vectors, the eigen-coefficients and bases up to 1164 photons
+    from morsim import fock
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built a rotation basis")
+
+    monkeypatch.setattr(fock, "_rotation_bases", must_not_run)
+    psi = build_state(SourceSpec(kind="collinear_pdc", r=1.9, n_max=582))
+    for _ in range(2):
+        with pytest.raises(ValueError) as refused:
+            apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+        message = str(refused.value)
+        assert message.startswith(f"a state of {583 ** 2} amplitudes needs 2.01 GiB")
+        assert message.endswith("over the 2 GiB budget") and "\n" not in message
+    assert not {"occupations", "phases", "bases"} & psi.layout.__dict__.keys()
+    assert "eigen_coefficients" not in psi.__dict__
+
+
 @PROPERTY_SETTINGS
 @given(geometry_and_state(), ANGLES, ANGLES)
 def test_apply_mor_matches_sequential_pair_unitaries(case, theta, theta_plus):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morsim import sources
+from morsim import fock, sources
 from morsim import (
     SourceKind,
     SourceSpec,
@@ -142,9 +142,10 @@ def test_spec_validation():
 
 
 def test_memory_budget_counts_every_per_amplitude_buffer(monkeypatch):
-    # the state, its eigen-coefficients, a channel output and the layout's
-    # vectors all scale with the amplitude count; the budget is checked before
-    # the layout and the buffer are built, so neither is built here
+    # build_state counts its dense buffer before the layout and the buffer are
+    # built; the state, its eigen-coefficients, a channel output, the layout's
+    # vectors and the rotation bases of evolving it whole count where the channel
+    # first meets it (test_medium checks that apply_mor refuses before building)
     class Built(Exception):
         pass
 
@@ -152,12 +153,16 @@ def test_memory_budget_counts_every_per_amplitude_buffer(monkeypatch):
         raise Built(len(keys))
 
     monkeypatch.setattr(sources, "SectorLayout", layout)
-    for kind, largest in (("collinear_pdc", 581), ("noncollinear_pdc", 367)):
+    for kind, largest in (("collinear_pdc", 11584), ("noncollinear_pdc", 736)):
         with pytest.raises(Built) as built:
-            build_state(SourceSpec(kind=kind, r=0.5, n_max=largest))
+            build_state(SourceSpec(kind=kind, r=3.0, n_max=largest))
         assert built.value.args == (largest + 1,)
-        with pytest.raises(ValueError, match="GiB budget"):
-            build_state(SourceSpec(kind=kind, r=0.5, n_max=largest + 1))
+        with pytest.raises(ValueError, match=f"n_max={largest + 1} needs .* GiB budget"):
+            build_state(SourceSpec(kind=kind, r=3.0, n_max=largest + 1))
+    for keys, largest in ((lambda n: [(2 * k, 0) for k in range(n + 1)], 581),
+                          (lambda n: [(k, k) for k in range(n + 1)], 367)):
+        assert fock.SectorLayout(keys(largest)).channel_bytes <= fock.MEMORY_BUDGET_BYTES
+        assert fock.SectorLayout(keys(largest + 1)).channel_bytes > fock.MEMORY_BUDGET_BYTES
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
