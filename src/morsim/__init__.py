@@ -25,7 +25,6 @@ from .sources import (
     SourceSpec,
     TruncationError,
     build_state,
-    coherent_intensity_pair,
     mean_photon_number,
     select_n_max,
     truncation_tail,
@@ -48,7 +47,6 @@ __all__ = [
     "apply_mor",
     "build_state",
     "closed_form_scan",
-    "coherent_intensity_pair",
     "dominant_frequency",
     "evaluate",
     "fringe_scan",

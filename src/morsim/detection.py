@@ -41,7 +41,6 @@ from .sources import (
     SourceKind,
     SourceSpec,
     build_state,
-    coherent_intensity_pair,
     mean_photon_number,
 )
 
@@ -170,21 +169,6 @@ def _sector_state(source: SourceSpec, target: Occupation) -> KetState:
     return KetState(layout, state.buffer[start:start + layout.offsets[-1]])
 
 
-def _coherent_value(source: SourceSpec, theta: float, obs: ObservableSpec) -> float:
-    alpha_sq = abs(source.alpha) ** 2
-    if obs.kind is ObservableKind.INTENSITY:
-        if obs.mode not in A_MODES:
-            raise ValueError("coherent light occupies the a beam only")
-        ix, iy = coherent_intensity_pair(source.alpha, theta)
-        return ix if obs.mode is Mode.AH else iy
-    if obs.kind is ObservableKind.ND_VARIANCE:
-        if set(obs.pair) != set(A_MODES):
-            raise ValueError("coherent variance is defined on the aH/aV pair")
-        return alpha_sq * math.sin(theta) ** 2
-    raise ValueError(f"coherent sources support intensity and nd_variance only, "
-                     f"not {obs.kind.value}")
-
-
 def check_pairing(source: SourceSpec, geometry) -> Geometry:
     """Reject a source that cannot pass through the geometry.
 
@@ -281,7 +265,8 @@ def _sampler(source: SourceSpec, geometry: Geometry, observables, channel=None):
     each projection target's sector.  ``channel`` defaults to the ``apply_mor``
     this module holds when the sampler is made."""
     if source.kind is SourceKind.COHERENT:
-        return lambda medium: [_coherent_value(source, medium.theta, obs) for obs in observables]
+        return lambda medium: [closed_form_scan(source, (medium.theta,), obs).values[0]
+                               for obs in observables]
     channel = apply_mor if channel is None else channel
     projections = {obs.target: _sector_state(source, obs.target) for obs in observables
                    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION}
@@ -359,7 +344,12 @@ def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int
 
 def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeSeries:
     """The observable's closed form from ``oracles`` over a theta grid; raises
-    ValueError where the table has none."""
+    ValueError where the table has none, and for a pair observable on any
+    detector pair but aH/aV, the one pair the table's forms describe."""
+    if obs.kind not in (ObservableKind.INTENSITY, ObservableKind.FOUR_PHOTON_PROJECTION) \
+            and set(obs.pair) != set(A_MODES):
+        raise ValueError(f"closed forms describe the AH/AV detector pair, not "
+                         f"{'/'.join(Mode(m).name for m in obs.pair)}")
     grid = tuple(map(float, thetas))
     detail = obs.mode.name if obs.kind is ObservableKind.INTENSITY else obs.target
     # only coherent forms take alpha; squaring it for PDC could overflow for nothing

@@ -28,10 +28,13 @@ cached per photon number.  U_n is built by the two-path (Risbo) recurrence
 U_n = S^T (U_{n-1} (x) U_1) S, where S is the isometry that splits off the
 last photon: each entry mixes four entries of U_{n-1} with coefficients at
 most 1, and the step cannot enlarge the error it inherits, so rounding
-grows only like n * eps.  Row k' of U_n needs rows k' and k'-1 of U_{n-1},
-and the reflection W_n[n-k', k] = (-1)^(k'+k) W_n[k', n-k] holds exactly, so
-the recurrence runs on rows 0..n//2 only and each stored W_n is unfolded
-from them.  At 256 photons max|W^T W - I| = 3.5e-14 and
+grows only like n * eps.  No sweep builds a basis above 4 photons per beam
+(moments read the channel off one-photon probes, a projection evolves its
+target's sector) and ``verify`` none above 96, so the recurrence runs on
+plain full rows: cold on a 2-vCPU Xeon, every even size up to 4 photons
+takes 0.1-0.2 ms and up to 96 photons 5-6 ms; a whole state of collinear
+n_max 128 (256 photons) takes 0.07-0.14 s and one of 1162 photons 9 s.
+At 256 photons max|W^T W - I| = 3.5e-14 and
 max|T W - W Lambda| = 2.1e-14 (eigh: 2.2e-15 and 1.4e-13); at 581 photons
 8.0e-14 and 4.3e-14.  The single-path recurrence, which builds column k+1
 from column k by applying the creation operator and renormalising, divides
@@ -318,87 +321,42 @@ def _rotation_bases(sizes) -> list[np.ndarray]:
     spectrum (-n, -n+2, ..., n).  The lift of Ry(beta) is V diag(e^{i beta lam / 2}) V^dag
     with V = diag(i^k) W.
 
-    W_n is the n-photon lift U_n of the half turn with its columns reversed.  The half
-    turn squared is the reflection that swaps the two modes, so
-    W_n[n-k', k] = (-1)^(k'+k) W_n[k', n-k], and the recurrence holds this exactly in
-    floating point: a pass carries rows 0..n//2 of U_n only, in two ping-pong buffers
-    sized for the largest request, and unfolds each requested size.  The missing sizes
-    are built in one pass of ``_risbo_step`` that starts from the largest cached size
-    below them and keeps only the sizes asked for; the recurrence is deterministic, so
-    W_n has the same bits whichever pass built it.  Cold on a 2-vCPU Xeon, every even
-    size up to 256 photons takes 0.05-0.06 s, 600 photons 0.32 s and 1162 photons
-    2.3-2.6 s (full rows: 0.16-0.18 s, 1.9-2.1 s and 13 s).
+    W_n is the n-photon lift U_n of the half turn with its columns reversed.  The
+    missing sizes are built in one pass of ``_risbo_step`` that starts from the
+    largest cached size below them and keeps only the sizes asked for; the
+    recurrence is deterministic, so W_n has the same bits whichever pass built it.
     """
     missing = sorted(set(sizes) - _ROT_BASIS_CACHE.keys())
     if missing:
         n = max((m for m in _ROT_BASIS_CACHE if m < missing[0]), default=0)
-        u, spare, *work = np.empty((5, (missing[-1] // 2 + 1) * (missing[-1] + 1)))
-        top = _front(u, n // 2 + 1, n + 1)
-        top[...] = _ROT_BASIS_CACHE[n][:n // 2 + 1, ::-1] if n in _ROT_BASIS_CACHE else 1.0
+        u = _ROT_BASIS_CACHE[n][:, ::-1] if n in _ROT_BASIS_CACHE else np.ones((1, 1))
         for m in missing:
             while n < m:
                 n += 1
-                top = _risbo_step(u, n, spare, work)
-                u, spare = spare, u
-            _ROT_BASIS_CACHE[m] = _unfold(top, m)
+                u = _risbo_step(u, n)
+            _ROT_BASIS_CACHE[m] = np.ascontiguousarray(u[:, ::-1])
     return [_ROT_BASIS_CACHE[n] for n in sizes]
 
 
-def _front(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The C-ordered (rows, cols) matrix at the front of a flat buffer."""
-    return flat[:rows * cols].reshape(rows, cols)
-
-
-def _negate_checkered(block: np.ndarray, parity: int) -> None:
-    """Negate the entries [t, j] of a block with t + j + parity odd, as 0 - x so that
-    a zero stays +0.0 like the zeros the recurrence makes."""
-    for t in (0, 1):
-        part = block[t::2, (t + parity + 1) % 2::2]
-        np.subtract(0.0, part, out=part)
-
-
-def _unfold(top: np.ndarray, n: int) -> np.ndarray:
-    """W_n, C-contiguous, from rows 0..n//2 of U_n: the upper rows reversed, the lower
-    ones W[n-k', k] = (-1)^(k'+k) U[k', k]."""
-    rows = n // 2 + 1
-    w = np.empty((n + 1, n + 1))
-    w[:rows] = top[:, ::-1]
-    w[rows:] = top[n - rows::-1]
-    _negate_checkered(w[rows:], (n - rows) % 2)
-    return w
-
-
-def _risbo_step(u: np.ndarray, n: int, out: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
-    """Rows 0..n//2 of U_n, written to the front of the flat buffer ``out`` and
-    returned, from rows 0..(n-1)//2 of U_{n-1} at the front of the flat buffer ``u``;
-    U_n are the lifts of the half turn [[c, -s], [s, c]], c = s = 1/sqrt(2):
+def _risbo_step(u: np.ndarray, n: int) -> np.ndarray:
+    """U_n from U_{n-1}, the lifts of the half turn [[c, -s], [s, c]], c = s = 1/sqrt(2):
 
     U_n[k', k] = [sqrt(n-k) (c sqrt(n-k') U[k', k] + s sqrt(k') U[k'-1, k])
                   + sqrt(k) (-s sqrt(n-k') U[k', k-1] + c sqrt(k') U[k'-1, k-1])] / n,
 
     i.e. U_n = S^T (U_{n-1} (x) U_1) S for the isometry S splitting off the last photon.
-    Row k' needs rows k' and k'-1 of U_{n-1}; for even n, row n/2 of U_{n-1} is first
-    written after the others as the signed reversal of row n/2 - 1.  ``work`` holds
-    three flat buffers as large as ``out``.
     """
-    rows = n // 2 + 1
-    u = _front(u, rows, n)
-    if n % 2 == 0:
-        u[-1] = u[-2, ::-1]
-        _negate_checkered(u[-1:], (n // 2) % 2)
     p = np.sqrt(np.arange(n, 0, -1.0))  # sqrt(n - k) for k < n
     q = np.sqrt(np.arange(1.0, n + 1))  # sqrt(k) for k > 0
-    x, y, v = (_front(w, rows, n) for w in work)
-    np.multiply(p[:rows, None], u, out=x)
-    np.multiply(q[:rows, None], u, out=y)
-    np.negative(x[0], out=v[0])  # the last photon in V
-    np.subtract(y[:-1], x[1:], out=v[1:])
-    h = x  # the last photon in H, over x
-    np.add(x[1:], y[:-1], out=h[1:])
+    x, y = p[:, None] * u, q[:, None] * u
+    h, v = np.empty((n + 1, n)), np.empty((n + 1, n))  # the last photon in H, in V
+    h[0], h[n], v[0], v[n] = x[0], y[-1], -x[0], y[-1]
+    np.add(x[1:], y[:-1], out=h[1:n])
+    np.subtract(y[:-1], x[1:], out=v[1:n])
     g = np.sqrt(0.5) / n
     h *= p * g
     v *= q * g
-    out = _front(out, rows, n + 1)
+    out = np.empty((n + 1, n + 1))
     out[:, 0], out[:, n] = h[:, 0], v[:, -1]
     np.add(h[:, 1:], v[:, :-1], out=out[:, 1:n])
     return out

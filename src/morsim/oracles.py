@@ -87,8 +87,11 @@ def closed_form(source: str, observable: str, detail, thetas, *,
     entry = _CLOSED_FORMS.get((source, observable, detail))
     if entry is None:
         where = "" if detail is None else f" detail={detail}"
+        # coherent light is never expanded in the Fock basis: the table is all it has
+        hint = ("coherent light is modelled by its closed forms only" if source == "coherent"
+                else "use the numeric engine")
         raise ValueError(f"no closed form for source={source} observable={observable}"
-                         f"{where}; use the numeric engine")
+                         f"{where}; {hint}")
     fn, parameter = entry
     value = r if parameter == "r" else alpha_sq
     if value is None:

@@ -156,22 +156,6 @@ def build_state(spec: SourceSpec) -> KetState:
     return KetState(layout, buffer, truncation_tail(spec.kind, spec.r, n_max))
 
 
-def coherent_intensity_pair(alpha: complex, theta: float) -> tuple[float, float]:
-    """(I_x, I_y) after rotation by theta; the pair sums to |alpha|^2 exactly.
-
-    The larger component is computed directly and the smaller one by
-    subtraction, which is exact by the Sterbenz lemma, so the sum never
-    loses a photon to rounding.
-    """
-    total = abs(alpha) ** 2
-    c2 = math.cos(theta / 2.0) ** 2
-    if c2 >= 0.5:
-        ix = total * c2
-        return ix, total - ix
-    iy = total * math.sin(theta / 2.0) ** 2
-    return total - iy, iy
-
-
 def mean_photon_number(spec: SourceSpec) -> float:
     if spec.kind is SourceKind.COHERENT:
         return abs(spec.alpha) ** 2

@@ -13,8 +13,8 @@ states sector by sector for ``build_state`` to reproduce bit for bit, and
 evolved state in the Schroedinger picture, the reference the engine's
 Heisenberg-picture moments are checked against, and ``reference_moment`` /
 ``reference_nd_variance`` are the per-occupation loops that check them in
-turn.  ``reference_rotation_bases`` is the full-row two-path recurrence the engine's
-half-row one must reproduce bit for bit, and ``reference_lowered_gram`` /
+turn.  ``reference_rotation_bases`` is the full-row two-path recurrence, kept apart
+so that no edit of the engine's can change the bases' bits unseen, and ``reference_lowered_gram`` /
 ``reference_centred_bilinear_gram`` (with ``reference_gram``) are the Gram kernels
 with one loop pass per multiset or bilinear that the engine's broadcast ones must
 reproduce bit for bit.

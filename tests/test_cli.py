@@ -111,11 +111,27 @@ def test_fringe_truncation_cap_error(capsys):
     assert "n_max" in err
 
 
-def test_fringe_invalid_combination_exits_1(capsys):
-    code = run_cli("fringe", "--source", "coherent", "--observable", "two-photon",
-                   "--points", "5")
+@pytest.mark.parametrize("mode", ["numeric", "exact", "both"])
+@pytest.mark.parametrize("observable", [["--observable", "two-photon"],
+                                        ["--observable", "intensity", "--intensity-mode", "bH"]])
+def test_fringe_invalid_combination_exits_1(capsys, observable, mode):
+    # coherent light has no Fock state, so no other engine to point the user to
+    code = run_cli("fringe", "--source", "coherent", *observable, "--points", "5",
+                   "--mode", mode)
     assert code == 1
-    assert "coherent" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "coherent light" in err and "use the numeric engine" not in err
+
+
+def test_bright_coherent_fringe_reads_its_closed_form(capsys):
+    # the dim intensity of a bright beam, not |alpha|^2 minus the bright one
+    assert run_cli("fringe", "--source", "coherent", "--alpha", "1000", "--observable",
+                   "intensity", "--intensity-mode", "aV", "--theta-max", "0.0001",
+                   "--points", "5", "--mode", "both") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5 and float(rows[1][2]) == pytest.approx(1.5625e-4, rel=1e-12)
+    assert all(value == exact for _, value, exact in rows)
 
 
 def test_fringe_exact_mode_without_closed_form_exits_1(capsys):
@@ -289,7 +305,20 @@ def test_moment_fringes_at_huge_angles_stay_within_the_verify_allowance(capsys, 
         assert verify._tolerance_ratio(value, exact, rel) <= 1.0
 
 
-def test_strong_pumping_sweep_builds_its_bases_without_eigh(monkeypatch, capsys):
+# command -> the most photons per beam of any J_y eigenbasis it builds.  Moments read
+# the channel off one-photon probes and a projection evolves its target's sector, so
+# no sweep needs the recurrence's speed on large bases.
+BASIS_TRAFFIC = {
+    " ".join(STRONG_GLAUBER): 1,
+    "visibility --mode numeric --n-max 128 --points 3": 1,
+    "envelope --points 5": 2,
+    "fringe --observable four-photon-projection --points 9 --mode both": 4,
+    "verify": 96,
+}
+
+
+@pytest.mark.parametrize("command", BASIS_TRAFFIC)
+def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, command):
     from morsim import fock
 
     def no_eigh(*args, **kwargs):
@@ -297,10 +326,9 @@ def test_strong_pumping_sweep_builds_its_bases_without_eigh(monkeypatch, capsys)
 
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    assert run_cli(*STRONG_GLAUBER) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 10
-    # the moments read the channel off one-photon probes: no basis above 1 photon
-    assert max(fock._ROT_BASIS_CACHE, default=0) <= 1
+    assert run_cli(*command.split()) == 0
+    capsys.readouterr()
+    assert max(fock._ROT_BASIS_CACHE, default=0) <= BASIS_TRAFFIC[command]
 
 
 def test_bad_flag_exits_1(capsys):

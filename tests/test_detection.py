@@ -164,6 +164,26 @@ def test_closed_form_scan_is_the_table_at_each_angle():
         closed_form_scan(noncollinear(0.7), grid, TWO_PHOTON)
 
 
+@pytest.mark.parametrize("source", [collinear(0.5), SourceSpec(kind="coherent", alpha=2.0)])
+@pytest.mark.parametrize("kind", [ObservableKind.TWO_PHOTON_COINCIDENCE,
+                                  ObservableKind.FOUR_PHOTON_GLAUBER, ObservableKind.ND_VARIANCE])
+def test_closed_forms_describe_the_ah_av_pair_only(source, kind):
+    # the forms hold for the aH/aV detectors; collinear light leaves bH/bV dark
+    forward = ObservableSpec(kind=kind)
+    backward = ObservableSpec(kind=kind, pair=(Mode.AV, Mode.AH))
+    if source.is_pdc:
+        assert closed_form_scan(source, [0.3], backward) == closed_form_scan(source, [0.3],
+                                                                             forward)
+    for pair in ((Mode.BH, Mode.BV), (Mode.AH, Mode.BV)):
+        obs = ObservableSpec(kind=kind, pair=pair)
+        with pytest.raises(ValueError) as refused:
+            closed_form_scan(source, [0.3], obs)
+        assert str(refused.value) == (f"closed forms describe the AH/AV detector pair, "
+                                      f"not {pair[0].name}/{pair[1].name}")
+    assert evaluate(collinear(0.5, n_max=16), MediumSpec(theta=0.3), Geometry.COLLINEAR,
+                    ObservableSpec(kind=kind, pair=(Mode.BH, Mode.BV))) == 0.0
+
+
 def test_fringe_scan_pointwise_equals_evaluate():
     src = noncollinear(0.8, n_max=8)
     grid = np.linspace(0.0, math.pi, 7)
@@ -302,7 +322,7 @@ def _reference_dominant_frequency(source, geometry, obs):
     # the argmax of a 256-point FFT of direct samples over one turn
     thetas = 2.0 * math.pi * np.arange(256) / 256.0
     if source.kind is SourceKind.COHERENT:
-        samples = [detection._coherent_value(source, float(t), obs) for t in thetas]
+        samples = closed_form_scan(source, thetas, obs).values
     else:
         state = build_state(source)
         samples = [measure(apply_mor(state, MediumSpec(theta=float(t)), geometry), obs)

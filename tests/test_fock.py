@@ -221,6 +221,14 @@ def test_state_rejects_a_buffer_its_layout_does_not_describe():
             KetState(layout, buffer)
 
 
+def assert_reflection_symmetric(w):
+    """W[n - k', k] = (-1)^(k' + k) W[k', n - k] to the last bit: the half turn squared
+    swaps the two modes."""
+    n = len(w) - 1
+    signs = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    assert np.array_equal(w[::-1], signs * w[:, ::-1]), n
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 255, 256, 581])
 def test_rotation_basis_is_the_exact_eigenbasis(n):
     # eigh serves only as a reference here; the engine builds W by recurrence
@@ -234,6 +242,7 @@ def test_rotation_basis_is_the_exact_eigenbasis(n):
     assert np.abs(values - lam).max() <= 1e-9
     signs = np.sign(np.sum(vectors * w, axis=0))
     assert np.abs(vectors * signs - w).max() <= 1e-12
+    assert_reflection_symmetric(w)
 
 
 def test_rotation_bases_do_not_depend_on_request_order(monkeypatch):
@@ -260,8 +269,7 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     steps = []
     step = fock._risbo_step
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
-    monkeypatch.setattr(fock, "_risbo_step", lambda u, n, *buffers:
-                        steps.append(n) or step(u, n, *buffers))
+    monkeypatch.setattr(fock, "_risbo_step", lambda u, n: steps.append(n) or step(u, n))
     psi = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
     out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
     assert steps == list(range(1, 257))
@@ -272,25 +280,13 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     assert steps == list(range(1, 257))
 
 
-def test_half_row_bases_match_the_full_row_recurrence_bit_for_bit(monkeypatch):
-    # one pass of the half-row recurrence, unfolded, against every row computed
-    rows = []
-    step = fock._risbo_step
-
-    def recorded(u, n, *buffers):
-        out = step(u, n, *buffers)
-        rows.append(out.shape)
-        return out
-
+def test_rotation_bases_match_the_reference_recurrence_bit_for_bit(monkeypatch):
+    # one pass of the engine's recurrence against the reference's, step by step
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
-    monkeypatch.setattr(fock, "_risbo_step", recorded)
     built = fock._rotation_bases(range(301))
-    assert rows == [(n // 2 + 1, n + 1) for n in range(1, 301)]
     for n, (w, ref) in enumerate(zip(built, reference_rotation_bases(300))):
         assert w.tobytes() == ref.tobytes(), n
-        # W[n - k', k] = (-1)^(k' + k) W[k', n - k]: the half turn squared swaps the modes
-        signs = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
-        assert np.array_equal(w[::-1], signs * w[:, ::-1]), n
+        assert_reflection_symmetric(w)
 
 
 def test_moment_zeroth_power_is_norm():

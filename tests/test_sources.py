@@ -11,7 +11,6 @@ from morsim import (
     SourceSpec,
     TruncationError,
     build_state,
-    coherent_intensity_pair,
     mean_photon_number,
     select_n_max,
     truncation_tail,
@@ -188,23 +187,6 @@ def test_build_state_matches_the_per_sector_reference_bit_for_bit(kind, r, phi, 
 def test_build_state_rejects_coherent():
     with pytest.raises(ValueError):
         build_state(SourceSpec(kind="coherent", alpha=2.0))
-
-
-def test_coherent_intensity_pair_examples():
-    ix, iy = coherent_intensity_pair(1.0, 0.0)
-    assert (ix, iy) == (1.0, 0.0)
-    ix, iy = coherent_intensity_pair(2.0, math.pi)
-    assert abs(ix) < 1e-12 and iy == pytest.approx(4.0, abs=1e-12)
-    ix, iy = coherent_intensity_pair(3.0, math.pi / 2)
-    assert ix == pytest.approx(4.5, abs=1e-12) and iy == pytest.approx(4.5, abs=1e-12)
-
-
-def test_coherent_intensity_pair_sums_exactly():
-    for alpha in (0.7, 1.0, 2.5, 9.0):
-        for k in range(100):
-            theta = 0.0629 * k
-            ix, iy = coherent_intensity_pair(alpha, theta)
-            assert ix + iy == abs(alpha) ** 2
 
 
 def test_mean_photon_number():
