@@ -17,7 +17,6 @@ from .fock import (
     KetState,
     Mode,
     make_basis_state,
-    projection_probability,
 )
 from .medium import Geometry, MediumSpec, apply_mor
 from .sources import (
@@ -53,7 +52,6 @@ __all__ = [
     "make_basis_state",
     "mean_photon_number",
     "min_detectable_angle",
-    "projection_probability",
     "select_n_max",
     "sensitivity_curve",
     "truncation_tail",

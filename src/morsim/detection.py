@@ -1,7 +1,7 @@
 """Measured quantities: coincidences, projections, fringes, visibility,
 number-difference variance and the minimum detectable rotation angle.
 
-Moments are read in the Heisenberg picture.  The channel is passive linear
+Moments and projections are read in the Heisenberg picture.  The channel is passive linear
 optics, so it turns each annihilator into U^dag a_k U = sum_i T[k, i] a_i with
 T the 4 x 4 matrix of its one-photon sector, which is read off the channel
 itself for each angle.  A normally ordered moment of K annihilators is then
@@ -9,8 +9,8 @@ v^dag G v: G[S, S'] = <a_S psi | a_S' psi> over the multisets S of K modes is
 built once per source, and v holds the coefficients of the expanded product of
 K rows of T.  The number-difference variance is m^dag H m with H the Gram
 matrix of the centred bilinears (a_i^dag a_j - <a_i^dag a_j>) psi and m the
-entries of T^dag Z T.  A projection still passes its target's sector through
-the channel.
+entries of T^dag Z T.  U leaves the vacuum alone, so a projection onto |t> is
+|<0|prod_k (U^dag a_k U)^t_k psi>|^2 / t! = |v . g|^2 / t!, g_S = <0|a_S psi>.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .fock import (
     annihilator_coefficients,
     centred_bilinear_gram,
     lowered_gram,
-    projection_probability,
+    vacuum_overlaps,
 )
 from .medium import Geometry, MediumSpec, apply_mor
 from .sources import (
@@ -137,15 +137,11 @@ def _fringe_degree(obs: ObservableSpec) -> int:
     photons its detectors absorb.  The channel conserves photon number per
     beam, so in the Heisenberg picture each mode operator is a combination
     of cos(theta/2) and sin(theta/2) and the global phases cancel: a moment
-    with powers p has degree sum(p), the number-difference variance 2, and a
-    projection onto k photons k, whatever the truncation, theta_plus or
-    pump phase."""
-    powers = _detector_powers(obs)
-    if powers is not None:
-        return sum(powers)
-    if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-        return sum(obs.target)
-    return 2
+    or a projection of K annihilators has degree K, and the number-difference
+    variance 2, whatever the truncation, theta_plus or pump phase."""
+    if obs.kind is ObservableKind.ND_VARIANCE:
+        return 2
+    return len(_annihilated_modes(obs))
 
 
 def _projection_depth(kind: SourceKind, target: Occupation) -> int:
@@ -154,19 +150,6 @@ def _projection_depth(kind: SourceKind, target: Occupation) -> int:
     pair one in each beam."""
     n_a, n_b = target[0] + target[1], target[2] + target[3]
     return max(n_a // 2 if kind is SourceKind.COLLINEAR_PDC else max(n_a, n_b), 1)
-
-
-def _sector_state(source: SourceSpec, target: Occupation) -> KetState:
-    """The source's amplitudes in the target's (n_a, n_b) sector, the only one that
-    contributes to the projection: the channel conserves photon number per beam.
-    The state is built only to the target's depth, so the projection is exact at
-    any r, and a deeper n_max would only build sectors that are dropped here."""
-    sector = (target[0] + target[1], target[2] + target[3])
-    depth = _projection_depth(source.kind, target)
-    state = build_state(dataclasses.replace(source, n_max=min(source.n_max or depth, depth)))
-    layout = SectorLayout([key for key in state.layout.keys if key == sector])
-    start = state.layout.starts.get(sector, 0)
-    return KetState(layout, state.buffer[start:start + layout.offsets[-1]])
 
 
 def check_pairing(source: SourceSpec, geometry) -> Geometry:
@@ -219,8 +202,8 @@ def _one_photon_matrix(channel, medium: MediumSpec, geometry: Geometry) -> np.nd
 
 
 def _annihilated_modes(obs: ObservableSpec) -> list[int]:
-    """The modes of a moment observable's annihilators, each as often as its power."""
-    return [m for m, p in enumerate(_detector_powers(obs)) for _ in range(p)]
+    """The modes of a moment's or projection's annihilators, each as often as its power."""
+    return [m for m, p in enumerate(_detector_powers(obs) or obs.target) for _ in range(p)]
 
 
 def _nd_variance(t: np.ndarray, pair, expectations: np.ndarray, centred: np.ndarray,
@@ -236,22 +219,27 @@ def _nd_variance(t: np.ndarray, pair, expectations: np.ndarray, centred: np.ndar
     return float((m.conj() @ centred @ m).real) + (1.0 - norm) * mean * mean
 
 
-def _moment_reader(state: KetState, moments):
-    """(T, obs) -> the value of the moment observable ``obs``, one of ``moments``, on
-    the state passed through the channel whose one-photon matrix is T.  The Gram
-    matrices the moments need are built here, once."""
+def _moment_reader(state: KetState, observables):
+    """(T, obs) -> the value of ``obs``, one of ``observables``, on the state passed
+    through the channel whose one-photon matrix is T.  The Gram matrices and vacuum
+    overlaps the observables need are built here, once."""
     # the variance centres its bilinears on the one-photon Gram matrix <a_i^dag a_j>
     sizes = {1 if obs.kind is ObservableKind.ND_VARIANCE else len(_annihilated_modes(obs))
-             for obs in moments}
+             for obs in observables if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION}
     grams = {size: lowered_gram(state, size) for size in sizes}
-    if any(obs.kind is ObservableKind.ND_VARIANCE for obs in moments):
+    if any(obs.kind is ObservableKind.ND_VARIANCE for obs in observables):
         centred, norm = centred_bilinear_gram(state, grams[1]), state.norm_squared()
+    if any(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION for obs in observables):
+        overlaps = vacuum_overlaps(state, 4)
 
     def read(t: np.ndarray, obs: ObservableSpec) -> float:
         if obs.kind is ObservableKind.ND_VARIANCE:
             return _nd_variance(t, obs.pair, grams[1], centred, norm)
         modes = _annihilated_modes(obs)
         v = annihilator_coefficients(t[modes])
+        if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+            a = v @ overlaps / math.sqrt(math.prod(map(math.factorial, obs.target)))
+            return float(a.real * a.real + a.imag * a.imag)
         return float((v.conj() @ grams[len(modes)] @ v).real)
 
     return read
@@ -261,24 +249,21 @@ def _sampler(source: SourceSpec, geometry: Geometry, observables, channel=None):
     """medium -> the values of ``observables`` on the source passed through it.
 
     Coherent light is read off its closed form.  For PDC light each medium costs
-    the channel on the one-photon probes, if any observable is a moment, and on
-    each projection target's sector.  ``channel`` defaults to the ``apply_mor``
-    this module holds when the sampler is made."""
+    the channel on the one-photon probes.  Projections alone build the source only
+    to the deepest target's depth, so they are exact at any r.  ``channel``
+    defaults to the ``apply_mor`` this module holds when the sampler is made."""
     if source.kind is SourceKind.COHERENT:
         return lambda medium: [closed_form_scan(source, (medium.theta,), obs).values[0]
                                for obs in observables]
     channel = apply_mor if channel is None else channel
-    projections = {obs.target: _sector_state(source, obs.target) for obs in observables
-                   if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION}
-    moments = [obs for obs in observables if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION]
-    read = _moment_reader(build_state(source), moments) if moments else None
+    if all(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION for obs in observables):
+        depth = max(_projection_depth(source.kind, obs.target) for obs in observables)
+        source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
+    read = _moment_reader(build_state(source), observables)
 
     def sample(medium: MediumSpec) -> list[float]:
-        t = _one_photon_matrix(channel, medium, geometry) if moments else None
-        return [read(t, obs) if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION
-                else projection_probability(channel(projections[obs.target], medium, geometry),
-                                            obs.target)
-                for obs in observables]
+        t = _one_photon_matrix(channel, medium, geometry)
+        return [read(t, obs) for obs in observables]
 
     return sample
 
@@ -298,8 +283,8 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
 
     Coherent sources are evaluated in closed form.  PDC sources use the
     truncated Fock state through ``_sampler``: moments carry the source's
-    documented truncation error, projections are exact because only one
-    photon-number sector contributes.
+    documented truncation error, projections are exact because only the
+    source's four-photon amplitudes contribute.
 
     A PDC fringe is a trigonometric polynomial in theta of degree
     K = ``_fringe_degree(obs)`` (at most 4), so a grid longer than

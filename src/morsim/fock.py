@@ -7,15 +7,15 @@ of shape (n_a+1, n_b+1): entry [k_a, k_b] is the amplitude of
 |n_a-k_a, k_a, n_b-k_b, k_b>; the blocks lie back to back in one flat
 buffer.  A detector moment is read in the Heisenberg picture from Gram
 matrices of the state: <a_S psi | a_S' psi> over multisets S of modes
-(``lowered_gram``), and the Gram matrix of the centred bilinears
-(a_i^dag a_j - E_ij) psi (``centred_bilinear_gram``), both built from the
-nonzero amplitudes only, while ``annihilator_coefficients`` expands a
-product of Heisenberg-picture annihilators over the same multisets.  Each
-Gram kernel is one broadcast of the nonzero occupations against every
-multiset (or bilinear), with no Python loop over them, and ``_gram`` pairs
-the sorted sparse vectors only over the longest run of equal keys (at most 4
-for the PDC sources, against up to 35 columns), so every bit of G is what a
-loop over the multisets gave.
+(``lowered_gram``) and the Gram matrix of the centred bilinears
+(a_i^dag a_j - E_ij) psi (``centred_bilinear_gram``), and a projection from
+the overlaps <0|a_S psi> (``vacuum_overlaps``), all from the nonzero amplitudes,
+while ``annihilator_coefficients`` expands a product of Heisenberg-picture
+annihilators over the same multisets.  Each Gram kernel is one broadcast of
+the nonzero occupations against every multiset (or bilinear), with no Python
+loop over them, and ``_gram`` pairs the sorted sparse vectors only over the
+longest run of equal keys (at most 4 for the PDC sources, against up to 35
+columns), so every bit of G is what a loop over the multisets gave.
 On a shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6) the K = 4 Gram of
 collinear n_max 128 takes 0.38-0.68 ms per call, against 1.56-2.45 ms for
 that loop.
@@ -28,12 +28,12 @@ cached per photon number.  U_n is built by the two-path (Risbo) recurrence
 U_n = S^T (U_{n-1} (x) U_1) S, where S is the isometry that splits off the
 last photon: each entry mixes four entries of U_{n-1} with coefficients at
 most 1, and the step cannot enlarge the error it inherits, so rounding
-grows only like n * eps.  No sweep builds a basis above 4 photons per beam
-(moments read the channel off one-photon probes, a projection evolves its
-target's sector) and ``verify`` none above 96, so the recurrence runs on
-plain full rows: cold on a 2-vCPU Xeon, every even size up to 4 photons
-takes 0.1-0.2 ms and up to 96 photons 5-6 ms; a whole state of collinear
-n_max 128 (256 photons) takes 0.07-0.14 s and one of 1162 photons 9 s.
+grows only like n * eps.  No sweep builds a basis above 1 photon per beam
+(every observable is read off the channel's one-photon probes) and
+``verify`` none above 96, so the recurrence runs on plain full rows: cold on
+a 2-vCPU Xeon, every even size up to 4 photons takes 0.1-0.2 ms and up to
+96 photons 5-6 ms; a whole state of collinear n_max 128 (256 photons) takes
+0.07-0.14 s and one of 1162 photons 9 s.
 At 256 photons max|W^T W - I| = 3.5e-14 and
 max|T W - W Lambda| = 2.1e-14 (eigh: 2.2e-15 and 1.4e-13); at 581 photons
 8.0e-14 and 4.3e-14.  The single-path recurrence, which builds column k+1
@@ -62,6 +62,7 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 # eigen-coefficients and one channel output (16 each), the layout's occupations (32)
 # and phases (32), plus 8 of headroom.
 CHANNEL_BYTES_PER_AMPLITUDE = 3 * 16 + 32 + 32 + 8
+GRAM_BYTES_PER_ENTRY = 192  # peak per sparse entry of a Gram kernel (tracemalloc: 150-187)
 
 
 class Mode(IntEnum):
@@ -186,6 +187,12 @@ def require_memory(what: str, needed: int, purpose: str) -> None:
                          f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget")
 
 
+def _require_gram_memory(state: KetState, entries: int) -> None:
+    """Refuse a Gram kernel whose sparse entries would not fit beside the state."""
+    require_memory(f"a Gram matrix of {entries} sparse entries", state.buffer.nbytes
+                   + GRAM_BYTES_PER_ENTRY * entries, "its sparse vectors and the state")
+
+
 def _locate(occ) -> tuple[tuple[int, int], int]:
     """The (n_a, n_b) sector of an occupation and the index of its entry in the block."""
     occ = tuple(int(n) for n in occ)
@@ -204,12 +211,6 @@ def make_basis_state(occ) -> KetState:
     x = np.zeros(layout.offsets[-1], dtype=complex)
     x[index] = 1.0
     return KetState(layout, x)
-
-
-def projection_probability(state: KetState, occ) -> float:
-    """|<occ|state>|^2 for a Fock basis target."""
-    a = state.amplitude(occ)
-    return a.real * a.real + a.imag * a.imag
 
 
 @cache
@@ -283,14 +284,30 @@ def lowered_gram(state: KetState, size: int) -> np.ndarray:
     occupations, amplitudes = state.nonzero_entries()
     powers = _multisets(size)[0]
     base = int(occupations.max(initial=0)) + 1
-    column, entry = np.nonzero((occupations >= powers[:, :, None]).all(axis=1))
-    # falling[p, n] = n (n - 1) ... (n - p + 1); products of integers stay exact below 2^53
+    reached = (occupations >= powers[:, :, None]).all(axis=1)
+    _require_gram_memory(state, np.count_nonzero(reached))
+    column, entry = np.nonzero(reached)
+    # falling[p, n] = n (n - 1) ... (n - p + 1); weights are exact integers below 2^53,
+    # which n (n - 1) (n - 2) (n - 3) passes near n = 9700: past that they carry rounding
     falling = np.ones((size + 1, base))
     for p in range(1, size + 1):
         falling[p] = falling[p - 1] * np.arange(1 - p, base - p + 1)
     weight = np.prod(falling[powers[column].T, occupations[:, entry]], axis=0)
     keys = _encode(occupations, base)[entry] - _encode(powers.T, base)[column]
     return _gram(keys, column, amplitudes[entry] * np.sqrt(weight), len(powers))
+
+
+def vacuum_overlaps(state: KetState, size: int) -> np.ndarray:
+    """g[S] = <0|a_S psi> = sqrt(s!) <s|psi> over the multisets S of ``size`` modes, in
+    the order of ``lowered_gram``, for the powers s of S, from the nonzero amplitudes."""
+    occupations, amplitudes = state.nonzero_entries()
+    powers = _multisets(size)[0]
+    shell = occupations.sum(axis=0) == size
+    row, entry = np.nonzero((powers[:, :, None] == occupations[:, shell]).all(axis=1))
+    factorials = np.cumprod(np.arange(size + 1.0).clip(1))[powers[row]].prod(axis=1)
+    g = np.zeros(len(powers), dtype=complex)
+    g[row] = amplitudes[shell][entry] * np.sqrt(factorials)
+    return g
 
 
 def centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarray:
@@ -303,7 +320,9 @@ def centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarr
     i, j = np.divmod(np.arange(16), 4)
     own = _encode(occupations, base)
     unit = _encode(np.eye(4, dtype=np.int64), base)  # the key of e_i
-    column, entry = np.nonzero(occupations[j] > 0)
+    moved = occupations[j] > 0
+    _require_gram_memory(state, np.count_nonzero(moved) + 16 * len(own))
+    column, entry = np.nonzero(moved)
     n_i, n_j = occupations[i[column], entry], occupations[j[column], entry]
     keys = [own[entry] + unit[i[column]] - unit[j[column]], np.tile(own, 16)]
     columns = [column, np.repeat(np.arange(16), len(own))]

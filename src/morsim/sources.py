@@ -22,10 +22,10 @@ DEFAULT_EPSILON = 1e-10
 DEFAULT_N_MAX_CAP = 64
 # build_state counts only its dense buffer, 16 bytes per amplitude, against
 # fock.MEMORY_BUDGET_BYTES, which stops at n_max 11584 collinear / 736 non-collinear.
-# A moment sweep adds the state's nonzero entries and the Gram matrices' sparse
-# vectors, at most 35 per nonzero amplitude.  Evolving a whole state needs far more
-# (fock.CHANNEL_BYTES_PER_AMPLITUDE and the rotation bases); the channel checks that
-# when such a state first enters it, which stops at n_max 581 / 367.
+# A moment sweep adds the Gram matrices' sparse vectors, at most 35 per nonzero
+# amplitude, which each Gram kernel counts beside the state.  Evolving a whole state
+# needs far more (fock.CHANNEL_BYTES_PER_AMPLITUDE and the rotation bases); the
+# channel checks that when such a state first enters it, which stops at n_max 581 / 367.
 
 
 class TruncationError(ValueError):

@@ -69,8 +69,8 @@ def _tolerance_ratio(engine: float, reference: float,
 
 def _engine_values(apply_mor_fn, source: SourceSpec, media, observables) -> list[list[float]]:
     """Per medium, each observable read through ``_sampler`` with the channel
-    ``apply_mor_fn``: the source's Gram matrices are built once, and each medium
-    costs the channel on the one-photon probes and on any projection's sector."""
+    ``apply_mor_fn``: the source's Gram matrices and vacuum overlaps are built
+    once, and each medium costs the channel on the one-photon probes."""
     geometry = Geometry.NONCOLLINEAR if source.kind is NONCOLLINEAR else Geometry.COLLINEAR
     sample = _sampler(source, geometry, observables, apply_mor_fn)
     return [sample(medium) for medium in media]

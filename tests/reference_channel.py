@@ -9,11 +9,11 @@ the helpers that put the engine's output next to the reference;
 ``state_from_amplitudes`` build test states from blocks or occupation tuples,
 ``reference_collinear_state`` / ``reference_noncollinear_state`` build PDC
 states sector by sector for ``build_state`` to reproduce bit for bit, and
-``normally_ordered_moment`` and ``measure`` read a detector value off an
-evolved state in the Schroedinger picture, the reference the engine's
-Heisenberg-picture moments are checked against, and ``reference_moment`` /
-``reference_nd_variance`` are the per-occupation loops that check them in
-turn.  ``reference_rotation_bases`` is the full-row two-path recurrence, kept apart
+``normally_ordered_moment``, ``projection_probability`` and ``measure`` read a
+detector value off an evolved state in the Schroedinger picture, the reference
+the engine's Heisenberg-picture readings are checked against, and
+``reference_moment`` / ``reference_nd_variance`` are the per-occupation loops
+that check them in turn.  ``reference_rotation_bases`` is the full-row two-path recurrence, kept apart
 so that no edit of the engine's can change the bases' bits unseen, and ``reference_lowered_gram`` /
 ``reference_centred_bilinear_gram`` (with ``reference_gram``) are the Gram kernels
 with one loop pass per multiset or bilinear that the engine's broadcast ones must
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from morsim import (Geometry, KetState, MediumSpec, ObservableKind, SourceKind, apply_mor,
-                    make_basis_state, projection_probability, truncation_tail)
+                    make_basis_state, truncation_tail)
 from morsim.detection import _detector_powers
 from morsim.fock import SectorLayout, _encode, _multisets
 
@@ -179,6 +179,12 @@ def normally_ordered_moment(state, powers):
     weights = np.prod([np.ones(len(x))] + [n - j for n, p in zip(occupations, powers)
                                            for j in range(p)], axis=0)
     return float(weights @ (x.real ** 2 + x.imag ** 2))
+
+
+def projection_probability(state, occ):
+    """|<occ|state>|^2 for a Fock basis target."""
+    a = state.amplitude(occ)
+    return a.real * a.real + a.imag * a.imag
 
 
 def measure(state, obs):

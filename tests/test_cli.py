@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -305,30 +306,54 @@ def test_moment_fringes_at_huge_angles_stay_within_the_verify_allowance(capsys, 
         assert verify._tolerance_ratio(value, exact, rel) <= 1.0
 
 
-# command -> the most photons per beam of any J_y eigenbasis it builds.  Moments read
-# the channel off one-photon probes and a projection evolves its target's sector, so
-# no sweep needs the recurrence's speed on large bases.
+@pytest.mark.parametrize("observable, grams", [("four-photon-glauber", []),
+                                               ("nd-variance", [4])])
+def test_a_gram_over_the_budget_is_refused_before_it_is_built(monkeypatch, capsys,
+                                                              observable, grams):
+    # the 53 kB state fits a 500 kB budget, but the sparse vectors of the K = 4 Gram
+    # or of the variance's centred bilinears beside it do not; the 4-column
+    # one-photon Gram the variance builds first does
+    from morsim import fock
+
+    built = []
+    gram = fock._gram
+    monkeypatch.setattr(fock, "_gram", lambda *args: built.append(args[3]) or gram(*args))
+    monkeypatch.setattr(fock, "MEMORY_BUDGET_BYTES", 500_000)
+    assert run_cli("fringe", "--source", "noncollinear", "--r", "1", "--n-max", "20",
+                   "--observable", observable, "--points", "5") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: a Gram matrix of ") and "GiB budget" in err
+    assert built == grams
+
+
+# command -> the most photons per beam of any J_y eigenbasis it builds.  Every
+# observable reads the channel off one-photon probes, so no sweep needs the
+# recurrence's speed on large bases; only verify's direct channel calls build more.
 BASIS_TRAFFIC = {
     " ".join(STRONG_GLAUBER): 1,
     "visibility --mode numeric --n-max 128 --points 3": 1,
-    "envelope --points 5": 2,
-    "fringe --observable four-photon-projection --points 9 --mode both": 4,
+    "envelope --points 5": 1,
+    "fringe --observable four-photon-projection --points 9 --mode both": 1,
     "verify": 96,
 }
 
 
 @pytest.mark.parametrize("command", BASIS_TRAFFIC)
 def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, command):
-    from morsim import fock
+    from morsim import detection, fock
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    # fresh probes: cached ones keep the bases an earlier test built for them
+    monkeypatch.setattr(detection, "_one_photon_probes",
+                        functools.cache(detection._one_photon_probes.__wrapped__))
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     assert run_cli(*command.split()) == 0
     capsys.readouterr()
-    assert max(fock._ROT_BASIS_CACHE, default=0) <= BASIS_TRAFFIC[command]
+    assert 1 <= max(fock._ROT_BASIS_CACHE) <= BASIS_TRAFFIC[command]
 
 
 def test_bad_flag_exits_1(capsys):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from morsim import (
 )
 from morsim.cli import main as cli_main
 from morsim.sources import build_state
-from reference_channel import measure, state_from_amplitudes
+from reference_channel import measure, projection_probability, state_from_amplitudes
 
 TWO_PHOTON = ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE)
 GLAUBER = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER)
@@ -470,8 +471,7 @@ def test_fringe_scan_reconstructs_direct_evaluation(pairing, r, n_max, theta_plu
 
 def _count_channel_calls(monkeypatch):
     """The (theta, photons in the largest sector) of every call of the channel that
-    ``detection`` holds; a moment reads T off one-photon probes, a projection
-    evolves its target's sector."""
+    ``detection`` holds: every observable reads T off the one-photon probes."""
     calls = []
 
     def counted(state, medium, geometry):
@@ -499,6 +499,12 @@ def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
     calls.clear()
     assert dominant_frequency(collinear(1.3, n_max=128), Geometry.COLLINEAR, GLAUBER) == 2
     assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
+    # a projection reads the same probes: no call carries the target's four photons
+    calls.clear()
+    fringe_scan(noncollinear(0.5, n_max=40), np.linspace(0.0, math.pi, 201),
+                Geometry.NONCOLLINEAR, PROJ_NON, theta_plus=0.3)
+    assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
+    assert {photons for _, photons in calls} == {1}
 
 
 @pytest.mark.parametrize("obs", [ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AV),
@@ -521,14 +527,16 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
         return build_state(spec)
 
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    monkeypatch.setattr(detection, "_one_photon_probes",
+                        functools.cache(detection._one_photon_probes.__wrapped__))
     monkeypatch.setattr(detection, "build_state", recorded)
     grid = np.linspace(0.0, math.pi, 7)
     deep = fringe_scan(noncollinear(0.5, n_max=200), grid, Geometry.NONCOLLINEAR, PROJ_NON)
     default = fringe_scan(noncollinear(0.5), grid, Geometry.NONCOLLINEAR, PROJ_NON)
     assert deep.values == default.values
-    # (1,1,1,1) lies in sector (2, 2): two pairs, bases of 2 photons per beam
+    # (1,1,1,1) lies in sector (2, 2): two pairs, read off one-photon probes
     assert built == [2, 2]
-    assert max(fock._ROT_BASIS_CACHE) <= 2
+    assert max(fock._ROT_BASIS_CACHE) == 1
 
     # (2,2,0,0) lies in sector (4, 0): two collinear pairs, not four
     built.clear()
@@ -536,16 +544,14 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
     default = fringe_scan(collinear(0.5), grid, Geometry.COLLINEAR, PROJ_COL)
     assert built == [2, 2]
     assert deep.values == default.values
-    # the same bits as the projection read off a four-pair state
+    # the Schroedinger reading off a four-pair state, to rounding
     four_pairs = build_state(collinear(0.5, n_max=4))
-    assert default.values == tuple(
-        fock.projection_probability(apply_mor(four_pairs, MediumSpec(theta=t), Geometry.COLLINEAR),
-                                    PROJ_COL.target) for t in grid)
+    reference = [projection_probability(apply_mor(four_pairs, MediumSpec(theta=t),
+                                                  Geometry.COLLINEAR), PROJ_COL.target)
+                 for t in grid]
+    assert np.abs(np.subtract(default.values, reference)).max() <= 1e-15 * max(reference)
 
 
-# every moment observable: each single-mode intensity, and the two-photon,
-# Glauber and variance observables on a pair within each beam and across them
-MOMENTS = [obs for obs in EVERY_OBSERVABLE if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION]
 NONZERO_ANGLES = st.floats(0.05, 2 * math.pi) | st.floats(-2 * math.pi, -0.05)
 # ten angles over one turn: every fringe of degree K <= 4 is fixed by its values there,
 # so the largest of them is the scale of the fringe
@@ -565,16 +571,18 @@ def _assert_close_to_the_reference(heisenberg, schroedinger):
        st.lists(ANGLES, min_size=1, max_size=4))
 def test_heisenberg_moments_match_the_schroedinger_reference(pairing, r, n_max, theta_plus,
                                                              phi, thetas):
-    # v^dag G v from the source's Gram matrices and the channel's one-photon
-    # matrix against the moments of the evolved state, at theta_plus, phi != 0
+    # v^dag G v from the source's Gram matrices, and v . g from its vacuum
+    # overlaps, with the channel's one-photon matrix against the readings of the
+    # evolved state, at theta_plus, phi != 0
     kind, geometry = pairing
     source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
-    sample = detection._sampler(source, geometry, MOMENTS)
+    sample = detection._sampler(source, geometry, EVERY_OBSERVABLE)
     state = build_state(source)
     media = [MediumSpec(theta, theta_plus) for theta in thetas + TURN]
     _assert_close_to_the_reference(
         [sample(medium) for medium in media],
-        [[measure(apply_mor(state, medium, geometry), obs) for obs in MOMENTS] for medium in media])
+        [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
+         for medium in media])
 
 
 @st.composite
@@ -591,14 +599,15 @@ def normalized_superpositions(draw, geometry):
 
 
 def _reference_and_heisenberg(state, geometry, media, transform=lambda t: t):
-    """Per medium, the moments of the evolved state and v^dag G v from the
-    channel's one-photon matrix, passed through ``transform`` first."""
-    read = detection._moment_reader(state, MOMENTS)
+    """Per medium, every observable read off the evolved state and in the Heisenberg
+    picture from the channel's one-photon matrix, passed through ``transform`` first."""
+    read = detection._moment_reader(state, EVERY_OBSERVABLE)
     reference, heisenberg = [], []
     for medium in media:
         t = transform(detection._one_photon_matrix(apply_mor, medium, geometry))
-        reference.append([measure(apply_mor(state, medium, geometry), obs) for obs in MOMENTS])
-        heisenberg.append([read(t, obs) for obs in MOMENTS])
+        reference.append([measure(apply_mor(state, medium, geometry), obs)
+                          for obs in EVERY_OBSERVABLE])
+        heisenberg.append([read(t, obs) for obs in EVERY_OBSERVABLE])
     return reference, heisenberg
 
 
@@ -630,5 +639,6 @@ def test_a_transposed_one_photon_matrix_misses_the_reference(variant):
     _, conjugated = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media, np.conj)
     _assert_close_to_the_reference(right, reference)
     _assert_close_to_the_reference(conjugated, reference)
-    intensities = [i for i, obs in enumerate(MOMENTS) if obs.kind is ObservableKind.INTENSITY]
+    intensities = [i for i, obs in enumerate(EVERY_OBSERVABLE)
+                   if obs.kind is ObservableKind.INTENSITY]
     assert np.abs(np.array(wrong) - reference)[:, intensities].max() > 0.1

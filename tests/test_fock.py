@@ -17,12 +17,12 @@ from morsim import (
     build_state,
     fock,
     make_basis_state,
-    projection_probability,
 )
 from reference_channel import (
     lifted_generator,
     max_difference,
     normally_ordered_moment,
+    projection_probability,
     reference_centred_bilinear_gram,
     reference_lowered_gram,
     reference_moment,

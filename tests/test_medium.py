@@ -16,12 +16,12 @@ from morsim import (
     build_state,
     make_basis_state,
     oracles,
-    projection_probability,
 )
 from reference_channel import (
     max_difference,
     measure,
     normally_ordered_moment,
+    projection_probability,
     reference_moment,
     reference_mor,
     reference_nd_variance,
