@@ -30,7 +30,6 @@ from .fock import (
     KetState,
     Mode,
     Occupation,
-    SectorLayout,
     annihilator_coefficients,
     centred_bilinear_gram,
     lowered_gram,
@@ -176,28 +175,22 @@ def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSp
 @cache
 def _one_photon_probes(geometry: Geometry) -> tuple[KetState, KetState]:
     """Probe j holds one photon in mode j of beam a and, in the non-collinear
-    geometry, one in mode j of beam b, each beam in its own sector, so that the
-    channel's image of probe j holds column j of T for each beam.  The buffer of
-    the layout [(1, 0), (0, 1)] lists the modes aH, aV, bH, bV in order."""
-    layout = SectorLayout([(1, 0)] if geometry is Geometry.COLLINEAR else [(1, 0), (0, 1)])
-    probes = []
-    for j in (0, 1):
-        buffer = np.zeros(layout.offsets[-1], dtype=complex)
-        buffer[j::2] = 1.0
-        probes.append(KetState(layout, buffer))
-    return tuple(probes)
+    geometry, one in mode j of beam b, so that the channel's image of probe j
+    holds column j of T on beam a and column j + 2 on beam b."""
+    modes = [[0], [1]] if geometry is Geometry.COLLINEAR else [[0, 2], [1, 3]]
+    return tuple(KetState(np.eye(4, dtype=np.int64)[:, m], np.ones(len(m), dtype=complex))
+                 for m in modes)
 
 
 def _one_photon_matrix(channel, medium: MediumSpec, geometry: Geometry) -> np.ndarray:
     """T with U^dag a_k U = sum_i T[k, i] a_i: T[k, i] = <1_k|U|1_i>, read off the
-    channel's images of the one-photon probes.  The collinear geometry leaves the
-    b beam alone."""
+    channel's images of the one-photon probes, each amplitude by the mode its
+    occupation holds.  The collinear geometry leaves the b beam alone."""
     t = np.eye(4, dtype=complex)
     for j, probe in enumerate(_one_photon_probes(geometry)):
-        image = channel(probe, medium, geometry).buffer
-        t[:2, j] = image[:2]
-        if len(image) == 4:
-            t[2:, j + 2] = image[2:]
+        image = channel(probe, medium, geometry)
+        modes = image.occupations.argmax(axis=0)
+        t[modes, modes & 2 | j] = image.amplitudes
     return t
 
 

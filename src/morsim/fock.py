@@ -1,25 +1,27 @@
 """Exact algebra on truncated multimode bosonic Fock states.
 
 Four physical modes (two spatial beams a, b; two polarizations H, V) in the
-fixed canonical order aH < aV < bH < bV.  The medium conserves the photon
-number of each beam, so a state is one complex block per sector (n_a, n_b),
-of shape (n_a+1, n_b+1): entry [k_a, k_b] is the amplitude of
-|n_a-k_a, k_a, n_b-k_b, k_b>; the blocks lie back to back in one flat
-buffer.  A detector moment is read in the Heisenberg picture from Gram
-matrices of the state: <a_S psi | a_S' psi> over multisets S of modes
-(``lowered_gram``) and the Gram matrix of the centred bilinears
-(a_i^dag a_j - E_ij) psi (``centred_bilinear_gram``), and a projection from
-the overlaps <0|a_S psi> (``vacuum_overlaps``), all from the nonzero amplitudes,
-while ``annihilator_coefficients`` expands a product of Heisenberg-picture
+fixed canonical order aH < aV < bH < bV.  A state is its nonzero amplitudes: a
+(4, k) array of distinct occupations and the k amplitudes on them.  A detector
+moment is read in the Heisenberg picture from Gram matrices of the state:
+<a_S psi | a_S' psi> over multisets S of modes (``lowered_gram``) and the Gram
+matrix of the centred bilinears (a_i^dag a_j - E_ij) psi
+(``centred_bilinear_gram``), and a projection from the overlaps <0|a_S psi>
+(``vacuum_overlaps``), all from those two arrays, while
+``annihilator_coefficients`` expands a product of Heisenberg-picture
 annihilators over the same multisets.  Each Gram kernel is one broadcast of
-the nonzero occupations against every multiset (or bilinear), with no Python
-loop over them, and ``_gram`` pairs the sorted sparse vectors only over the
-longest run of equal keys (at most 4 for the PDC sources, against up to 35
-columns), so every bit of G is what a loop over the multisets gave.
+the occupations against every multiset (or bilinear), with no Python loop over
+them, and ``_gram`` pairs the sorted sparse vectors only over the longest run
+of equal keys (at most 4 for the PDC sources, against up to 35 columns), so
+every bit of G is what a loop over the multisets gave.
 On a shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6) the K = 4 Gram of
 collinear n_max 128 takes 0.38-0.68 ms per call, against 1.56-2.45 ms for
 that loop.
 
+The channel alone lays a state out in blocks, when it first meets the state.
+The medium conserves the photon number of each beam, so it evolves one block
+per sector (n_a, n_b), of shape (n_a+1, n_b+1): entry [k_a, k_b] is the
+amplitude of |n_a-k_a, k_a, n_b-k_b, k_b>, in one flat buffer (``SectorLayout``).
 The polarization rotation of one spatial pair acts on the rows (beam a) or
 columns (beam b) of a sector.  It is generated by the tridiagonal J_y
 operator, whose real eigenbasis W does not depend on the angle: it is the
@@ -78,30 +80,28 @@ A_MODES = (Mode.AH, Mode.AV)
 
 
 class SectorLayout:
-    """Where each (n_a, n_b) sector's block of shape (n_a+1, n_b+1) lies in a flat
-    buffer, for the ordered sector ``keys``, plus the per-entry vectors the channel
-    uses, built once per layout on first use."""
+    """The sorted (n_a, n_b) sectors of a state's occupations, where each sector's block
+    of shape (n_a+1, n_b+1) lies in a flat buffer, and the flat ``positions`` of the
+    occupations; the per-entry vectors the channel uses are built on first use."""
 
-    def __init__(self, keys):
-        self.keys = list(keys)
+    def __init__(self, occupations: np.ndarray):
+        n_a, n_b = occupations[0] + occupations[1], occupations[2] + occupations[3]
+        base = int(n_b.max(initial=0)) + 1
+        codes, sector = np.unique(n_a * base + n_b, return_inverse=True)
+        self.keys = list(zip(*(half.tolist() for half in np.divmod(codes, base))))
         self.shapes = [(n_a + 1, n_b + 1) for n_a, n_b in self.keys]
         self.offsets = np.cumsum([0] + [a * b for a, b in self.shapes])
         self.entries = [slice(i, j) for i, j in zip(self.offsets[:-1], self.offsets[1:])]
-        self.starts = dict(zip(self.keys, self.offsets[:-1].tolist()))
-
-    def occupations_at(self, index: np.ndarray) -> np.ndarray:
-        """(4, len(index)) photon numbers (n_aH, n_aV, n_bH, n_bV) of the entries at
-        the flat positions ``index``."""
-        keys = np.array(self.keys, dtype=np.int64).reshape(-1, 2)
-        sector = np.searchsorted(self.offsets, index, side="right") - 1
-        n_a, n_b = keys[sector].T
-        k_a, k_b = np.divmod(index - self.offsets[sector], n_b + 1)
-        return np.stack([n_a - k_a, k_a, n_b - k_b, k_b])
+        self.positions = self.offsets[sector] + occupations[1] * (n_b + 1) + occupations[3]
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        """(4, size) photon numbers of every entry."""
-        return self.occupations_at(np.arange(self.offsets[-1]))
+        """(4, size) photon numbers of every entry, in buffer order."""
+        sizes = np.diff(self.offsets)
+        n_a, n_b = np.repeat(np.array(self.keys, dtype=np.int64).reshape(-1, 2), sizes, axis=0).T
+        k_a, k_b = np.divmod(np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], sizes),
+                             n_b + 1)
+        return np.stack([n_a - k_a, k_a, n_b - k_b, k_b])
 
     @property
     def channel_bytes(self) -> int:
@@ -133,50 +133,53 @@ class SectorLayout:
 
 
 class KetState:
-    """Pure state: flat amplitudes over a sector layout plus analytic truncation tail.
+    """Pure state: amplitudes on distinct occupations plus the analytic truncation tail.
 
-    ``buffer`` holds the blocks of the sectors ``layout`` lists back to back
-    (module docstring); absent sectors are empty.  The buffer is taken, not
-    copied, and made read-only, so cached eigen-coefficients cannot go
-    stale.  ``truncation_tail`` is the squared weight discarded analytically
-    at construction, so norm_squared() + truncation_tail == 1 for source
-    states; the channel never changes it.
+    ``occupations`` is a (4, k) int64 array of photon numbers (n_aH, n_aV, n_bH,
+    n_bV), ``amplitudes`` the k complex amplitudes; a source keeps its nonzero ones,
+    a channel output every entry of its blocks.  Both are taken, not copied, and made
+    read-only, so cached eigen-coefficients cannot go stale.  ``truncation_tail`` is
+    the squared weight discarded analytically at construction, so norm_squared() +
+    truncation_tail == 1 for source states; the channel never changes it.
     """
 
-    def __init__(self, layout: SectorLayout, buffer: np.ndarray, truncation_tail: float = 0.0):
-        if buffer.shape != (layout.offsets[-1],) or buffer.dtype != complex:
-            raise ValueError(f"layout needs a flat complex buffer of {layout.offsets[-1]} "
-                             f"amplitudes, got {buffer.dtype} of shape {buffer.shape}")
+    def __init__(self, occupations, amplitudes, truncation_tail: float = 0.0):
+        if (amplitudes.ndim != 1 or amplitudes.dtype != complex
+                or occupations.shape != (4, len(amplitudes)) or occupations.dtype != np.int64):
+            raise ValueError(f"a state needs (4, k) int64 occupations and k complex amplitudes, "
+                             f"got {occupations.dtype} {occupations.shape} and "
+                             f"{amplitudes.dtype} {amplitudes.shape}")
+        occupations.flags.writeable = amplitudes.flags.writeable = False
+        self.occupations, self.amplitudes = occupations, amplitudes
+        self.truncation_tail = truncation_tail
+
+    @cached_property
+    def layout(self) -> SectorLayout:
+        """The sector blocks the channel evolves the amplitudes in."""
+        return SectorLayout(self.occupations)
+
+    @cached_property
+    def buffer(self) -> np.ndarray:
+        """The amplitudes in ``layout``'s blocks, back to back, read-only."""
+        buffer = np.zeros(self.layout.offsets[-1], dtype=complex)
+        buffer[self.layout.positions] = self.amplitudes
         buffer.flags.writeable = False
-        self.layout, self.buffer, self.truncation_tail = layout, buffer, truncation_tail
+        return buffer
 
     @cached_property
     def eigen_coefficients(self) -> np.ndarray:
         """V_a^dag x conj(V_b) per sector, flat: what the channel phases."""
-        return rotate_sectors(self.layout, self.buffer * self.layout.phases[2].conj(),
-                              inverse=True)
-
-    @property
-    def amplitudes(self) -> dict[Occupation, complex]:
-        """The nonzero amplitudes keyed by occupation tuple, as a new dict."""
-        occupations, values = self.nonzero_entries()
-        return dict(zip(zip(*occupations.tolist()), values.tolist()))
-
-    def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(4, k) photon numbers and the k amplitudes of the nonzero entries, in
-        buffer order."""
-        index = np.flatnonzero(self.buffer)
-        return self.layout.occupations_at(index), self.buffer[index]
+        post_phase = self.layout.phases[2]  # checks the memory before the buffer is built
+        return rotate_sectors(self.layout, self.buffer * post_phase.conj(), inverse=True)
 
     def amplitude(self, occ: Occupation) -> complex:
-        key, index = _locate(occ)
-        start = self.layout.starts.get(key)
-        return 0j if start is None else complex(self.buffer[start + index])
+        match = np.flatnonzero((self.occupations == _occupation(occ)).all(axis=0))
+        return complex(self.amplitudes[match[0]]) if len(match) else 0j
 
     def norm_squared(self) -> float:
         # a numpy reduction over the (re, im) floats: BLAS would wake its thread
-        # pool for a long buffer, which costs milliseconds per call
-        x = np.ascontiguousarray(self.buffer).view(np.float64)
+        # pool for a long array, which costs milliseconds per call
+        x = np.ascontiguousarray(self.amplitudes).view(np.float64)
         return float(np.add.reduce(x * x))
 
 
@@ -189,28 +192,24 @@ def require_memory(what: str, needed: int, purpose: str) -> None:
 
 def _require_gram_memory(state: KetState, entries: int) -> None:
     """Refuse a Gram kernel whose sparse entries would not fit beside the state."""
-    require_memory(f"a Gram matrix of {entries} sparse entries", state.buffer.nbytes
+    require_memory(f"a Gram matrix of {entries} sparse entries",
+                   state.occupations.nbytes + state.amplitudes.nbytes
                    + GRAM_BYTES_PER_ENTRY * entries, "its sparse vectors and the state")
 
 
-def _locate(occ) -> tuple[tuple[int, int], int]:
-    """The (n_a, n_b) sector of an occupation and the index of its entry in the block."""
+def _occupation(occ) -> np.ndarray:
+    """An occupation as a (4, 1) column of photon numbers; refuses a malformed one."""
     occ = tuple(int(n) for n in occ)
     if len(occ) != 4:
         raise ValueError(f"occupation must have 4 entries, got {len(occ)}")
     if any(n < 0 for n in occ):
         raise ValueError(f"occupation counts must be nonnegative, got {occ}")
-    n_ah, n_av, n_bh, n_bv = occ
-    return (n_ah + n_av, n_bh + n_bv), n_av * (n_bh + n_bv + 1) + n_bv
+    return np.array(occ, dtype=np.int64).reshape(4, 1)
 
 
 def make_basis_state(occ) -> KetState:
     """Single-component normalized Fock state |occ>."""
-    key, index = _locate(occ)
-    layout = SectorLayout([key])
-    x = np.zeros(layout.offsets[-1], dtype=complex)
-    x[index] = 1.0
-    return KetState(layout, x)
+    return KetState(_occupation(occ), np.ones(1, dtype=complex))
 
 
 @cache
@@ -239,6 +238,8 @@ def annihilator_coefficients(rows: np.ndarray) -> np.ndarray:
 
 def _encode(occupations: np.ndarray, base: int) -> np.ndarray:
     """One integer per column of a (4, k) array of photon numbers below ``base``."""
+    if base ** 4 > 2 ** 63:  # past 2^63 int64 keys would wrap without a warning
+        raise ValueError(f"photon numbers up to {base - 1} per mode overflow 64-bit Gram keys")
     return ((occupations[0] * base + occupations[1]) * base + occupations[2]) * base \
         + occupations[3]
 
@@ -281,9 +282,10 @@ def lowered_gram(state: KetState, size: int) -> np.ndarray:
     the state's nonzero amplitudes: a_S |n> = sqrt(prod_m n_m! / (n_m - s_m)!) |n - s>
     for the powers s of S.  Every multiset is applied to every amplitude at once; the
     key of n - s is key(n) - key(s), as ``_encode`` is linear."""
-    occupations, amplitudes = state.nonzero_entries()
+    occupations, amplitudes = state.occupations, state.amplitudes
     powers = _multisets(size)[0]
     base = int(occupations.max(initial=0)) + 1
+    own = _encode(occupations, base)  # refuses a base past 64 bits before any broadcast
     reached = (occupations >= powers[:, :, None]).all(axis=1)
     _require_gram_memory(state, np.count_nonzero(reached))
     column, entry = np.nonzero(reached)
@@ -293,14 +295,14 @@ def lowered_gram(state: KetState, size: int) -> np.ndarray:
     for p in range(1, size + 1):
         falling[p] = falling[p - 1] * np.arange(1 - p, base - p + 1)
     weight = np.prod(falling[powers[column].T, occupations[:, entry]], axis=0)
-    keys = _encode(occupations, base)[entry] - _encode(powers.T, base)[column]
+    keys = own[entry] - _encode(powers.T, base)[column]
     return _gram(keys, column, amplitudes[entry] * np.sqrt(weight), len(powers))
 
 
 def vacuum_overlaps(state: KetState, size: int) -> np.ndarray:
     """g[S] = <0|a_S psi> = sqrt(s!) <s|psi> over the multisets S of ``size`` modes, in
     the order of ``lowered_gram``, for the powers s of S, from the nonzero amplitudes."""
-    occupations, amplitudes = state.nonzero_entries()
+    occupations, amplitudes = state.occupations, state.amplitudes
     powers = _multisets(size)[0]
     shell = occupations.sum(axis=0) == size
     row, entry = np.nonzero((powers[:, :, None] == occupations[:, shell]).all(axis=1))
@@ -315,7 +317,7 @@ def centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarr
     phi_ij = (a_i^dag a_j - E_ij) psi, E = ``expectations`` (4 x 4), from the state's
     nonzero amplitudes: a_i^dag a_j |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n + e_i - e_j>.
     All 16 bilinears are applied to every amplitude at once."""
-    occupations, amplitudes = state.nonzero_entries()
+    occupations, amplitudes = state.occupations, state.amplitudes
     base = int(occupations.max(initial=0)) + 2
     i, j = np.divmod(np.arange(16), 4)
     own = _encode(occupations, base)

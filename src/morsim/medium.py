@@ -56,4 +56,4 @@ def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
     phase = np.exp(1j * (medium.theta * a))[i_a] * np.exp(1j * (medium.theta_plus * b))[i_b]
     out = rotate_sectors(layout, state.eigen_coefficients * phase)
     out *= post_phase
-    return KetState(layout, out, state.truncation_tail)
+    return KetState(layout.occupations, out, state.truncation_tail)

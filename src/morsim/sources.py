@@ -16,20 +16,20 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import KetState, SectorLayout, require_memory
+from .fock import KetState, require_memory
 
 DEFAULT_EPSILON = 1e-10
-DEFAULT_N_MAX_CAP = 64
-# build_state counts only its dense buffer, 16 bytes per amplitude, against
-# fock.MEMORY_BUDGET_BYTES, which stops at n_max 11584 collinear / 736 non-collinear.
-# A moment sweep adds the Gram matrices' sparse vectors, at most 35 per nonzero
-# amplitude, which each Gram kernel counts beside the state.  Evolving a whole state
-# needs far more (fock.CHANNEL_BYTES_PER_AMPLITUDE and the rotation bases); the
-# channel checks that when such a state first enters it, which stops at n_max 581 / 367.
+# A state is its nonzero amplitudes: build_state counts 48 bytes for each, its
+# occupations and the amplitude, against fock.MEMORY_BUDGET_BYTES (n_max 44739241
+# collinear / 9457 non-collinear).  Each Gram kernel of a moment sweep counts its sparse
+# vectors, at most 35 per amplitude, beside the state.  Only the channel lays a state out
+# in sector blocks, for far more (fock.CHANNEL_BYTES_PER_AMPLITUDE and the rotation
+# bases); it checks that when a whole state first enters it (n_max 581 / 367).
+STATE_BYTES_PER_AMPLITUDE = 32 + 16
 
 
 class TruncationError(ValueError):
-    """Raised when the truncation cap cannot meet the requested tail target."""
+    """Raised when no truncation within the memory budget meets the tail target."""
 
 
 class SourceKind(str, Enum):
@@ -99,33 +99,39 @@ def truncation_bound(kind, r: float, n_max: int) -> float:
 
 
 def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
-    """Smallest power-of-two-ish n_max whose ``truncation_bound`` beats epsilon.
+    """Smallest n_max = 8 * 2^k whose ``truncation_bound`` beats epsilon.
 
-    Doubles from 8 up to DEFAULT_N_MAX_CAP and raises TruncationError if even
-    the cap cannot meet the target.
+    Raises TruncationError once the state ``build_state`` would build no longer fits the
+    memory budget, as at r = 25, where tanh r rounds to 1 and the tail never shrinks.
     """
     kind = SourceKind(kind)
     if kind is SourceKind.COHERENT:
         return 1
     n = 8
-    while True:
-        if truncation_bound(kind, r, n) < epsilon:
-            return n
-        if n >= DEFAULT_N_MAX_CAP:
-            raise TruncationError(
-                f"truncation cap n_max={DEFAULT_N_MAX_CAP} cannot reach tail target "
-                f"epsilon={epsilon:g} at r={r:g}; pass an explicit n_max"
-            )
-        n = min(2 * n, DEFAULT_N_MAX_CAP)
+    while truncation_bound(kind, r, n) >= epsilon:
+        n *= 2
+        try:
+            _require_state_memory(kind, n)
+        except ValueError as refused:
+            raise TruncationError(f"no n_max reaches tail target epsilon={epsilon:g} at r={r:g} "
+                                  f"within the memory budget: {refused}; pass an explicit "
+                                  "n_max") from None
+    return n
+
+
+def _require_state_memory(kind: SourceKind, n_max: int) -> None:
+    """Refuse n_max pairs over the budget: pair n has n + 1 amplitudes, 1 if collinear."""
+    pairs = n_max + 1
+    amplitudes = pairs if kind is SourceKind.COLLINEAR_PDC else pairs * (pairs + 1) // 2
+    require_memory(f"n_max={n_max}", STATE_BYTES_PER_AMPLITUDE * amplitudes, "the state")
 
 
 def build_state(spec: SourceSpec) -> KetState:
     """The truncated Fock state of a PDC source spec.
 
-    Pair n of collinear PDC fills sector (2n, 0) with amplitude
-    (-e^{i phi} tanh r)^n / cosh r on |n, n, 0, 0> (entry [n, 0]); pair n of
-    non-collinear PDC fills sector (n, n) with (-1)^m tanh^n r / cosh^2 r on
-    |n-m, m, m, n-m> (entry [m, n-m]), 0 <= m <= n.  Pairs n <= n_max are kept,
+    Pair n of collinear PDC has amplitude (-e^{i phi} tanh r)^n / cosh r on
+    |n, n, 0, 0>; pair n of non-collinear PDC has (-1)^m tanh^n r / cosh^2 r on
+    |n-m, m, m, n-m>, 0 <= m <= n, in increasing m.  Pairs n <= n_max are kept,
     up to the first whose amplitude underflows to 0; the weight beyond n_max
     goes into the analytic tail.
     """
@@ -133,9 +139,7 @@ def build_state(spec: SourceSpec) -> KetState:
         raise ValueError("coherent sources are handled analytically; no Fock state")
     n_max = spec.resolve_n_max()
     collinear = spec.kind is SourceKind.COLLINEAR_PDC
-    keys = [(2 * n, 0) if collinear else (n, n) for n in range(n_max + 1)]
-    require_memory(f"n_max={n_max}", sum(16 * (n_a + 1) * (n_b + 1) for n_a, n_b in keys),
-                   "the state")
+    _require_state_memory(spec.kind, n_max)
     t = math.tanh(spec.r)
     if collinear:
         term, ratio = complex(1.0 / math.cosh(spec.r)), -cmath.exp(1j * spec.phi) * t
@@ -145,15 +149,15 @@ def build_state(spec: SourceSpec) -> KetState:
     while len(terms) <= n_max and term != 0:
         terms.append(term)
         term *= ratio
-    layout = SectorLayout(keys[:len(terms)])
-    buffer = np.zeros(layout.offsets[-1], dtype=complex)
-    for n, (start, amplitude) in enumerate(zip(layout.offsets.tolist(), terms)):
-        if collinear:
-            buffer[start + n] = amplitude
-        else:
-            m = np.arange(n + 1)
-            buffer[start + m * (n + 1) + n - m] = amplitude * (-1.0) ** m
-    return KetState(layout, buffer, truncation_tail(spec.kind, spec.r, n_max))
+    n = np.arange(len(terms))
+    if collinear:
+        occupations, amplitudes = np.stack([n, n, 0 * n, 0 * n]), np.array(terms, dtype=complex)
+    else:
+        pair = np.repeat(n, n + 1)
+        m = np.arange(len(pair)) - np.repeat(n * (n + 1) // 2, n + 1)
+        occupations = np.stack([pair - m, m, m, pair - m])
+        amplitudes = (np.array(terms)[pair] * (-1.0) ** m).astype(complex)
+    return KetState(occupations, amplitudes, truncation_tail(spec.kind, spec.r, n_max))
 
 
 def mean_photon_number(spec: SourceSpec) -> float:

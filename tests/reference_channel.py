@@ -5,10 +5,12 @@ generator lifted from the 2x2 rotation generator; nothing is shared with the
 engine's cached J_y eigenbasis.  Sector index k <-> |n-k, k> (k photons in
 the V mode), as in the engine.  ``sector_matrix`` and ``max_difference`` are
 the helpers that put the engine's output next to the reference;
-``sectors`` reads a state's blocks, ``state_from_sectors`` and
-``state_from_amplitudes`` build test states from blocks or occupation tuples,
-``reference_collinear_state`` / ``reference_noncollinear_state`` build PDC
-states sector by sector for ``build_state`` to reproduce bit for bit, and
+``sectors`` reads the blocks the channel lays a state out in,
+``amplitude_dict`` its nonzero amplitudes by occupation tuple,
+``state_from_sectors`` and ``state_from_amplitudes`` build test states from
+blocks or occupation tuples, ``reference_collinear_state`` /
+``reference_noncollinear_state`` build PDC states pair by pair for
+``build_state`` to reproduce bit for bit, and
 ``normally_ordered_moment``, ``projection_probability`` and ``measure`` read a
 detector value off an evolved state in the Schroedinger picture, the reference
 the engine's Heisenberg-picture readings are checked against, and
@@ -30,7 +32,7 @@ from scipy.linalg import expm
 from morsim import (Geometry, KetState, MediumSpec, ObservableKind, SourceKind, apply_mor,
                     make_basis_state, truncation_tail)
 from morsim.detection import _detector_powers
-from morsim.fock import SectorLayout, _encode, _multisets
+from morsim.fock import _encode, _multisets
 
 
 def rotation_matrix(theta, theta_plus=0.0):
@@ -63,59 +65,68 @@ def sector_unitary(theta, theta_plus, n):
 
 
 def sectors(state):
-    """{(n_a, n_b): block} of a state: read-only views into its flat buffer."""
+    """{(n_a, n_b): block} of a state: read-only views into the flat buffer the
+    channel lays it out in."""
     layout = state.layout
     return {key: state.buffer[entries].reshape(shape)
             for key, shape, entries in zip(layout.keys, layout.shapes, layout.entries)}
 
 
+def amplitude_dict(state):
+    """The nonzero amplitudes keyed by occupation tuple, as a new dict."""
+    return {occ: amp for occ, amp in zip(zip(*state.occupations.tolist()),
+                                         state.amplitudes.tolist()) if amp != 0}
+
+
+def _state(occupations, amplitudes, tail):
+    """KetState over a list of occupation tuples and their amplitudes."""
+    return KetState(np.array(occupations, dtype=np.int64).reshape(-1, 4).T,
+                    np.array(amplitudes, dtype=complex), tail)
+
+
 def state_from_sectors(blocks, tail=0.0):
-    """KetState holding the given {(n_a, n_b): block} sectors, in dict order."""
-    buffer = np.concatenate([np.zeros(0)] + [np.ravel(x) for x in blocks.values()],
-                            dtype=complex)
-    return KetState(SectorLayout(blocks), buffer, tail)
+    """KetState holding every entry of the given {(n_a, n_b): block} sectors, in
+    dict order: entry [k_a, k_b] is |n_a-k_a, k_a, n_b-k_b, k_b>."""
+    occupations, amplitudes = [], []
+    for (n_a, n_b), x in blocks.items():
+        for (k_a, k_b), amp in np.ndenumerate(x):
+            occupations.append((n_a - k_a, k_a, n_b - k_b, k_b))
+            amplitudes.append(amp)
+    return _state(occupations, amplitudes, tail)
 
 
 def state_from_amplitudes(amps, tail=0.0):
     """KetState holding the given {occupation: amplitude} components."""
-    blocks = {}
-    for (n_ah, n_av, n_bh, n_bv), amp in amps.items():
-        key = (n_ah + n_av, n_bh + n_bv)
-        if key not in blocks:
-            blocks[key] = np.zeros((key[0] + 1, key[1] + 1), dtype=complex)
-        blocks[key][n_av, n_bv] = amp
-    return state_from_sectors(blocks, tail)
+    return _state(list(amps), list(amps.values()), tail)
 
 
 def reference_collinear_state(r, phi, n_max):
-    """Two-mode squeezed vacuum in the aH/aV pair, sector by sector: amplitude
-    (-e^{i phi} tanh r)^n / cosh r on |n, n, 0, 0> (sector (2n, 0), entry
-    [n, 0]) for n <= n_max, skipping terms that underflow to 0."""
+    """Two-mode squeezed vacuum in the aH/aV pair, pair by pair: amplitude
+    (-e^{i phi} tanh r)^n / cosh r on |n, n, 0, 0> for n <= n_max, skipping terms
+    that underflow to 0."""
     ratio = -cmath.exp(1j * phi) * math.tanh(r)
-    blocks = {}
+    amps = {}
     term = complex(1.0 / math.cosh(r))
     for n in range(n_max + 1):
         if term != 0:
-            blocks[(2 * n, 0)] = np.zeros((2 * n + 1, 1), dtype=complex)
-            blocks[(2 * n, 0)][n, 0] = term
+            amps[(n, n, 0, 0)] = term
         term = term * ratio
-    return state_from_sectors(blocks, truncation_tail(SourceKind.COLLINEAR_PDC, r, n_max))
+    return state_from_amplitudes(amps, truncation_tail(SourceKind.COLLINEAR_PDC, r, n_max))
 
 
 def reference_noncollinear_state(r, n_max):
-    """Four-mode PDC state with counter-propagating arms, sector by sector:
-    amplitude (-1)^m tanh^n r / cosh^2 r on |n-m, m, m, n-m> (sector (n, n),
-    entry [m, n-m]) for 0 <= m <= n <= n_max, skipping terms that underflow."""
+    """Four-mode PDC state with counter-propagating arms, pair by pair: amplitude
+    (-1)^m tanh^n r / cosh^2 r on |n-m, m, m, n-m> for 0 <= m <= n <= n_max,
+    skipping terms that underflow."""
     t = math.tanh(r)
-    blocks = {}
+    amps = {}
     weight = 1.0 / math.cosh(r) ** 2
     for n in range(n_max + 1):
         if weight != 0:
-            m = np.arange(n + 1)
-            blocks[(n, n)] = np.zeros((n + 1, n + 1), dtype=complex)
-            blocks[(n, n)][m, n - m] = weight * (-1.0) ** m
+            for m in range(n + 1):
+                amps[(n - m, m, m, n - m)] = weight * (-1.0) ** m
         weight *= t
-    return state_from_sectors(blocks, truncation_tail(SourceKind.NONCOLLINEAR_PDC, r, n_max))
+    return state_from_amplitudes(amps, truncation_tail(SourceKind.NONCOLLINEAR_PDC, r, n_max))
 
 
 def reference_channel(state, a_angles, b_angles=(0.0, 0.0)):
@@ -150,7 +161,7 @@ def sector_matrix(theta, theta_plus, n):
 def reference_moment(state, powers):
     """<prod_m a_m^dag^p a_m^p> summed occupation by occupation."""
     total = 0.0
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in amplitude_dict(state).items():
         w = 1.0
         for n, p in zip(occ, powers):
             w *= math.perm(n, p)  # zero when p > n
@@ -161,7 +172,7 @@ def reference_moment(state, powers):
 def reference_nd_variance(state, pair):
     """Variance of n_{pair[1]} - n_{pair[0]}, summed occupation by occupation."""
     e1 = e2 = 0.0
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in amplitude_dict(state).items():
         d = occ[pair[1]] - occ[pair[0]]
         e1 += abs(amp) ** 2 * d
         e2 += abs(amp) ** 2 * d * d
@@ -175,7 +186,7 @@ def normally_ordered_moment(state, powers):
     powers = tuple(int(p) for p in powers)
     if len(powers) != 4 or any(p < 0 for p in powers):
         raise ValueError(f"powers must be 4 nonnegative integers, got {powers}")
-    occupations, x = state.layout.occupations, state.buffer
+    occupations, x = state.occupations, state.amplitudes
     weights = np.prod([np.ones(len(x))] + [n - j for n, p in zip(occupations, powers)
                                            for j in range(p)], axis=0)
     return float(weights @ (x.real ** 2 + x.imag ** 2))
@@ -196,7 +207,7 @@ def measure(state, obs):
     if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
         return projection_probability(state, obs.target)
     m1, m2 = obs.pair
-    occ, x = state.layout.occupations, state.buffer
+    occ, x = state.occupations, state.amplitudes
     d, p = occ[m2] - occ[m1], x.real ** 2 + x.imag ** 2
     e1 = float(d @ p)
     return float((d * d) @ p) - e1 * e1
@@ -237,8 +248,9 @@ def reference_rotation_bases(n_top):
 
 
 def max_difference(left, right):
-    keys = set(left.amplitudes) | set(right.amplitudes)
-    return max((abs(left.amplitude(k) - right.amplitude(k)) for k in keys), default=0.0)
+    left, right = amplitude_dict(left), amplitude_dict(right)
+    return max((abs(left.get(k, 0j) - right.get(k, 0j)) for k in left.keys() | right.keys()),
+               default=0.0)
 
 
 # The Gram kernels as they were before their loops over multisets and bilinears
@@ -279,7 +291,7 @@ def reference_lowered_gram(state: KetState, size: int) -> np.ndarray:
     """G[S, S'] = <a_S psi | a_S' psi> over the multisets S of ``size`` modes, from
     the state's nonzero amplitudes: a_S |n> = sqrt(prod_m n_m! / (n_m - s_m)!) |n - s>
     for the powers s of S."""
-    occupations, amplitudes = state.nonzero_entries()
+    occupations, amplitudes = state.occupations, state.amplitudes
     base = int(occupations.max(initial=0)) + 1
     keys, columns, values = [], [], []
     for column, powers in enumerate(_multisets(size)[0]):
@@ -298,7 +310,7 @@ def reference_centred_bilinear_gram(state: KetState, expectations: np.ndarray) -
     """H[4i + j, 4k + l] = <phi_ij | phi_kl> for the centred bilinears
     phi_ij = (a_i^dag a_j - E_ij) psi, E = ``expectations`` (4 x 4), from the state's
     nonzero amplitudes: a_i^dag a_j |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n + e_i - e_j>."""
-    occupations, amplitudes = state.nonzero_entries()
+    occupations, amplitudes = state.occupations, state.amplitudes
     base = int(occupations.max(initial=0)) + 2
     own = _encode(occupations, base)
     keys, columns, values = [], [], []

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,30 @@ def test_fringe_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_fringe_truncation_cap_error(capsys):
-    code = run_cli("fringe", "--source", "collinear", "--r", "1.3",
+def test_fringe_truncation_past_the_memory_budget_error(capsys):
+    # at r = 25 tanh r rounds to 1, so no truncation the budget allows meets the
+    # tail target
+    code = run_cli("fringe", "--source", "collinear", "--r", "25",
                    "--observable", "two-photon", "--points", "5")
     assert code == 1
-    err = capsys.readouterr().err
-    assert "n_max" in err
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: no n_max reaches tail target epsilon=1e-10 at r=25 ")
+    assert err.rstrip().endswith("GiB budget; pass an explicit n_max")
+
+
+def test_default_numeric_visibility_matches_the_exact_curve(capsys):
+    # r up to 3 picks n_max up to 8192, past the 64 that used to cap it
+    assert run_cli("visibility", "--mode", "numeric") == 0
+    numeric, err = capsys.readouterr()
+    assert err == ""
+    assert run_cli("visibility", "--mode", "exact") == 0
+    exact = capsys.readouterr().out
+    rows = [[tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+            for text in (numeric, exact)]
+    assert len(rows[0]) == len(rows[1]) == 60
+    for (r, v), (r_exact, v_exact) in zip(*rows):
+        assert r == r_exact and abs(v - v_exact) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["numeric", "exact", "both"])
@@ -245,18 +264,44 @@ def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("built an oversized truncation")
 
-    monkeypatch.setattr(sources, "SectorLayout", must_not_run)
+    monkeypatch.setattr(sources, "KetState", must_not_run)
     monkeypatch.setattr(fock, "_rotation_bases", must_not_run)
-    assert run_cli("fringe", "--n-max", "100000") == 1
+    tracemalloc.start()
+    try:
+        assert run_cli("fringe", "--source", "noncollinear", "--n-max", "100000") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: n_max=100000 needs") and "GiB budget" in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_max, code", [(55000, 0), (60000, 1)])
+def test_gram_keys_past_64_bits_are_refused(capsys, n_max, code):
+    # at r = 3 the source keeps every pair up to n_max 60000, and the key of four
+    # photon numbers below 60001 passes 2^63
+    assert run_cli("fringe", "--r", "3", "--n-max", str(n_max), "--observable",
+                   "four-photon-glauber", "--points", "5", "--mode", "both") == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err == "error: photon numbers up to 60000 per mode overflow 64-bit Gram keys\n"
+        return
+    assert err == ""
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 5
+    rel = {row[2].kind: row[3] for row in verify.ORACLE_ROWS}[OBSERVABLE_NAMES[
+        "four-photon-glauber"]]
+    for _, value, exact in rows:
+        assert verify._tolerance_ratio(value, exact, rel) <= 1.0
 
 
 def test_moment_sweep_past_the_channel_budget_runs(monkeypatch, capsys):
     # n_max 582 is over what evolving the whole state would need, but a moment sweep
-    # holds only the dense state and its Gram matrices, and the channel evolves only
-    # the one-photon probes
+    # holds only the state's nonzero amplitudes and its Gram matrices, and the
+    # channel evolves only the one-photon probes
     from morsim import fock
 
     sizes = []
@@ -327,15 +372,17 @@ def test_a_gram_over_the_budget_is_refused_before_it_is_built(monkeypatch, capsy
     assert built == grams
 
 
-# command -> the most photons per beam of any J_y eigenbasis it builds.  Every
-# observable reads the channel off one-photon probes, so no sweep needs the
-# recurrence's speed on large bases; only verify's direct channel calls build more.
+# command -> the most photons per beam of any J_y eigenbasis it builds, and the most
+# entries of any block buffer it lays out.  Every observable reads the channel off
+# one-photon probes, so no sweep needs the recurrence's speed on large bases or lays
+# out a source in blocks; only verify's direct channel calls build more (collinear
+# n_max 48: 49^2 entries).
 BASIS_TRAFFIC = {
-    " ".join(STRONG_GLAUBER): 1,
-    "visibility --mode numeric --n-max 128 --points 3": 1,
-    "envelope --points 5": 1,
-    "fringe --observable four-photon-projection --points 9 --mode both": 1,
-    "verify": 96,
+    " ".join(STRONG_GLAUBER): (1, 4),
+    "visibility --mode numeric --n-max 128 --points 3": (1, 4),
+    "envelope --points 5": (1, 4),
+    "fringe --observable four-photon-projection --points 9 --mode both": (1, 4),
+    "verify": (96, 49 ** 2),
 }
 
 
@@ -346,14 +393,24 @@ def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, comma
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called")
 
+    entries = []
+    init = fock.SectorLayout.__init__
+
+    def counted(layout, *args):
+        init(layout, *args)
+        entries.append(int(layout.offsets[-1]))
+
     monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    monkeypatch.setattr(fock.SectorLayout, "__init__", counted)
     # fresh probes: cached ones keep the bases an earlier test built for them
     monkeypatch.setattr(detection, "_one_photon_probes",
                         functools.cache(detection._one_photon_probes.__wrapped__))
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     assert run_cli(*command.split()) == 0
     capsys.readouterr()
-    assert 1 <= max(fock._ROT_BASIS_CACHE) <= BASIS_TRAFFIC[command]
+    photons, largest = BASIS_TRAFFIC[command]
+    assert 1 <= max(fock._ROT_BASIS_CACHE) <= photons
+    assert 2 <= max(entries) <= largest
 
 
 def test_bad_flag_exits_1(capsys):

@@ -403,6 +403,18 @@ def test_every_public_function_has_a_use_in_the_package():
     assert sorted(public - used) == []
 
 
+def test_only_fock_and_medium_know_the_sector_blocks():
+    # a state is its occupations and amplitudes; only the channel lays it out in blocks
+    for path in Path(detection.__file__).parent.glob("*.py"):
+        if path.stem in ("fock", "medium"):
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {getattr(node, "id", getattr(node, "name", None)) for node in nodes}
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        assert "SectorLayout" not in names | attributes, path.name
+        assert not {"buffer", "layout"} & attributes, path.name
+
+
 def test_observables_independent_of_pump_phase():
     grid = np.linspace(0.0, math.pi, 9)
     base = fringe_scan(collinear(0.9, phi=0.0, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)

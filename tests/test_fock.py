@@ -19,6 +19,7 @@ from morsim import (
     make_basis_state,
 )
 from reference_channel import (
+    amplitude_dict,
     lifted_generator,
     max_difference,
     normally_ordered_moment,
@@ -32,6 +33,7 @@ from reference_channel import (
     sector_matrix,
     sectors,
     state_from_amplitudes,
+    state_from_sectors,
 )
 
 
@@ -79,7 +81,7 @@ def test_inner_product_normalization_and_orthogonality():
         for ket in occs:
             assert make_basis_state(ket).amplitude(bra) == (1.0 if bra == ket else 0.0)
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.7, n_max=12))
-    total = sum(abs(psi.amplitude(occ)) ** 2 for occ in psi.amplitudes)
+    total = sum(abs(psi.amplitude(occ)) ** 2 for occ in amplitude_dict(psi))
     assert abs(total + psi.truncation_tail - 1.0) < 1e-15
 
 
@@ -183,11 +185,11 @@ def test_apply_unitary_preserves_norm_and_other_modes():
     assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
     # photon numbers per beam unchanged per component
     def sector_weight(state, n_a, n_b):
-        return sum(abs(a) ** 2 for occ, a in state.amplitudes.items()
+        return sum(abs(a) ** 2 for occ, a in amplitude_dict(state).items()
                    if occ[0] + occ[1] == n_a and occ[2] + occ[3] == n_b)
     for n in range(9):
         assert abs(sector_weight(out, n, n) - sector_weight(psi, n, n)) < 1e-13
-    assert all(occ[0] + occ[1] == occ[2] + occ[3] for occ in out.amplitudes)
+    assert all(occ[0] + occ[1] == occ[2] + occ[3] for occ in amplitude_dict(out))
 
 
 def test_apply_unitary_sequential_composition():
@@ -195,30 +197,39 @@ def test_apply_unitary_sequential_composition():
     step = apply_mor(apply_mor(psi, MediumSpec(0.4, 1.2), Geometry.NONCOLLINEAR),
                      MediumSpec(2.5, -0.3), Geometry.NONCOLLINEAR)
     once = apply_mor(psi, MediumSpec(2.9, 0.9), Geometry.NONCOLLINEAR)
-    keys = set(step.amplitudes) | set(once.amplitudes)
+    keys = amplitude_dict(step).keys() | amplitude_dict(once).keys()
     assert max(abs(step.amplitude(k) - once.amplitude(k)) for k in keys) < 1e-12
 
 
-def test_state_blocks_are_read_only_views_of_one_buffer():
-    # the channel caches a state's eigen-coefficients, so no block may change
+def test_state_occupations_amplitudes_and_blocks_are_read_only():
+    # the channel caches a state's eigen-coefficients, so neither its arrays nor the
+    # blocks it lays them out in may change; a channel output holds every entry of
+    # the input's blocks, in buffer order
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.5, n_max=3))
     out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.NONCOLLINEAR)
     assert psi.eigen_coefficients.shape == psi.buffer.shape
+    assert np.array_equal(out.occupations, psi.layout.occupations)
     for state in (psi, out):
-        assert state.layout is psi.layout
+        assert np.array_equal(state.buffer[state.layout.positions], state.amplitudes)
+        assert state.layout.keys == psi.layout.keys
+        for x in (state.occupations, state.amplitudes, *sectors(state).values()):
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0
         for x in sectors(state).values():
             assert np.shares_memory(x, state.buffer)
-            with pytest.raises(ValueError, match="read-only"):
-                x[...] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            state.buffer[0] = 1.0
 
 
-def test_state_rejects_a_buffer_its_layout_does_not_describe():
-    layout = fock.SectorLayout([(2, 0)])  # one block of 3 x 1 entries
-    for buffer in (np.zeros(2, dtype=complex), np.zeros((3, 1), dtype=complex), np.zeros(3)):
-        with pytest.raises(ValueError, match="flat complex buffer of 3 amplitudes"):
-            KetState(layout, buffer)
+def test_state_rejects_mismatched_shapes_and_dtypes():
+    occupations, amplitudes = np.zeros((4, 3), dtype=np.int64), np.zeros(3, dtype=complex)
+    for occ, amp in [(occupations, amplitudes[:2]), (occupations[:3], amplitudes),
+                     (occupations.T, amplitudes), (occupations, amplitudes.reshape(3, 1)),
+                     (occupations.astype(np.int32), amplitudes),
+                     (occupations.astype(float), amplitudes), (occupations, amplitudes.real)]:
+        with pytest.raises(ValueError) as refused:
+            KetState(occ, amp)
+        message = str(refused.value)
+        assert message.startswith("a state needs (4, k) int64 occupations and k complex "
+                                  "amplitudes, got ") and "\n" not in message
 
 
 def assert_reflection_symmetric(w):
@@ -335,7 +346,7 @@ def test_norm_squared_matches_an_exactly_rounded_sum(size):
     rng = np.random.default_rng(size)
     x = rng.normal(size=size) + 1j * rng.normal(size=size)
     x[rng.random(size) < 0.3] = 0.0
-    state = KetState(fock.SectorLayout([(size - 1, 0)]), x)
+    state = state_from_sectors({(size - 1, 0): x.reshape(size, 1)})
     exact = math.fsum((x.real ** 2).tolist() + (x.imag ** 2).tolist())
     assert abs(state.norm_squared() - exact) <= 1e-15 * exact
     for occ in [(0, 0, 0, 0), (3, 0, 2, 1), (size - 1, 0, 0, 0)]:
@@ -369,11 +380,13 @@ def sparse_states(draw):
     """1-4 sectors of up to 6 photons per beam, each amplitude 0 or of size 1e-3..2."""
     keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                          min_size=1, max_size=4, unique=True))
-    layout = fock.SectorLayout(keys)
-    length = int(layout.offsets[-1])
     part = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)
-    values = draw(st.lists(st.tuples(part, part), min_size=length, max_size=length))
-    return KetState(layout, np.array([complex(*v) for v in values], dtype=complex))
+    blocks = {}
+    for n_a, n_b in keys:
+        values = draw(st.lists(st.tuples(part, part), min_size=(n_a + 1) * (n_b + 1),
+                               max_size=(n_a + 1) * (n_b + 1)))
+        blocks[(n_a, n_b)] = np.array([complex(*v) for v in values]).reshape(n_a + 1, n_b + 1)
+    return state_from_sectors(blocks)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -385,8 +398,8 @@ def test_grams_match_the_loop_references_bit_for_bit(state, size):
 @pytest.mark.parametrize("state", [
     build_state(SourceSpec(kind="collinear_pdc", r=0.0, n_max=4)),
     build_state(SourceSpec(kind="noncollinear_pdc", r=0.0, n_max=4)),
-    KetState(fock.SectorLayout([(3, 2), (0, 1)]), np.zeros(14, dtype=complex)),
-    KetState(fock.SectorLayout([]), np.zeros(0, dtype=complex)),
+    state_from_sectors({(3, 2): np.zeros((4, 3)), (0, 1): np.zeros((1, 2))}),
+    KetState(np.zeros((4, 0), dtype=np.int64), np.zeros(0, dtype=complex)),
     build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128)),
     build_state(SourceSpec(kind="noncollinear_pdc", r=0.9, phi=0.4, n_max=24)),
 ], ids=["collinear_vacuum", "noncollinear_vacuum", "all_zero", "empty_layout",

@@ -148,8 +148,9 @@ def test_apply_mor_rejects_collinear_geometry_with_b_photons():
 
 
 def test_apply_mor_refuses_a_whole_state_over_the_budget_before_building(monkeypatch):
-    # build_state keeps n_max 582 (5.4 MB), but evolving it whole would need the
-    # layout's vectors, the eigen-coefficients and bases up to 1164 photons
+    # build_state keeps n_max 582 (28 kB), but evolving it whole would need the
+    # block buffer, the layout's vectors, the eigen-coefficients and bases up to
+    # 1164 photons
     from morsim import fock
 
     def must_not_run(*args, **kwargs):
@@ -164,7 +165,7 @@ def test_apply_mor_refuses_a_whole_state_over_the_budget_before_building(monkeyp
         assert message.startswith(f"a state of {583 ** 2} amplitudes needs 2.01 GiB")
         assert message.endswith("over the 2 GiB budget") and "\n" not in message
     assert not {"occupations", "phases", "bases"} & psi.layout.__dict__.keys()
-    assert "eigen_coefficients" not in psi.__dict__
+    assert not {"buffer", "eigen_coefficients"} & psi.__dict__.keys()
 
 
 @PROPERTY_SETTINGS

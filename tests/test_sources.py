@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,12 +16,14 @@ from morsim import (
     select_n_max,
     truncation_tail,
 )
-from reference_channel import reference_collinear_state, reference_noncollinear_state
+from morsim.sources import truncation_bound
+from reference_channel import (amplitude_dict, reference_collinear_state,
+                               reference_noncollinear_state)
 
 
 def test_collinear_r_zero_is_vacuum():
     state = build_state(SourceSpec(kind="collinear_pdc", r=0.0, n_max=10))
-    assert state.amplitudes == {(0, 0, 0, 0): 1.0 + 0j}
+    assert amplitude_dict(state) == {(0, 0, 0, 0): 1.0 + 0j}
     assert state.truncation_tail == 0.0
 
 
@@ -46,7 +49,7 @@ def test_collinear_pump_phase_enters_amplitudes():
 
 def test_noncollinear_r_zero_is_vacuum():
     state = build_state(SourceSpec(kind="noncollinear_pdc", r=0.0, n_max=10))
-    assert state.amplitudes == {(0, 0, 0, 0): 1.0 + 0j}
+    assert amplitude_dict(state) == {(0, 0, 0, 0): 1.0 + 0j}
 
 
 def test_noncollinear_single_pair_components_alternate_sign():
@@ -73,10 +76,10 @@ def test_norm_plus_tail_is_one(kind, r, n_max):
 
 def test_pair_structure():
     col = build_state(SourceSpec(kind="collinear_pdc", r=1.2, n_max=15))
-    for occ in col.amplitudes:
+    for occ in amplitude_dict(col):
         assert occ[0] == occ[1] and occ[2] == occ[3] == 0
     non = build_state(SourceSpec(kind="noncollinear_pdc", r=1.2, n_max=12))
-    for occ in non.amplitudes:
+    for occ in amplitude_dict(non):
         assert occ[0] == occ[3] and occ[1] == occ[2]
 
 
@@ -122,9 +125,22 @@ def test_select_n_max_doubles_until_bound_met():
     assert truncation_tail("collinear_pdc", 0.6, n) * (n + 4) ** 4 < 1e-10
 
 
-def test_select_n_max_raises_at_cap():
-    with pytest.raises(TruncationError):
-        select_n_max("collinear_pdc", 1.3)
+def test_select_n_max_doubles_past_64_at_strong_pumping():
+    n = select_n_max("collinear_pdc", 1.3)
+    assert n == 256
+    assert truncation_bound("collinear_pdc", 1.3, n) < 1e-10 <= truncation_bound(
+        "collinear_pdc", 1.3, n // 2)
+
+
+@pytest.mark.parametrize("kind", ["collinear_pdc", "noncollinear_pdc"])
+def test_select_n_max_raises_once_the_state_would_not_fit(kind):
+    # tanh 25 rounds to 1, so the tail never shrinks: doubling stops at the first
+    # n_max whose state build_state would refuse
+    with pytest.raises(TruncationError, match="no n_max reaches tail target epsilon=1e-10 "
+                                              "at r=25 within the memory budget: n_max=") as err:
+        select_n_max(kind, 25.0)
+    assert "GiB budget; pass an explicit n_max" in str(err.value)
+    assert "\n" not in str(err.value)
 
 
 def test_spec_validation():
@@ -141,27 +157,33 @@ def test_spec_validation():
 
 
 def test_memory_budget_counts_every_per_amplitude_buffer(monkeypatch):
-    # build_state counts its dense buffer before the layout and the buffer are
-    # built; the state, its eigen-coefficients, a channel output, the layout's
-    # vectors and the rotation bases of evolving it whole count where the channel
-    # first meets it (test_medium checks that apply_mor refuses before building)
+    # build_state counts 48 bytes per amplitude, its occupations and the amplitude,
+    # before it computes any; the state, its eigen-coefficients, a channel output,
+    # the layout's vectors and the rotation bases of evolving it whole count where
+    # the channel first meets it (test_medium checks that apply_mor refuses before
+    # building)
+    for kind, largest in (("collinear_pdc", 581), ("noncollinear_pdc", 367)):
+        layouts = [build_state(SourceSpec(kind=kind, r=1.0, n_max=n)).layout
+                   for n in (largest, largest + 1)]
+        assert layouts[0].channel_bytes <= fock.MEMORY_BUDGET_BYTES < layouts[1].channel_bytes
+
     class Built(Exception):
         pass
 
-    def layout(keys):
-        raise Built(len(keys))
+    require = sources.require_memory
 
-    monkeypatch.setattr(sources, "SectorLayout", layout)
-    for kind, largest in (("collinear_pdc", 11584), ("noncollinear_pdc", 736)):
+    def passed(what, needed, purpose):
+        require(what, needed, purpose)
+        raise Built(needed)
+
+    monkeypatch.setattr(sources, "require_memory", passed)
+    for kind, largest, amplitudes in (("collinear_pdc", 44_739_241, 44_739_242),
+                                      ("noncollinear_pdc", 9457, 9458 * 9459 // 2)):
         with pytest.raises(Built) as built:
             build_state(SourceSpec(kind=kind, r=3.0, n_max=largest))
-        assert built.value.args == (largest + 1,)
+        assert built.value.args == (48 * amplitudes,)
         with pytest.raises(ValueError, match=f"n_max={largest + 1} needs .* GiB budget"):
             build_state(SourceSpec(kind=kind, r=3.0, n_max=largest + 1))
-    for keys, largest in ((lambda n: [(2 * k, 0) for k in range(n + 1)], 581),
-                          (lambda n: [(k, k) for k in range(n + 1)], 367)):
-        assert fock.SectorLayout(keys(largest)).channel_bytes <= fock.MEMORY_BUDGET_BYTES
-        assert fock.SectorLayout(keys(largest + 1)).channel_bytes > fock.MEMORY_BUDGET_BYTES
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -172,15 +194,15 @@ def test_memory_budget_counts_every_per_amplitude_buffer(monkeypatch):
 @example("noncollinear_pdc", 1e-3, 0.0, 300)
 @example("collinear_pdc", 5e-324, 0.4, 2)
 def test_build_state_matches_the_per_sector_reference_bit_for_bit(kind, r, phi, n_max):
-    # one flat buffer written in place holds the bits the per-sector blocks
-    # held, including where the running product underflows
+    # the occupations and amplitudes written from the running product hold the
+    # bits the pair-by-pair reference holds, including where the product underflows
     state = build_state(SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max))
     if kind == "collinear_pdc":
         reference = reference_collinear_state(r, phi, n_max)
     else:
         reference = reference_noncollinear_state(r, n_max)
-    assert state.layout.keys == reference.layout.keys
-    assert state.buffer.tobytes() == reference.buffer.tobytes()
+    assert np.array_equal(state.occupations, reference.occupations)
+    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
     assert state.truncation_tail == reference.truncation_tail
 
 
@@ -202,8 +224,8 @@ def test_mean_photon_number():
 def test_mean_photon_number_matches_truncated_state():
     # cross-check the closed forms against mode occupations of deep truncations
     col = build_state(SourceSpec(kind="collinear_pdc", r=1.0, n_max=48))
-    total = sum(abs(a) ** 2 * sum(occ) for occ, a in col.amplitudes.items())
+    total = sum(abs(a) ** 2 * sum(occ) for occ, a in amplitude_dict(col).items())
     assert total == pytest.approx(2.0 * math.sinh(1.0) ** 2, rel=1e-8)
     non = build_state(SourceSpec(kind="noncollinear_pdc", r=1.0, n_max=48))
-    total = sum(abs(a) ** 2 * sum(occ) for occ, a in non.amplitudes.items())
+    total = sum(abs(a) ** 2 * sum(occ) for occ, a in amplitude_dict(non).items())
     assert total == pytest.approx(4.0 * math.sinh(1.0) ** 2, rel=1e-8)
