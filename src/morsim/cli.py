@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invalid input (or a numeric overflow, or out of memory)
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -355,4 +356,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    # the process ends here: move what the command leaves out of the collector's
+    # reach, so the collections at shutdown need not walk it
+    gc.freeze()
+    raise SystemExit(code)

@@ -4,13 +4,19 @@ number-difference variance and the minimum detectable rotation angle.
 Moments and projections are read in the Heisenberg picture.  The channel is passive linear
 optics, so it turns each annihilator into U^dag a_k U = sum_i T[k, i] a_i with
 T the 4 x 4 matrix of its one-photon sector, which is read off the channel
-itself for each angle.  A normally ordered moment of K annihilators is then
-v^dag G v: G[S, S'] = <a_S psi | a_S' psi> over the multisets S of K modes is
-built once per source, and v holds the coefficients of the expanded product of
-K rows of T.  The number-difference variance is m^dag H m with H the Gram
-matrix of the centred bilinears (a_i^dag a_j - <a_i^dag a_j>) psi and m the
-entries of T^dag Z T.  U leaves the vacuum alone, so a projection onto |t> is
+itself, two channel calls per angle.  A normally ordered moment of K
+annihilators is then v^dag G v: G[S, S'] = <a_S psi | a_S' psi> over the
+multisets S of K modes is built once per source, and v holds the coefficients
+of the expanded product of K rows of T.  The number-difference variance is
+m^dag H m with H the Gram matrix of the centred bilinears
+(a_i^dag a_j - <a_i^dag a_j>) psi and m the entries of T^dag Z T.  U leaves the
+vacuum alone, so a projection onto |t> is
 |<0|prod_k (U^dag a_k U)^t_k psi>|^2 / t! = |v . g|^2 / t!, g_S = <0|a_S psi>.
+
+A sampler takes a batch of media: it reads the stack of T for all of them, then
+evaluates each observable over the whole stack in one vectorised pass, with
+the bits each T gets alone.  ``verify`` shares one stack among the sources a
+check compares at the same angles.
 """
 
 from __future__ import annotations
@@ -167,9 +173,9 @@ def check_pairing(source: SourceSpec, geometry) -> Geometry:
 
 
 def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSpec) -> float:
-    """One observable value for a source evolved through the medium; a
-    one-point fringe_scan."""
-    return fringe_scan(source, (medium.theta,), geometry, obs, medium.theta_plus).values[0]
+    """One observable value for a source evolved through the medium: the sampler
+    of fringe_scan at one medium."""
+    return float(_sampler(source, check_pairing(source, geometry), [obs])([medium])[0, 0])
 
 
 @cache
@@ -182,16 +188,19 @@ def _one_photon_probes(geometry: Geometry) -> tuple[KetState, KetState]:
                  for m in modes)
 
 
-def _one_photon_matrix(channel, medium: MediumSpec, geometry: Geometry) -> np.ndarray:
-    """T with U^dag a_k U = sum_i T[k, i] a_i: T[k, i] = <1_k|U|1_i>, read off the
-    channel's images of the one-photon probes, each amplitude by the mode its
-    occupation holds.  The collinear geometry leaves the b beam alone."""
-    t = np.eye(4, dtype=complex)
-    for j, probe in enumerate(_one_photon_probes(geometry)):
-        image = channel(probe, medium, geometry)
-        modes = image.occupations.argmax(axis=0)
-        t[modes, modes & 2 | j] = image.amplitudes
-    return t
+def _one_photon_matrices(channel, media, geometry: Geometry) -> np.ndarray:
+    """The (len(media), 4, 4) stack of T with U^dag a_k U = sum_i T[k, i] a_i, one per
+    medium: T[k, i] = <1_k|U|1_i>, read off the channel's images of the one-photon
+    probes, each amplitude by the mode its occupation holds.  Each medium, in order,
+    costs one channel call per probe.  The collinear geometry leaves the b beam alone."""
+    ts = np.tile(np.eye(4, dtype=complex), (len(media), 1, 1))
+    probes = _one_photon_probes(geometry)
+    for t, medium in zip(ts, media):
+        for j, probe in enumerate(probes):
+            image = channel(probe, medium, geometry)
+            modes = image.occupations.argmax(axis=0)
+            t[modes, modes & 2 | j] = image.amplitudes
+    return ts
 
 
 def _annihilated_modes(obs: ObservableSpec) -> list[int]:
@@ -199,23 +208,26 @@ def _annihilated_modes(obs: ObservableSpec) -> list[int]:
     return [m for m, p in enumerate(_detector_powers(obs) or obs.target) for _ in range(p)]
 
 
-def _nd_variance(t: np.ndarray, pair, expectations: np.ndarray, centred: np.ndarray,
-                 norm: float) -> float:
-    """<D^2> - <D>^2 of D = N_{pair[1]} - N_{pair[0]} on the evolved state, from
-    U^dag D U = sum_ij M_ij a_i^dag a_j, M = T^dag Z T: the squared norm of
+def _nd_variance(ts: np.ndarray, pair, expectations: np.ndarray, centred: np.ndarray,
+                 norm: float) -> np.ndarray:
+    """<D^2> - <D>^2 of D = N_{pair[1]} - N_{pair[0]} on the evolved state, per T of the
+    stack, from U^dag D U = sum_ij M_ij a_i^dag a_j, M = T^dag Z T: the squared norm of
     (U^dag D U - <D>) psi is m^dag H m, and (1 - |psi|^2) <D>^2 completes it for a
     truncated state."""
     z = np.zeros(4)
     z[pair[0]], z[pair[1]] = -1.0, 1.0
-    m = (t.conj().T @ (z[:, None] * t)).ravel()
-    mean = float((m @ expectations.ravel()).real)
-    return float((m.conj() @ centred @ m).real) + (1.0 - norm) * mean * mean
+    m = (ts.conj().transpose(0, 2, 1) @ (z[:, None] * ts)).reshape(-1, 1, 16)
+    mean = (m @ expectations.reshape(16, 1)).real
+    variance = (m.conj() @ centred @ m.transpose(0, 2, 1)).real + (1.0 - norm) * mean * mean
+    return variance.ravel()
 
 
 def _moment_reader(state: KetState, observables):
-    """(T, obs) -> the value of ``obs``, one of ``observables``, on the state passed
-    through the channel whose one-photon matrix is T.  The Gram matrices and vacuum
-    overlaps the observables need are built here, once."""
+    """ts -> (len(ts), len(observables)): the value of each observable on the state
+    passed through the channel whose one-photon matrix is T, for every T of the
+    (M, 4, 4) stack ts at once.  The Gram matrices and vacuum overlaps the observables
+    need are built here, once.  Each value is a stacked (1, S) @ (S, S) @ (S, 1)
+    product, which gives every T the bits it gets alone."""
     # the variance centres its bilinears on the one-photon Gram matrix <a_i^dag a_j>
     sizes = {1 if obs.kind is ObservableKind.ND_VARIANCE else len(_annihilated_modes(obs))
              for obs in observables if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION}
@@ -223,51 +235,84 @@ def _moment_reader(state: KetState, observables):
     if any(obs.kind is ObservableKind.ND_VARIANCE for obs in observables):
         centred, norm = centred_bilinear_gram(state, grams[1]), state.norm_squared()
     if any(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION for obs in observables):
-        overlaps = vacuum_overlaps(state, 4)
+        overlaps = vacuum_overlaps(state, 4)[:, None]
 
-    def read(t: np.ndarray, obs: ObservableSpec) -> float:
-        if obs.kind is ObservableKind.ND_VARIANCE:
-            return _nd_variance(t, obs.pair, grams[1], centred, norm)
-        modes = _annihilated_modes(obs)
-        v = annihilator_coefficients(t[modes])
-        if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-            a = v @ overlaps / math.sqrt(math.prod(map(math.factorial, obs.target)))
-            return float(a.real * a.real + a.imag * a.imag)
-        return float((v.conj() @ grams[len(modes)] @ v).real)
+    def read(ts: np.ndarray) -> np.ndarray:
+        values = np.empty((len(ts), len(observables)))
+        for k, obs in enumerate(observables):
+            if obs.kind is ObservableKind.ND_VARIANCE:
+                values[:, k] = _nd_variance(ts, obs.pair, grams[1], centred, norm)
+                continue
+            modes = _annihilated_modes(obs)
+            v = annihilator_coefficients(ts[:, modes])[:, None, :]
+            if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+                a = (v @ overlaps)[:, 0, 0] / math.sqrt(math.prod(map(math.factorial, obs.target)))
+                values[:, k] = a.real * a.real + a.imag * a.imag
+            else:
+                values[:, k] = (v.conj() @ grams[len(modes)] @ v.transpose(0, 2, 1))[:, 0, 0].real
+        return values
 
     return read
 
 
-def _sampler(source: SourceSpec, geometry: Geometry, observables, channel=None):
-    """medium -> the values of ``observables`` on the source passed through it.
-
-    Coherent light is read off its closed form.  For PDC light each medium costs
-    the channel on the one-photon probes.  Projections alone build the source only
-    to the deepest target's depth, so they are exact at any r.  ``channel``
-    defaults to the ``apply_mor`` this module holds when the sampler is made."""
-    if source.kind is SourceKind.COHERENT:
-        return lambda medium: [closed_form_scan(source, (medium.theta,), obs).values[0]
-                               for obs in observables]
-    channel = apply_mor if channel is None else channel
+def _pdc_reader(source: SourceSpec, observables):
+    """``_moment_reader`` of the PDC source's state.  Projections alone build the source
+    only to the deepest target's depth, so they are exact at any r."""
     if all(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION for obs in observables):
         depth = max(_projection_depth(source.kind, obs.target) for obs in observables)
         source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
-    read = _moment_reader(build_state(source), observables)
+    return _moment_reader(build_state(source), observables)
 
-    def sample(medium: MediumSpec) -> list[float]:
-        t = _one_photon_matrix(channel, medium, geometry)
-        return [read(t, obs) for obs in observables]
+
+def _shared_sampler(sources, geometry: Geometry, observables, channel=None):
+    """media -> ndarray (len(media), len(sources), len(observables)): the observables on
+    each PDC source passed through each medium.  The channel's one-photon matrices are
+    read once per medium, in order, and serve every source.  ``channel`` defaults to
+    the ``apply_mor`` this module holds when the sampler is made."""
+    channel = apply_mor if channel is None else channel
+    readers = [_pdc_reader(source, observables) for source in sources]
+
+    def sample(media) -> np.ndarray:
+        ts = _one_photon_matrices(channel, media, geometry)
+        return np.stack([read(ts) for read in readers], axis=1)
 
     return sample
 
 
+def _sampler(source: SourceSpec, geometry: Geometry, observables, channel=None):
+    """media -> ndarray (len(media), len(observables)): the observables on the source
+    passed through each medium.
+
+    Coherent light is read off its closed forms, one call per observable.  For PDC
+    light each medium costs the channel on the one-photon probes, and every
+    observable is then evaluated over the whole stack of one-photon matrices in one
+    vectorised pass (``_shared_sampler``)."""
+    if source.kind is SourceKind.COHERENT:
+        return lambda media: np.array([
+            closed_form_scan(source, [medium.theta for medium in media], obs).values
+            for obs in observables]).T
+    sample = _shared_sampler([source], geometry, observables, channel)
+    return lambda media: sample(media)[:, 0]
+
+
 def _fourier(sample, degree: int) -> tuple[dict, np.ndarray]:
     """The fringe's samples at the N = 2K + 2 nodes pi j / (K + 1), keyed by
-    node, and its exact Fourier coefficients c_0..c_K: the fringe is
-    c_0 + 2 Re sum_m c_m e^{i m theta}."""
-    nodes = np.pi * np.arange(2 * degree + 2) / (degree + 1)
-    samples = [sample(float(t)) for t in nodes]
-    return dict(zip(nodes.tolist(), samples)), np.fft.rfft(samples)[:degree + 1] / len(nodes)
+    node, from one call of ``sample`` (angles -> values), and its exact Fourier
+    coefficients c_0..c_K: the fringe is c_0 + 2 Re sum_m c_m e^{i m theta}."""
+    nodes = (np.pi * np.arange(2 * degree + 2) / (degree + 1)).tolist()
+    samples = sample(nodes)
+    return dict(zip(nodes, samples.tolist())), np.fft.rfft(samples)[:degree + 1] / len(nodes)
+
+
+def _finite_grid(thetas, theta_plus: float) -> tuple[float, ...]:
+    """The grid as floats, refused with ``MediumSpec``'s message where a pass point by
+    point would refuse it: theta at the first point, then theta_plus, then theta."""
+    grid = tuple(map(float, thetas))
+    if grid:
+        MediumSpec(theta=grid[0], theta_plus=theta_plus)
+    if not all(map(math.isfinite, grid)):
+        MediumSpec(theta=next(t for t in grid if not math.isfinite(t)))
+    return grid
 
 
 def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
@@ -286,18 +331,20 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     polynomial through them, whose coefficients the DFT of the samples
     gives exactly, is evaluated on the grid.  N is even so that 0 and pi
     are nodes; a grid angle equal to a node takes that node's sample.
-    Shorter grids are evaluated point by point.
+    Shorter grids are evaluated point by point.  Either way the sampler is
+    called once.
     """
     geometry = check_pairing(source, geometry)
-    grid = tuple(MediumSpec(theta=float(t), theta_plus=theta_plus).theta for t in thetas)
+    grid = _finite_grid(thetas, theta_plus)
     sampler = _sampler(source, geometry, [obs])
 
-    def sample(theta: float) -> float:
-        return sampler(MediumSpec(theta=theta, theta_plus=theta_plus))[0]
+    def sample(angles) -> np.ndarray:
+        return sampler([MediumSpec(theta=t, theta_plus=theta_plus) for t in angles])[:, 0]
 
     degree = _fringe_degree(obs)
     if source.kind is SourceKind.COHERENT or len(grid) <= 2 * degree + 2:
-        return FringeSeries(theta_grid=grid, values=tuple(map(sample, grid)))
+        # an empty grid is refused by FringeSeries, before any sample
+        return FringeSeries(theta_grid=grid, values=sample(grid) if grid else ())
     at_node, coefficients = _fourier(sample, degree)
     harmonics = np.exp(1j * np.outer(grid, np.arange(1, degree + 1)))
     values = coefficients[0].real + 2.0 * (harmonics @ coefficients[1:]).real
@@ -313,8 +360,11 @@ def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int
     The global phase theta_plus does not move the spectrum."""
     geometry = check_pairing(source, geometry)
     sampler = _sampler(source, geometry, [obs])
-    magnitudes = np.abs(_fourier(lambda theta: sampler(MediumSpec(theta=theta))[0],
-                                 _fringe_degree(obs))[1])
+
+    def sample(angles) -> np.ndarray:
+        return sampler([MediumSpec(theta=t) for t in angles])[:, 0]
+
+    magnitudes = np.abs(_fourier(sample, _fringe_degree(obs))[1])
     if magnitudes[1:].max() <= 1e-13 * magnitudes.max():
         return 0
     return int(np.argmax(magnitudes[1:]) + 1)

@@ -48,6 +48,7 @@ one matmul per beam-sector.
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
@@ -172,9 +173,26 @@ class KetState:
         post_phase = self.layout.phases[2]  # checks the memory before the buffer is built
         return rotate_sectors(self.layout, self.buffer * post_phase.conj(), inverse=True)
 
+    @cached_property
+    def _index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """(bases, keys, order): one more than each mode's largest photon number, and
+        the occupations' ``_encode`` keys in increasing order with the columns they
+        come from."""
+        bases = (self.occupations.max(axis=1, initial=0) + 1).tolist()
+        keys = _encode(self.occupations, bases)
+        order = np.argsort(keys, kind="stable")
+        return bases, keys[order], order
+
     def amplitude(self, occ: Occupation) -> complex:
-        match = np.flatnonzero((self.occupations == _occupation(occ)).all(axis=0))
-        return complex(self.amplitudes[match[0]]) if len(match) else 0j
+        """The amplitude on ``occ``, 0 where the state has none: a binary search of
+        the sorted keys."""
+        occ = _occupation(occ)
+        bases, keys, order = self._index
+        if any(n >= b for n, b in zip(occ, bases)):
+            return 0j
+        key = _encode(occ, bases)
+        i = int(np.searchsorted(keys, key))
+        return complex(self.amplitudes[order[i]]) if i < len(keys) and keys[i] == key else 0j
 
     def norm_squared(self) -> float:
         # a numpy reduction over the (re, im) floats: BLAS would wake its thread
@@ -197,19 +215,20 @@ def _require_gram_memory(state: KetState, entries: int) -> None:
                    + GRAM_BYTES_PER_ENTRY * entries, "its sparse vectors and the state")
 
 
-def _occupation(occ) -> np.ndarray:
-    """An occupation as a (4, 1) column of photon numbers; refuses a malformed one."""
+def _occupation(occ) -> Occupation:
+    """An occupation as a tuple of 4 photon numbers; refuses a malformed one."""
     occ = tuple(int(n) for n in occ)
     if len(occ) != 4:
         raise ValueError(f"occupation must have 4 entries, got {len(occ)}")
     if any(n < 0 for n in occ):
         raise ValueError(f"occupation counts must be nonnegative, got {occ}")
-    return np.array(occ, dtype=np.int64).reshape(4, 1)
+    return occ
 
 
 def make_basis_state(occ) -> KetState:
     """Single-component normalized Fock state |occ>."""
-    return KetState(_occupation(occ), np.ones(1, dtype=complex))
+    return KetState(np.array(_occupation(occ), dtype=np.int64).reshape(4, 1),
+                    np.ones(1, dtype=complex))
 
 
 @cache
@@ -226,21 +245,29 @@ def _multisets(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def annihilator_coefficients(rows: np.ndarray) -> np.ndarray:
-    """v with prod_t (sum_i rows[t, i] a_i) = sum_S v_S a_S over the multisets S of
-    len(rows) modes, in the order of ``lowered_gram``."""
-    powers, position = _multisets(len(rows))
-    terms = np.ones(1, dtype=complex)
-    for row in rows:
-        terms = np.multiply.outer(terms, row).ravel()
-    return (np.bincount(position, terms.real, len(powers))
-            + 1j * np.bincount(position, terms.imag, len(powers)))
+    """v with prod_t (sum_i rows[..., t, i] a_i) = sum_S v[..., S] a_S over the multisets S
+    of K modes, in the order of ``lowered_gram``, for each (K, 4) block of the stacked
+    rows (..., K, 4).  One bincount sums every block, each into its own len(powers) bins,
+    so each bin adds its terms in the order a block alone would."""
+    *lead, size, _ = rows.shape
+    powers, position = _multisets(size)
+    terms = np.ones((*lead, 1), dtype=complex)
+    for t in range(size):
+        terms = (terms[..., :, None] * rows[..., t, None, :]).reshape(*lead, 4 ** (t + 1))
+    blocks = math.prod(lead)
+    bins = (position + len(powers) * np.arange(blocks)[:, None]).ravel()
+    terms = terms.ravel()
+    return (np.bincount(bins, terms.real, blocks * len(powers))
+            + 1j * np.bincount(bins, terms.imag, blocks * len(powers))).reshape(*lead, len(powers))
 
 
-def _encode(occupations: np.ndarray, base: int) -> np.ndarray:
-    """One integer per column of a (4, k) array of photon numbers below ``base``."""
-    if base ** 4 > 2 ** 63:  # past 2^63 int64 keys would wrap without a warning
-        raise ValueError(f"photon numbers up to {base - 1} per mode overflow 64-bit Gram keys")
-    return ((occupations[0] * base + occupations[1]) * base + occupations[2]) * base \
+def _encode(occupations: np.ndarray, base) -> np.ndarray:
+    """One integer per column of a (4, k) array of photon numbers below ``base``, one bound
+    for every mode or one per mode; the integers order the columns lexicographically."""
+    b = base if isinstance(base, list) else [int(base)] * 4
+    if math.prod(b) > 2 ** 63:  # past 2^63 int64 keys would wrap without a warning
+        raise ValueError(f"photon numbers up to {max(b) - 1} per mode overflow 64-bit Gram keys")
+    return ((occupations[0] * b[1] + occupations[1]) * b[2] + occupations[2]) * b[3] \
         + occupations[3]
 
 

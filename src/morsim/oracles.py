@@ -3,6 +3,10 @@
 Used as independent test oracles and as the CLI "exact" mode.  This module
 deliberately depends on nothing but the standard library so that a defect in
 the numeric Fock engine cannot leak into the reference values.
+
+Each fringe form f(parameter, thetas) takes a whole theta grid: it computes the
+factors that depend on the parameter alone once, then evaluates the same
+per-angle expression, in the same association order, at every angle.
 """
 
 from __future__ import annotations
@@ -10,42 +14,50 @@ from __future__ import annotations
 import math
 
 
-def coherent_intensity_x(alpha_sq: float, theta: float) -> float:
-    return alpha_sq * math.cos(theta / 2.0) ** 2
+def coherent_intensity_x(alpha_sq: float, thetas) -> list[float]:
+    return [alpha_sq * math.cos(theta / 2.0) ** 2 for theta in thetas]
 
 
-def coherent_intensity_y(alpha_sq: float, theta: float) -> float:
-    return alpha_sq * math.sin(theta / 2.0) ** 2
+def coherent_intensity_y(alpha_sq: float, thetas) -> list[float]:
+    return [alpha_sq * math.sin(theta / 2.0) ** 2 for theta in thetas]
 
 
-def coherent_nd_variance(alpha_sq: float, theta: float) -> float:
-    return alpha_sq * math.sin(theta) ** 2
+def coherent_nd_variance(alpha_sq: float, thetas) -> list[float]:
+    return [alpha_sq * math.sin(theta) ** 2 for theta in thetas]
 
 
-def collinear_two_photon(r: float, theta: float) -> float:
+def collinear_two_photon(r: float, thetas) -> list[float]:
     s, c = math.sinh(r), math.cosh(r)
-    return math.cos(theta) ** 2 * s * s * c * c + s**4
+    s4 = s**4
+    return [math.cos(theta) ** 2 * s * s * c * c + s4 for theta in thetas]
 
 
-def collinear_nd_variance(r: float, theta: float) -> float:
+def collinear_nd_variance(r: float, thetas) -> list[float]:
     s, c = math.sinh(r), math.cosh(r)
-    return 4.0 * s * s * c * c * math.sin(theta) ** 2
+    scale = 4.0 * s * s * c * c
+    return [scale * math.sin(theta) ** 2 for theta in thetas]
 
 
-def noncollinear_four_photon_probability(r: float, theta: float) -> float:
+def noncollinear_four_photon_probability(r: float, thetas) -> list[float]:
     t, c = math.tanh(r), math.cosh(r)
-    return t**4 / c**4 * math.cos(2.0 * theta) ** 2
+    scale = t**4 / c**4
+    return [scale * math.cos(2.0 * theta) ** 2 for theta in thetas]
 
 
-def collinear_four_photon_probability(r: float, theta: float) -> float:
+def collinear_four_photon_probability(r: float, thetas) -> list[float]:
     t, c = math.tanh(r), math.cosh(r)
-    return t**4 / (c * c) * (1.0 + 3.0 * math.cos(2.0 * theta)) ** 2 / 16.0
+    scale = t**4 / (c * c)
+    return [scale * (1.0 + 3.0 * math.cos(2.0 * theta)) ** 2 / 16.0 for theta in thetas]
 
 
-def collinear_four_photon_counts(r: float, theta: float) -> float:
+def collinear_four_photon_counts(r: float, thetas) -> list[float]:
     s, c = math.sinh(r), math.cosh(r)
-    g = 3.0 * math.cos(theta) ** 2
-    return (g - 1.0) ** 2 * s**4 * c**4 + 4.0 * (g + 1.0) * s**6 * c * c + 4.0 * s**8
+    s4, c4, s6, last = s**4, c**4, s**6, 4.0 * s**8
+    values = []
+    for theta in thetas:
+        g = 3.0 * math.cos(theta) ** 2
+        values.append((g - 1.0) ** 2 * s4 * c4 + 4.0 * (g + 1.0) * s6 * c * c + last)
+    return values
 
 
 def two_photon_pair_amplitudes(theta: float) -> tuple[float, float, float]:
@@ -59,7 +71,7 @@ def two_photon_visibility_closed(r: float) -> float:
 
 
 # (source kind, observable kind, detector mode or projection target) ->
-# (closed form f(parameter, theta), name of the source parameter it takes)
+# (closed form f(parameter, thetas) -> values, name of the source parameter it takes)
 _CLOSED_FORMS = {
     ("coherent", "intensity", "AH"): (coherent_intensity_x, "alpha_sq"),
     ("coherent", "intensity", "AV"): (coherent_intensity_y, "alpha_sq"),
@@ -98,4 +110,4 @@ def closed_form(source: str, observable: str, detail, thetas, *,
         raise ValueError(f"closed form for {source} {observable} requires {parameter}")
     if parameter == "r" and value < 0:
         raise ValueError("interaction parameter r must be nonnegative")
-    return [fn(value, theta) for theta in thetas]
+    return fn(value, thetas)

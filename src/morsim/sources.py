@@ -145,18 +145,35 @@ def build_state(spec: SourceSpec) -> KetState:
         term, ratio = complex(1.0 / math.cosh(spec.r)), -cmath.exp(1j * spec.phi) * t
     else:
         term, ratio = 1.0 / math.cosh(spec.r) ** 2, t
-    terms = []
-    while len(terms) <= n_max and term != 0:
-        terms.append(term)
+    # the running product goes straight into the array it ends in, so nothing that grows
+    # with n_max lies beside the counted arrays
+    terms = np.empty(n_max + 1, dtype=complex if collinear else float)
+    pairs = 0
+    while pairs <= n_max and term != 0:
+        terms[pairs] = term
         term *= ratio
-    n = np.arange(len(terms))
+        pairs += 1
+    terms.resize(pairs, refcheck=False)  # gives back what an underflow left unused
     if collinear:
-        occupations, amplitudes = np.stack([n, n, 0 * n, 0 * n]), np.array(terms, dtype=complex)
+        occupations = np.zeros((4, pairs), dtype=np.int64)
+        n = occupations[0]
+        n[1:] = 1
+        np.cumsum(n, out=n)  # n = 0, 1, 2, ... in place, with no temporary
+        occupations[1] = n
+        amplitudes = terms
     else:
-        pair = np.repeat(n, n + 1)
-        m = np.arange(len(pair)) - np.repeat(n * (n + 1) // 2, n + 1)
-        occupations = np.stack([pair - m, m, m, pair - m])
-        amplitudes = (np.array(terms)[pair] * (-1.0) ** m).astype(complex)
+        # row by row in place: (n - m, m, m, n - m), m = 0..n within pair n
+        n = np.arange(pairs)
+        occupations = np.empty((4, pairs * (pairs + 1) // 2), dtype=np.int64)
+        pair, m = occupations[:2]
+        pair[:] = np.repeat(n, n + 1)
+        m[:] = np.arange(len(m))
+        m -= np.repeat(n * (n + 1) // 2, n + 1)
+        pair -= m
+        occupations[2], occupations[3] = m, pair
+        amplitudes = np.repeat(terms, n + 1)
+        amplitudes[m % 2 == 1] *= -1.0
+        amplitudes = amplitudes.astype(complex)
     return KetState(occupations, amplitudes, truncation_tail(spec.kind, spec.r, n_max))
 
 

@@ -1,11 +1,14 @@
 """Self-verification suite: oracle equivalence and model invariants.
 
-Each check reads the numeric Fock engine through ``detection._sampler``, the
-code every CLI sweep prints from, and the reference values through the
-closed-form table (``detection.closed_form_scan``), the code behind the
-CLI's exact mode; it compares the two (or asserts an invariant) and reports
-its worst observed error.  The channel implementation is injectable so that
-tests can demonstrate the suite actually catches a miswired medium.
+Each check reads the numeric Fock engine through the sampler every CLI sweep
+prints from (``detection._shared_sampler``, behind ``_sampler`` and
+``fringe_scan``), and the reference values through the closed-form table
+(``detection.closed_form_scan``), the code behind the CLI's exact mode; it
+compares the two (or asserts an invariant) and reports its worst observed
+error.  A check that reads several sources in one geometry reads the channel's
+one-photon matrices once per angle for all of them, and compares whole arrays.
+The channel implementation is injectable so that tests can demonstrate the
+suite actually catches a miswired medium.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import oracles
 from .detection import (
     ObservableKind,
     ObservableSpec,
-    _sampler,
+    _shared_sampler,
     closed_form_scan,
     dominant_frequency,
     fringe_scan,
@@ -61,39 +64,39 @@ class CheckResult:
     detail: str = ""
 
 
-def _tolerance_ratio(engine: float, reference: float,
-                     rel: float = REL_TOL, abs_tol: float = ABS_TOL) -> float:
-    """|engine - reference| divided by the allowed error at this point."""
-    return abs(engine - reference) / max(abs_tol, rel * abs(reference))
+def _tolerance_ratio(engine, reference, rel: float = REL_TOL, abs_tol: float = ABS_TOL):
+    """|engine - reference| divided by the allowed error at each point."""
+    return np.abs(np.subtract(engine, reference)) / np.maximum(abs_tol, rel * np.abs(reference))
 
 
-def _engine_values(apply_mor_fn, source: SourceSpec, media, observables) -> list[list[float]]:
-    """Per medium, each observable read through ``_sampler`` with the channel
-    ``apply_mor_fn``: the source's Gram matrices and vacuum overlaps are built
-    once, and each medium costs the channel on the one-photon probes."""
-    geometry = Geometry.NONCOLLINEAR if source.kind is NONCOLLINEAR else Geometry.COLLINEAR
-    sample = _sampler(source, geometry, observables, apply_mor_fn)
-    return [sample(medium) for medium in media]
+def _engine_values(apply_mor_fn, sources, media, observables) -> np.ndarray:
+    """(len(sources), len(media), len(observables)): each observable on each source,
+    all of one geometry, passed through each medium, read through
+    ``_shared_sampler`` with the channel ``apply_mor_fn``: each source's Gram
+    matrices and vacuum overlaps are built once, and each medium costs the channel
+    on the one-photon probes once for all the sources."""
+    geometry = Geometry.NONCOLLINEAR if sources[0].kind is NONCOLLINEAR else Geometry.COLLINEAR
+    return _shared_sampler(sources, geometry, observables, apply_mor_fn)(media).transpose(1, 0, 2)
 
 
 def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
     """Every ORACLE_ROWS observable on the engine against its closed form, on 33
-    angles per interaction strength; one evolved state per source and angle
-    serves all of the source's rows."""
+    angles per interaction strength; the channel is read once per angle for each
+    source kind, and serves all of its strengths and rows."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 33)
     media = [MediumSpec(theta=float(t)) for t in thetas]
     worst = dict.fromkeys((name for name, *_ in ORACLE_ROWS), 0.0)
-    for r in ORACLE_R_VALUES:
-        for kind in (COLLINEAR, NONCOLLINEAR):
-            rows = [row for row in ORACLE_ROWS if row[1] is kind]
-            # the non-collinear source is checked on its projection only, whose
-            # four-photon sector n_max = 2 holds exactly
-            source = SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
-            engine = zip(*_engine_values(apply_mor_fn, source, media, [row[2] for row in rows]))
-            for (name, _, obs, rel), values in zip(rows, engine):
+    for kind in (COLLINEAR, NONCOLLINEAR):
+        rows = [row for row in ORACLE_ROWS if row[1] is kind]
+        # the non-collinear source is checked on its projection only, whose
+        # four-photon sector n_max = 2 holds exactly
+        sources = [SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
+                   for r in ORACLE_R_VALUES]
+        engine = _engine_values(apply_mor_fn, sources, media, [row[2] for row in rows])
+        for source, values in zip(sources, engine):
+            for (name, _, obs, rel), column in zip(rows, values.T):
                 exact = closed_form_scan(source, thetas, obs).values
-                ratios = [_tolerance_ratio(v, e, rel) for v, e in zip(values, exact)]
-                worst[name] = max(worst[name], *ratios)
+                worst[name] = max(worst[name], float(_tolerance_ratio(column, exact, rel).max()))
     return [
         CheckResult(name=name, passed=worst[name] <= 1.0, max_error=worst[name], tolerance=1.0,
                     detail=f"error / allowance; relative 1e{round(math.log10(rel))}, "
@@ -142,7 +145,8 @@ def check_visibility_curve() -> list[CheckResult]:
     """Two-photon visibility, of the closed-form fringe and of the engine's,
     against its closed form, the closed-form curve's monotonicity, and the
     weak-pumping limit of the four-photon visibility."""
-    thetas = np.linspace(0.0, math.pi, 513)
+    # Python floats once, for the 64 scans of this grid
+    thetas = tuple(np.linspace(0.0, math.pi, 513).tolist())
     r_grid = np.linspace(0.01, 3.0, 60)
     worst_dev = 0.0
     monotone_violations = 0
@@ -190,26 +194,23 @@ def check_sensitivity_scaling() -> list[CheckResult]:
 
 def check_glauber_vs_projection(apply_mor_fn=apply_mor) -> list[CheckResult]:
     """Four-photon counting dominates the post-selected projection, and the
-    two coincide at weak pumping; both are read off one evolved state."""
+    two coincide at weak pumping; both are read off one reading of the channel
+    per angle, which serves every strength."""
     thetas = np.linspace(0.0, math.pi, 17)
     media = [MediumSpec(theta=float(t)) for t in thetas]
-    violations = 0
-    worst_gap = 0.0
-    worst_ratio = 0.0
-    for r in (0.01, 0.1, 0.5, 1.0, 1.3):
-        source = SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
-        values = _engine_values(apply_mor_fn, source, media, (GLAUBER, PROJECTION[COLLINEAR]))
-        for medium, (glauber, proj) in zip(media, values):
-            gap = 4.0 * proj - glauber
-            worst_gap = max(worst_gap, gap)
-            if gap > 1e-12:
-                violations += 1
-            # the ratio is 0/0 where (3 cos^2 theta - 1) vanishes; stay clear of it
-            if r == 0.01 and abs(3.0 * math.cos(medium.theta) ** 2 - 1.0) >= 0.4:
-                worst_ratio = max(worst_ratio, abs(glauber / (4.0 * proj) - 1.0))
+    sources = [SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
+               for r in (0.01, 0.1, 0.5, 1.0, 1.3)]
+    glauber, proj = _engine_values(apply_mor_fn, sources, media,
+                                   (GLAUBER, PROJECTION[COLLINEAR])).transpose(2, 0, 1)
+    gap = 4.0 * proj - glauber
+    worst_gap = max(0.0, float(gap.max()))
+    violations = np.count_nonzero(gap > 1e-12)
+    # the ratio is 0/0 where (3 cos^2 theta - 1) vanishes; stay clear of it, at r = 0.01
+    clear = [abs(3.0 * math.cos(medium.theta) ** 2 - 1.0) >= 0.4 for medium in media]
+    worst_ratio = max(0.0, float(np.abs(glauber[0, clear] / (4.0 * proj[0, clear]) - 1.0).max()))
     return [
         CheckResult(name="glauber_dominates_projection", passed=violations == 0,
-                    max_error=max(worst_gap, 0.0), tolerance=1e-12,
+                    max_error=worst_gap, tolerance=1e-12,
                     detail="max of 4 P(|2,2>) - I_HHVV over the grid"),
         CheckResult(name="glauber_projection_ratio_weak_pumping", passed=worst_ratio < 0.01,
                     max_error=worst_ratio, tolerance=0.01,
@@ -238,17 +239,18 @@ def check_normalization_and_invariance(apply_mor_fn=apply_mor) -> list[CheckResu
             (out.norm_squared() + out.truncation_tail)
             - (state.norm_squared() + state.truncation_tail)))
 
-    def probe(source: SourceSpec, medium: MediumSpec) -> list[float]:
-        return _engine_values(apply_mor_fn, source, [medium],
-                              (TWO_PHOTON, GLAUBER, PROJECTION[source.kind]))[0]
+    def probe(sources, media) -> np.ndarray:
+        """The observables on each source at each medium, one row per run entry."""
+        values = _engine_values(apply_mor_fn, sources, media,
+                                (TWO_PHOTON, GLAUBER, PROJECTION[sources[0].kind]))
+        return values.reshape(-1, values.shape[2])
 
     # each run varies only theta_plus, or only the pump phase
-    non = SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)
-    runs = ([probe(non, MediumSpec(theta=0.8, theta_plus=p)) for p in (0.0, 0.7, math.pi)],
-            [probe(SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48), MediumSpec(theta=0.8))
-             for phi in (0.0, 1.3)])
-    worst_phase = max(abs(a - b) for run in runs for values in run[1:]
-                      for a, b in zip(values, run[0]))
+    runs = (probe([SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)],
+                  [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)]),
+            probe([SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48) for phi in (0.0, 1.3)],
+                  [MediumSpec(theta=0.8)]))
+    worst_phase = max(float(np.abs(run[1:] - run[0]).max()) for run in runs)
 
     return [
         CheckResult(name="source_norm_plus_tail", passed=worst_norm < 1e-12,

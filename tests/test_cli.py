@@ -639,6 +639,23 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0] == "theta,value"
 
 
+def test_the_module_exit_prints_and_writes_what_main_does(capsys, tmp_path):
+    # cli.run ends the process as soon as main returns: stdout and --out files
+    # must be complete by then
+    assert run_cli("verify") == 0
+    proc = run_module("verify")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.endswith("17/17 checks passed\n")
+    argv = ["fringe", "--r", "0.6", "--observable", "four-photon-glauber", "--points", "101"]
+    assert run_cli(*argv, "--out", str(tmp_path / "main.csv")) == 0
+    proc = run_module(*argv, "--out", str(tmp_path / "module.csv"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    written = (tmp_path / "module.csv").read_bytes()
+    assert written == (tmp_path / "main.csv").read_bytes()
+    assert len(written.splitlines()) == 102 and written.endswith(b"\n")
+
+
 def test_stdout_output(capsys):
     assert run_cli("fringe", "--source", "coherent", "--observable", "intensity",
                    "--points", "3", "--mode", "exact") == 0

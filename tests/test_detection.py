@@ -85,9 +85,11 @@ def test_evaluate_projection_is_exact_at_any_r():
     # only the four-photon sector contributes, so no truncation cap applies
     for r in (0.5, 1.3, 3.0):
         got = evaluate(noncollinear(r), MediumSpec(theta=0.3), Geometry.NONCOLLINEAR, PROJ_NON)
-        assert got == pytest.approx(oracles.noncollinear_four_photon_probability(r, 0.3), rel=1e-12)
+        assert got == pytest.approx(oracles.noncollinear_four_photon_probability(r, [0.3])[0],
+                                    rel=1e-12)
         got = evaluate(collinear(r), MediumSpec(theta=0.3), Geometry.COLLINEAR, PROJ_COL)
-        assert got == pytest.approx(oracles.collinear_four_photon_probability(r, 0.3), rel=1e-12)
+        assert got == pytest.approx(oracles.collinear_four_photon_probability(r, [0.3])[0],
+                                    rel=1e-12)
 
 
 def test_evaluate_collinear_projection_quarter_turn_anchor():
@@ -160,7 +162,7 @@ def test_closed_form_scan_is_the_table_at_each_angle():
     grid = np.linspace(0.0, math.pi, 9)
     series = closed_form_scan(collinear(0.7, n_max=4), grid, GLAUBER)
     assert series.theta_grid == tuple(grid)
-    assert series.values == tuple(oracles.collinear_four_photon_counts(0.7, t) for t in grid)
+    assert series.values == tuple(oracles.collinear_four_photon_counts(0.7, grid))
     with pytest.raises(ValueError, match="no closed form"):
         closed_form_scan(noncollinear(0.7), grid, TWO_PHOTON)
 
@@ -269,7 +271,7 @@ def test_nd_variance_collinear_matches_closed_form():
     assert abs(expected - 13.1539) < 1e-3
     for theta in (0.3, 1.1, 2.5):
         got = _nd_variance(src, theta)
-        assert got == pytest.approx(oracles.collinear_nd_variance(1.0, theta), rel=1e-8)
+        assert got == pytest.approx(oracles.collinear_nd_variance(1.0, [theta])[0], rel=1e-8)
 
 
 def test_min_detectable_angle():
@@ -437,6 +439,30 @@ def test_observables_invariant_under_theta_plus_and_pump_phase(pairing, r, n_max
     assert values[0] == pytest.approx(values[1], rel=1e-12, abs=1e-12)
 
 
+@PROPERTY_SETTINGS
+@given(PDC_PAIRINGS, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+       st.integers(1, 24), ANGLES,
+       st.lists(st.tuples(ANGLES, st.floats(0.05, 7.0) | st.floats(-7.0, -0.05)),
+                min_size=1, max_size=6))
+def test_a_batch_of_media_reads_each_medium_with_the_bits_it_has_alone(pairing, rs, n_max,
+                                                                        phi, angles):
+    # every observable over the whole stack of one-photon matrices at once, and one
+    # reading of the channel for several sources, give each medium and source the
+    # bits of a sampler of its own called on that medium alone
+    kind, geometry = pairing
+    sources = [SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max) for r in rs]
+    media = [MediumSpec(theta, theta_plus) for theta, theta_plus in angles]
+    shared = detection._shared_sampler(sources, geometry, EVERY_OBSERVABLE)(media)
+    assert shared.shape == (len(media), len(sources), len(EVERY_OBSERVABLE))
+    for i, source in enumerate(sources):
+        sample = detection._sampler(source, geometry, EVERY_OBSERVABLE)
+        batch = sample(media)
+        alone = np.concatenate([sample([medium]) for medium in media])
+        assert batch.shape == alone.shape == (len(media), len(EVERY_OBSERVABLE))
+        assert batch.tobytes() == alone.tobytes()
+        assert shared[:, i].tobytes() == alone.tobytes()
+
+
 def _node(j, degree):
     # the sampling nodes 2 pi j / (2K + 2), computed as fringe_scan does
     return math.pi * j / (degree + 1)
@@ -455,8 +481,8 @@ def test_fringes_have_no_harmonic_above_the_detected_photon_number(pairing, r, n
         assert observables
         n = 2 * degree + 3
         sample = detection._sampler(source, geometry, observables)
-        samples = np.array([sample(MediumSpec(theta=2 * math.pi * j / n, theta_plus=theta_plus))
-                            for j in range(n)])
+        samples = sample([MediumSpec(theta=2 * math.pi * j / n, theta_plus=theta_plus)
+                          for j in range(n)])
         above = 2.0 * np.abs(np.fft.rfft(samples, axis=0)[degree + 1:]) / n
         assert np.all(above <= 1e-13 * np.abs(samples).max(axis=0))
 
@@ -592,7 +618,7 @@ def test_heisenberg_moments_match_the_schroedinger_reference(pairing, r, n_max, 
     state = build_state(source)
     media = [MediumSpec(theta, theta_plus) for theta in thetas + TURN]
     _assert_close_to_the_reference(
-        [sample(medium) for medium in media],
+        sample(media),
         [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
          for medium in media])
 
@@ -614,13 +640,10 @@ def _reference_and_heisenberg(state, geometry, media, transform=lambda t: t):
     """Per medium, every observable read off the evolved state and in the Heisenberg
     picture from the channel's one-photon matrix, passed through ``transform`` first."""
     read = detection._moment_reader(state, EVERY_OBSERVABLE)
-    reference, heisenberg = [], []
-    for medium in media:
-        t = transform(detection._one_photon_matrix(apply_mor, medium, geometry))
-        reference.append([measure(apply_mor(state, medium, geometry), obs)
-                          for obs in EVERY_OBSERVABLE])
-        heisenberg.append([read(t, obs) for obs in EVERY_OBSERVABLE])
-    return reference, heisenberg
+    ts = detection._one_photon_matrices(apply_mor, media, geometry)
+    reference = [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
+                 for medium in media]
+    return reference, read(np.array([transform(t) for t in ts]))
 
 
 @PROPERTY_SETTINGS

@@ -97,6 +97,23 @@ def test_amplitude_reads_every_entry_of_the_sector_blocks():
     assert out.amplitude((1, 0, 0, 0)) == 0j  # no (1, 0) sector
 
 
+def test_amplitude_finds_every_entry_of_a_deep_channel_output():
+    # a binary search of sorted keys: every stored entry, and 0j off the state
+    out = apply_mor(build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128)),
+                    MediumSpec(theta=0.7, theta_plus=0.2), Geometry.COLLINEAR)
+    stored = amplitude_dict(out)
+    assert len(stored) > 16_000
+    assert all(out.amplitude(occ) == amp for occ, amp in stored.items())
+    for occ in [(1, 0, 0, 0), (128, 127, 0, 0), (0, 0, 1, 0), (1, 1, 0, 1), (257, 1, 0, 0),
+                (0, 257, 0, 0), (10**6, 0, 0, 0)]:
+        assert occ not in stored
+        assert out.amplitude(occ) == 0j
+    with pytest.raises(ValueError, match="occupation must have 4 entries, got 3"):
+        out.amplitude((1, 1, 0))
+    with pytest.raises(ValueError, match=r"nonnegative, got \(2, -1, 0, 0\)"):
+        out.amplitude((2, -1, 0, 0))
+
+
 def test_inner_product_noncollinear_four_photon_component():
     # |1111> sits in the n=2, m=1 term: amplitude -tanh^2 r / cosh^2 r
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=1.0, n_max=8))

@@ -195,7 +195,8 @@ def test_collinear_two_photon_fringe_matches_closed_form():
     for theta in np.linspace(0.0, math.pi, 9):
         out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.COLLINEAR)
         got = normally_ordered_moment(out, (1, 1, 0, 0))
-        assert got == pytest.approx(oracles.collinear_two_photon(r, float(theta)), rel=1e-10)
+        assert got == pytest.approx(oracles.collinear_two_photon(r, [float(theta)])[0],
+                                    rel=1e-10)
 
 
 def test_noncollinear_projection_matches_closed_form():
@@ -204,7 +205,7 @@ def test_noncollinear_projection_matches_closed_form():
     for theta in np.linspace(0.0, math.pi, 11):
         out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.NONCOLLINEAR)
         got = projection_probability(out, (1, 1, 1, 1))
-        expected = oracles.noncollinear_four_photon_probability(r, float(theta))
+        expected = oracles.noncollinear_four_photon_probability(r, [float(theta)])[0]
         assert abs(got - expected) <= max(1e-12, 1e-10 * expected)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,20 @@ from morsim import (
 from morsim.sources import truncation_bound
 from reference_channel import (amplitude_dict, reference_collinear_state,
                                reference_noncollinear_state)
+
+
+def test_a_deep_collinear_state_takes_only_the_bytes_its_budget_counts():
+    # tanh 25 rounds to 1, so no amplitude underflows and all n_max + 1 pairs are kept;
+    # nothing beside the occupations and amplitudes may grow with n_max
+    n_max = 200_000
+    tracemalloc.start()
+    try:
+        state = build_state(SourceSpec(kind="collinear_pdc", r=25.0, n_max=n_max))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state.amplitudes) == n_max + 1
+    assert peak <= sources.STATE_BYTES_PER_AMPLITUDE * (n_max + 1) + 2**16
 
 
 def test_collinear_r_zero_is_vacuum():

@@ -76,7 +76,7 @@ def test_a_wrong_closed_form_entry_fails_its_check_only(monkeypatch, name):
     key = ENTRY_CHECKED_BY[name]
     fn, parameter = oracles._CLOSED_FORMS[key]
     monkeypatch.setitem(oracles._CLOSED_FORMS, key,
-                        (lambda p, theta: fn(p, theta) * (1.0 + 1e-5), parameter))
+                        (lambda p, thetas: [v * (1.0 + 1e-5) for v in fn(p, thetas)], parameter))
     passed = _passed_at_one_strength(monkeypatch)
     assert passed == {n: n != name for n in ENTRY_CHECKED_BY}
 
@@ -110,7 +110,8 @@ def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
     deep, shallow = (build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=n_max))
                      for n_max in (128, 2))
     media = [MediumSpec(theta=float(theta)) for theta in np.linspace(0.0, 2.0 * math.pi, 25)]
-    engine = verify._engine_values(apply_mor, source, media, [verify.PROJECTION[verify.COLLINEAR]])
+    engine = verify._engine_values(apply_mor, [source], media,
+                                   [verify.PROJECTION[verify.COLLINEAR]])[0]
     reference = []
     for medium in media:
         reference.append(measure(apply_mor(deep, medium, Geometry.COLLINEAR),
@@ -119,6 +120,41 @@ def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
                                         verify.PROJECTION[verify.COLLINEAR])
     assert np.abs(np.subtract([value for value, in engine], reference)).max() \
         <= 1e-15 * max(reference)
+
+
+def test_run_all_reads_each_probe_once_per_check(monkeypatch):
+    # a check reads the channel once per (geometry, theta, theta_plus) for all of its
+    # sources; counted through the channel it is given and the one detection holds
+    calls = []
+    running = [None]
+
+    def channel(via):
+        def counted(state, medium, geometry):
+            calls.append((running[0], via, Geometry(geometry), medium.theta, medium.theta_plus,
+                          state.occupations.tobytes()))
+            return apply_mor(state, medium, geometry)
+        return counted
+
+    for name, check in list(vars(verify).items()):
+        if name.startswith("check_"):
+            def labelled(*args, _check=check, _name=name, **kwargs):
+                running[0] = _name
+                return _check(*args, **kwargs)
+            monkeypatch.setattr(verify, name, labelled)
+    monkeypatch.setattr(detection, "apply_mor", channel("detection"))
+    assert all(r.passed for r in run_all(apply_mor_fn=channel("argument")))
+    # 891 when each source read its own one-photon matrices
+    assert len(calls) <= 359
+    given = [call for call in calls if call[1] == "argument"]
+    assert {call[0] for call in given} == {
+        "check_oracle_equivalence", "check_two_photon_closed_form",
+        "check_glauber_vs_projection", "check_normalization_and_invariance"}
+    assert len(set(given)) == len(given)
+    # the visibility check scans each engine fringe through fringe_scan, the CLI's
+    # path: its six nodes once per source
+    scanned = [call for call in calls if call[0] == "check_visibility_curve"]
+    assert len(scanned) == 2 * 6 * len(verify.ORACLE_R_VALUES)
+    assert len(set(scanned)) == 2 * 6
 
 
 def test_mutated_channel_still_norm_preserving():
