@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import re
 import sys
 
 import numpy as np
@@ -48,6 +49,12 @@ MODE_NAMES = {"aH": Mode.AH, "aV": Mode.AV, "bH": Mode.BH, "bV": Mode.BV}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option, not a value: its negative-number
+        # pattern has no exponent, though the CSV's .17g output writes them
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse defaults to exit code 2, which is reserved for verification failures
     def error(self, message):
         self.print_usage(sys.stderr)

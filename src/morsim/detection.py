@@ -13,10 +13,11 @@ m^dag H m with H the Gram matrix of the centred bilinears
 vacuum alone, so a projection onto |t> is
 |<0|prod_k (U^dag a_k U)^t_k psi>|^2 / t! = |v . g|^2 / t!, g_S = <0|a_S psi>.
 
-A sampler takes a batch of media: it reads the stack of T for all of them, then
-evaluates each observable over the whole stack in one vectorised pass, with
-the bits each T gets alone.  ``verify`` shares one stack among the sources a
-check compares at the same angles.
+``_sample`` takes a batch of sources and media: it reads the stack of T for all
+the media once, then evaluates each observable on each source over the whole
+stack in one vectorised pass, with the bits each T gets alone.  Every sweep and
+every ``verify`` check reads the engine through it; a check shares one stack
+among the sources it compares at the same angles.
 """
 
 from __future__ import annotations
@@ -173,9 +174,9 @@ def check_pairing(source: SourceSpec, geometry) -> Geometry:
 
 
 def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSpec) -> float:
-    """One observable value for a source evolved through the medium: the sampler
-    of fringe_scan at one medium."""
-    return float(_sampler(source, check_pairing(source, geometry), [obs])([medium])[0, 0])
+    """One observable value for a source evolved through the medium: what fringe_scan
+    samples, at one medium."""
+    return float(_sample([source], check_pairing(source, geometry), [obs], [medium])[0, 0, 0])
 
 
 @cache
@@ -222,12 +223,12 @@ def _nd_variance(ts: np.ndarray, pair, expectations: np.ndarray, centred: np.nda
     return variance.ravel()
 
 
-def _moment_reader(state: KetState, observables):
-    """ts -> (len(ts), len(observables)): the value of each observable on the state
-    passed through the channel whose one-photon matrix is T, for every T of the
-    (M, 4, 4) stack ts at once.  The Gram matrices and vacuum overlaps the observables
-    need are built here, once.  Each value is a stacked (1, S) @ (S, S) @ (S, 1)
-    product, which gives every T the bits it gets alone."""
+def _read(state: KetState, observables, ts: np.ndarray) -> np.ndarray:
+    """(len(ts), len(observables)): the value of each observable on the state passed
+    through the channel whose one-photon matrix is T, for every T of the (M, 4, 4)
+    stack ts at once.  The Gram matrices and vacuum overlaps the observables need are
+    built once.  Each value is a stacked (1, S) @ (S, S) @ (S, 1) product, which gives
+    every T the bits it gets alone."""
     # the variance centres its bilinears on the one-photon Gram matrix <a_i^dag a_j>
     sizes = {1 if obs.kind is ObservableKind.ND_VARIANCE else len(_annihilated_modes(obs))
              for obs in observables if obs.kind is not ObservableKind.FOUR_PHOTON_PROJECTION}
@@ -236,72 +237,57 @@ def _moment_reader(state: KetState, observables):
         centred, norm = centred_bilinear_gram(state, grams[1]), state.norm_squared()
     if any(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION for obs in observables):
         overlaps = vacuum_overlaps(state, 4)[:, None]
-
-    def read(ts: np.ndarray) -> np.ndarray:
-        values = np.empty((len(ts), len(observables)))
-        for k, obs in enumerate(observables):
-            if obs.kind is ObservableKind.ND_VARIANCE:
-                values[:, k] = _nd_variance(ts, obs.pair, grams[1], centred, norm)
-                continue
-            modes = _annihilated_modes(obs)
-            v = annihilator_coefficients(ts[:, modes])[:, None, :]
-            if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
-                a = (v @ overlaps)[:, 0, 0] / math.sqrt(math.prod(map(math.factorial, obs.target)))
-                values[:, k] = a.real * a.real + a.imag * a.imag
-            else:
-                values[:, k] = (v.conj() @ grams[len(modes)] @ v.transpose(0, 2, 1))[:, 0, 0].real
-        return values
-
-    return read
+    values = np.empty((len(ts), len(observables)))
+    for k, obs in enumerate(observables):
+        if obs.kind is ObservableKind.ND_VARIANCE:
+            values[:, k] = _nd_variance(ts, obs.pair, grams[1], centred, norm)
+            continue
+        modes = _annihilated_modes(obs)
+        v = annihilator_coefficients(ts[:, modes])[:, None, :]
+        if obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION:
+            a = (v @ overlaps)[:, 0, 0] / math.sqrt(math.prod(map(math.factorial, obs.target)))
+            values[:, k] = a.real * a.real + a.imag * a.imag
+        else:
+            values[:, k] = (v.conj() @ grams[len(modes)] @ v.transpose(0, 2, 1))[:, 0, 0].real
+    return values
 
 
-def _pdc_reader(source: SourceSpec, observables):
-    """``_moment_reader`` of the PDC source's state.  Projections alone build the source
-    only to the deepest target's depth, so they are exact at any r."""
-    if all(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION for obs in observables):
-        depth = max(_projection_depth(source.kind, obs.target) for obs in observables)
-        source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
-    return _moment_reader(build_state(source), observables)
+def _sample(sources, geometry: Geometry, observables, media, channel=None) -> np.ndarray:
+    """(len(sources), len(media), len(observables)): the observables on each source,
+    all of one geometry, passed through each medium.
+
+    Coherent light is read off its closed forms, one call per observable.  Each PDC
+    source's state is built once; projections alone build it only to the deepest
+    target's depth, so they are exact at any r.  The channel's one-photon matrices are
+    then read once per medium, in order, and serve every PDC source, and ``_read``
+    evaluates every observable over the whole stack in one vectorised pass.
+    ``channel`` defaults to the ``apply_mor`` this module holds at the call."""
+    only_projections = all(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION
+                           for obs in observables)
+    states = []
+    for source in sources:
+        if source.is_pdc and only_projections:
+            depth = max(_projection_depth(source.kind, obs.target) for obs in observables)
+            source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
+        states.append(build_state(source) if source.is_pdc else None)
+    if any(state is not None for state in states):
+        ts = _one_photon_matrices(apply_mor if channel is None else channel, media, geometry)
+    thetas = [medium.theta for medium in media]
+    return np.stack([
+        np.array([closed_form_scan(source, thetas, obs).values for obs in observables]).T
+        if state is None else _read(state, observables, ts)
+        for source, state in zip(sources, states)])
 
 
-def _shared_sampler(sources, geometry: Geometry, observables, channel=None):
-    """media -> ndarray (len(media), len(sources), len(observables)): the observables on
-    each PDC source passed through each medium.  The channel's one-photon matrices are
-    read once per medium, in order, and serve every source.  ``channel`` defaults to
-    the ``apply_mor`` this module holds when the sampler is made."""
-    channel = apply_mor if channel is None else channel
-    readers = [_pdc_reader(source, observables) for source in sources]
-
-    def sample(media) -> np.ndarray:
-        ts = _one_photon_matrices(channel, media, geometry)
-        return np.stack([read(ts) for read in readers], axis=1)
-
-    return sample
+def _nodes(degree: int) -> list[float]:
+    """The N = 2K + 2 nodes pi j / (K + 1) whose samples fix a fringe of degree K."""
+    return (np.pi * np.arange(2 * degree + 2) / (degree + 1)).tolist()
 
 
-def _sampler(source: SourceSpec, geometry: Geometry, observables, channel=None):
-    """media -> ndarray (len(media), len(observables)): the observables on the source
-    passed through each medium.
-
-    Coherent light is read off its closed forms, one call per observable.  For PDC
-    light each medium costs the channel on the one-photon probes, and every
-    observable is then evaluated over the whole stack of one-photon matrices in one
-    vectorised pass (``_shared_sampler``)."""
-    if source.kind is SourceKind.COHERENT:
-        return lambda media: np.array([
-            closed_form_scan(source, [medium.theta for medium in media], obs).values
-            for obs in observables]).T
-    sample = _shared_sampler([source], geometry, observables, channel)
-    return lambda media: sample(media)[:, 0]
-
-
-def _fourier(sample, degree: int) -> tuple[dict, np.ndarray]:
-    """The fringe's samples at the N = 2K + 2 nodes pi j / (K + 1), keyed by
-    node, from one call of ``sample`` (angles -> values), and its exact Fourier
-    coefficients c_0..c_K: the fringe is c_0 + 2 Re sum_m c_m e^{i m theta}."""
-    nodes = (np.pi * np.arange(2 * degree + 2) / (degree + 1)).tolist()
-    samples = sample(nodes)
-    return dict(zip(nodes, samples.tolist())), np.fft.rfft(samples)[:degree + 1] / len(nodes)
+def _fourier(samples: np.ndarray, degree: int) -> np.ndarray:
+    """The exact Fourier coefficients c_0..c_K of a fringe of degree K from its samples
+    at ``_nodes(degree)``: the fringe is c_0 + 2 Re sum_m c_m e^{i m theta}."""
+    return np.fft.rfft(samples)[:degree + 1] / len(samples)
 
 
 def _finite_grid(thetas, theta_plus: float) -> tuple[float, ...]:
@@ -320,34 +306,36 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     """Evaluate an observable over a theta grid.
 
     Coherent sources are evaluated in closed form.  PDC sources use the
-    truncated Fock state through ``_sampler``: moments carry the source's
+    truncated Fock state through ``_sample``: moments carry the source's
     documented truncation error, projections are exact because only the
     source's four-photon amplitudes contribute.
 
     A PDC fringe is a trigonometric polynomial in theta of degree
     K = ``_fringe_degree(obs)`` (at most 4), so a grid longer than
-    N = 2K + 2 points costs N samples: the sampler is evaluated at
+    N = 2K + 2 points costs N samples: the source is sampled at
     the nodes 2 pi j / N, at the caller's ``theta_plus``, and the
     polynomial through them, whose coefficients the DFT of the samples
     gives exactly, is evaluated on the grid.  N is even so that 0 and pi
     are nodes; a grid angle equal to a node takes that node's sample.
-    Shorter grids are evaluated point by point.  Either way the sampler is
+    Shorter grids are evaluated point by point.  Either way ``_sample`` is
     called once.
     """
     geometry = check_pairing(source, geometry)
     grid = _finite_grid(thetas, theta_plus)
-    sampler = _sampler(source, geometry, [obs])
-
-    def sample(angles) -> np.ndarray:
-        return sampler([MediumSpec(theta=t, theta_plus=theta_plus) for t in angles])[:, 0]
-
+    if not grid:
+        # refused by FringeSeries, before any sample
+        return FringeSeries(theta_grid=grid, values=())
     degree = _fringe_degree(obs)
-    if source.kind is SourceKind.COHERENT or len(grid) <= 2 * degree + 2:
-        # an empty grid is refused by FringeSeries, before any sample
-        return FringeSeries(theta_grid=grid, values=sample(grid) if grid else ())
-    at_node, coefficients = _fourier(sample, degree)
+    nodes = _nodes(degree)
+    direct = source.kind is SourceKind.COHERENT or len(grid) <= len(nodes)
+    media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in (grid if direct else nodes)]
+    samples = _sample([source], geometry, [obs], media)[0, :, 0]
+    if direct:
+        return FringeSeries(theta_grid=grid, values=samples)
+    coefficients = _fourier(samples, degree)
     harmonics = np.exp(1j * np.outer(grid, np.arange(1, degree + 1)))
     values = coefficients[0].real + 2.0 * (harmonics @ coefficients[1:]).real
+    at_node = dict(zip(nodes, samples.tolist()))
     return FringeSeries(theta_grid=grid,
                         values=tuple(at_node.get(t, v) for t, v in zip(grid, values.tolist())))
 
@@ -359,12 +347,9 @@ def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int
     1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
     The global phase theta_plus does not move the spectrum."""
     geometry = check_pairing(source, geometry)
-    sampler = _sampler(source, geometry, [obs])
-
-    def sample(angles) -> np.ndarray:
-        return sampler([MediumSpec(theta=t) for t in angles])[:, 0]
-
-    magnitudes = np.abs(_fourier(sample, _fringe_degree(obs))[1])
+    degree = _fringe_degree(obs)
+    media = [MediumSpec(theta=t) for t in _nodes(degree)]
+    magnitudes = np.abs(_fourier(_sample([source], geometry, [obs], media)[0, :, 0], degree))
     if magnitudes[1:].max() <= 1e-13 * magnitudes.max():
         return 0
     return int(np.argmax(magnitudes[1:]) + 1)

@@ -261,10 +261,9 @@ def annihilator_coefficients(rows: np.ndarray) -> np.ndarray:
             + 1j * np.bincount(bins, terms.imag, blocks * len(powers))).reshape(*lead, len(powers))
 
 
-def _encode(occupations: np.ndarray, base) -> np.ndarray:
-    """One integer per column of a (4, k) array of photon numbers below ``base``, one bound
-    for every mode or one per mode; the integers order the columns lexicographically."""
-    b = base if isinstance(base, list) else [int(base)] * 4
+def _encode(occupations: np.ndarray, b: list[int]) -> np.ndarray:
+    """One integer per column of a (4, k) array of photon numbers below the per-mode
+    bounds ``b``; the integers order the columns lexicographically."""
     if math.prod(b) > 2 ** 63:  # past 2^63 int64 keys would wrap without a warning
         raise ValueError(f"photon numbers up to {max(b) - 1} per mode overflow 64-bit Gram keys")
     return ((occupations[0] * b[1] + occupations[1]) * b[2] + occupations[2]) * b[3] \
@@ -308,11 +307,13 @@ def lowered_gram(state: KetState, size: int) -> np.ndarray:
     """G[S, S'] = <a_S psi | a_S' psi> over the multisets S of ``size`` modes, from
     the state's nonzero amplitudes: a_S |n> = sqrt(prod_m n_m! / (n_m - s_m)!) |n - s>
     for the powers s of S.  Every multiset is applied to every amplitude at once; the
-    key of n - s is key(n) - key(s), as ``_encode`` is linear."""
+    key of n - s is key(n) - key(s), as ``_encode`` is linear.  Each mode's bound is
+    one more than its own largest photon number, as in ``KetState._index``."""
     occupations, amplitudes = state.occupations, state.amplitudes
     powers = _multisets(size)[0]
-    base = int(occupations.max(initial=0)) + 1
-    own = _encode(occupations, base)  # refuses a base past 64 bits before any broadcast
+    bases = (occupations.max(axis=1, initial=0) + 1).tolist()
+    base = max(bases)  # the falling factorials reach the largest photon number of any mode
+    own = _encode(occupations, bases)  # refuses bounds past 64 bits before any broadcast
     reached = (occupations >= powers[:, :, None]).all(axis=1)
     _require_gram_memory(state, np.count_nonzero(reached))
     column, entry = np.nonzero(reached)
@@ -322,7 +323,7 @@ def lowered_gram(state: KetState, size: int) -> np.ndarray:
     for p in range(1, size + 1):
         falling[p] = falling[p - 1] * np.arange(1 - p, base - p + 1)
     weight = np.prod(falling[powers[column].T, occupations[:, entry]], axis=0)
-    keys = own[entry] - _encode(powers.T, base)[column]
+    keys = own[entry] - _encode(powers.T, bases)[column]
     return _gram(keys, column, amplitudes[entry] * np.sqrt(weight), len(powers))
 
 
@@ -343,12 +344,13 @@ def centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarr
     """H[4i + j, 4k + l] = <phi_ij | phi_kl> for the centred bilinears
     phi_ij = (a_i^dag a_j - E_ij) psi, E = ``expectations`` (4 x 4), from the state's
     nonzero amplitudes: a_i^dag a_j |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n + e_i - e_j>.
-    All 16 bilinears are applied to every amplitude at once."""
+    All 16 bilinears are applied to every amplitude at once; each mode's bound leaves
+    room for the photon a_i^dag adds."""
     occupations, amplitudes = state.occupations, state.amplitudes
-    base = int(occupations.max(initial=0)) + 2
+    bases = (occupations.max(axis=1, initial=0) + 2).tolist()
     i, j = np.divmod(np.arange(16), 4)
-    own = _encode(occupations, base)
-    unit = _encode(np.eye(4, dtype=np.int64), base)  # the key of e_i
+    own = _encode(occupations, bases)
+    unit = _encode(np.eye(4, dtype=np.int64), bases)  # the key of e_i
     moved = occupations[j] > 0
     _require_gram_memory(state, np.count_nonzero(moved) + 16 * len(own))
     column, entry = np.nonzero(moved)

@@ -165,15 +165,19 @@ def build_state(spec: SourceSpec) -> KetState:
         # row by row in place: (n - m, m, m, n - m), m = 0..n within pair n
         n = np.arange(pairs)
         occupations = np.empty((4, pairs * (pairs + 1) // 2), dtype=np.int64)
-        pair, m = occupations[:2]
+        pair, m, sign = occupations[:3]
         pair[:] = np.repeat(n, n + 1)
         m[:] = np.arange(len(m))
         m -= np.repeat(n * (n + 1) // 2, n + 1)
         pair -= m
+        # the amplitudes are complex from the start, and (-1)^m is built in the row
+        # that later holds m, so no full-length temporary lies beside them
+        amplitudes = np.repeat(terms.astype(complex), n + 1)
+        np.remainder(m, 2, out=sign)
+        sign *= -2
+        sign += 1
+        amplitudes.real *= sign
         occupations[2], occupations[3] = m, pair
-        amplitudes = np.repeat(terms, n + 1)
-        amplitudes[m % 2 == 1] *= -1.0
-        amplitudes = amplitudes.astype(complex)
     return KetState(occupations, amplitudes, truncation_tail(spec.kind, spec.r, n_max))
 
 

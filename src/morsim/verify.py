@@ -1,8 +1,8 @@
 """Self-verification suite: oracle equivalence and model invariants.
 
-Each check reads the numeric Fock engine through the sampler every CLI sweep
-prints from (``detection._shared_sampler``, behind ``_sampler`` and
-``fringe_scan``), and the reference values through the closed-form table
+Each check reads the numeric Fock engine through the function every CLI sweep
+prints from (``detection._sample``, behind ``evaluate`` and ``fringe_scan``),
+and the reference values through the closed-form table
 (``detection.closed_form_scan``), the code behind the CLI's exact mode; it
 compares the two (or asserts an invariant) and reports its worst observed
 error.  A check that reads several sources in one geometry reads the channel's
@@ -22,7 +22,7 @@ from . import oracles
 from .detection import (
     ObservableKind,
     ObservableSpec,
-    _shared_sampler,
+    _sample,
     closed_form_scan,
     dominant_frequency,
     fringe_scan,
@@ -69,16 +69,6 @@ def _tolerance_ratio(engine, reference, rel: float = REL_TOL, abs_tol: float = A
     return np.abs(np.subtract(engine, reference)) / np.maximum(abs_tol, rel * np.abs(reference))
 
 
-def _engine_values(apply_mor_fn, sources, media, observables) -> np.ndarray:
-    """(len(sources), len(media), len(observables)): each observable on each source,
-    all of one geometry, passed through each medium, read through
-    ``_shared_sampler`` with the channel ``apply_mor_fn``: each source's Gram
-    matrices and vacuum overlaps are built once, and each medium costs the channel
-    on the one-photon probes once for all the sources."""
-    geometry = Geometry.NONCOLLINEAR if sources[0].kind is NONCOLLINEAR else Geometry.COLLINEAR
-    return _shared_sampler(sources, geometry, observables, apply_mor_fn)(media).transpose(1, 0, 2)
-
-
 def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
     """Every ORACLE_ROWS observable on the engine against its closed form, on 33
     angles per interaction strength; the channel is read once per angle for each
@@ -86,13 +76,14 @@ def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
     thetas = np.linspace(0.0, 2.0 * math.pi, 33)
     media = [MediumSpec(theta=float(t)) for t in thetas]
     worst = dict.fromkeys((name for name, *_ in ORACLE_ROWS), 0.0)
-    for kind in (COLLINEAR, NONCOLLINEAR):
+    for kind, geometry in ((COLLINEAR, Geometry.COLLINEAR),
+                           (NONCOLLINEAR, Geometry.NONCOLLINEAR)):
         rows = [row for row in ORACLE_ROWS if row[1] is kind]
         # the non-collinear source is checked on its projection only, whose
         # four-photon sector n_max = 2 holds exactly
         sources = [SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
                    for r in ORACLE_R_VALUES]
-        engine = _engine_values(apply_mor_fn, sources, media, [row[2] for row in rows])
+        engine = _sample(sources, geometry, [row[2] for row in rows], media, apply_mor_fn)
         for source, values in zip(sources, engine):
             for (name, _, obs, rel), column in zip(rows, values.T):
                 exact = closed_form_scan(source, thetas, obs).values
@@ -200,8 +191,8 @@ def check_glauber_vs_projection(apply_mor_fn=apply_mor) -> list[CheckResult]:
     media = [MediumSpec(theta=float(t)) for t in thetas]
     sources = [SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
                for r in (0.01, 0.1, 0.5, 1.0, 1.3)]
-    glauber, proj = _engine_values(apply_mor_fn, sources, media,
-                                   (GLAUBER, PROJECTION[COLLINEAR])).transpose(2, 0, 1)
+    glauber, proj = _sample(sources, Geometry.COLLINEAR, (GLAUBER, PROJECTION[COLLINEAR]),
+                            media, apply_mor_fn).transpose(2, 0, 1)
     gap = 4.0 * proj - glauber
     worst_gap = max(0.0, float(gap.max()))
     violations = np.count_nonzero(gap > 1e-12)
@@ -239,17 +230,14 @@ def check_normalization_and_invariance(apply_mor_fn=apply_mor) -> list[CheckResu
             (out.norm_squared() + out.truncation_tail)
             - (state.norm_squared() + state.truncation_tail)))
 
-    def probe(sources, media) -> np.ndarray:
-        """The observables on each source at each medium, one row per run entry."""
-        values = _engine_values(apply_mor_fn, sources, media,
-                                (TWO_PHOTON, GLAUBER, PROJECTION[sources[0].kind]))
-        return values.reshape(-1, values.shape[2])
-
-    # each run varies only theta_plus, or only the pump phase
-    runs = (probe([SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)],
-                  [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)]),
-            probe([SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48) for phi in (0.0, 1.3)],
-                  [MediumSpec(theta=0.8)]))
+    # each run varies only theta_plus, or only the pump phase: one row per run entry
+    runs = (_sample([SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)], Geometry.NONCOLLINEAR,
+                    (TWO_PHOTON, GLAUBER, PROJECTION[NONCOLLINEAR]),
+                    [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)],
+                    apply_mor_fn)[0],
+            _sample([SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48) for phi in (0.0, 1.3)],
+                    Geometry.COLLINEAR, (TWO_PHOTON, GLAUBER, PROJECTION[COLLINEAR]),
+                    [MediumSpec(theta=0.8)], apply_mor_fn)[:, 0])
     worst_phase = max(float(np.abs(run[1:] - run[0]).max()) for run in runs)
 
     return [

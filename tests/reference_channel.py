@@ -292,7 +292,7 @@ def reference_lowered_gram(state: KetState, size: int) -> np.ndarray:
     the state's nonzero amplitudes: a_S |n> = sqrt(prod_m n_m! / (n_m - s_m)!) |n - s>
     for the powers s of S."""
     occupations, amplitudes = state.occupations, state.amplitudes
-    base = int(occupations.max(initial=0)) + 1
+    base = [int(occupations.max(initial=0)) + 1] * 4
     keys, columns, values = [], [], []
     for column, powers in enumerate(_multisets(size)[0]):
         reach = np.all(occupations >= powers[:, None], axis=0)
@@ -311,7 +311,7 @@ def reference_centred_bilinear_gram(state: KetState, expectations: np.ndarray) -
     phi_ij = (a_i^dag a_j - E_ij) psi, E = ``expectations`` (4 x 4), from the state's
     nonzero amplitudes: a_i^dag a_j |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n + e_i - e_j>."""
     occupations, amplitudes = state.occupations, state.amplitudes
-    base = int(occupations.max(initial=0)) + 2
+    base = [int(occupations.max(initial=0)) + 2] * 4
     own = _encode(occupations, base)
     keys, columns, values = [], [], []
     for i, j in product(range(4), repeat=2):

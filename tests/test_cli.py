@@ -278,17 +278,13 @@ def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("n_max, code", [(55000, 0), (60000, 1)])
-def test_gram_keys_past_64_bits_are_refused(capsys, n_max, code):
-    # at r = 3 the source keeps every pair up to n_max 60000, and the key of four
-    # photon numbers below 60001 passes 2^63
+@pytest.mark.parametrize("n_max", [55000, 60000])
+def test_deep_gram_keys_bound_each_mode_by_its_own_photon_numbers(capsys, n_max):
+    # at r = 3 the source keeps every pair up to n_max 60000; four photon numbers below
+    # 60001 would pass 2^63, but the empty b modes have bound 1, so the keys fit
     assert run_cli("fringe", "--r", "3", "--n-max", str(n_max), "--observable",
-                   "four-photon-glauber", "--points", "5", "--mode", "both") == code
+                   "four-photon-glauber", "--points", "5", "--mode", "both") == 0
     out, err = capsys.readouterr()
-    if code:
-        assert out == "" and len(err.splitlines()) == 1
-        assert err == "error: photon numbers up to 60000 per mode overflow 64-bit Gram keys\n"
-        return
     assert err == ""
     rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
     assert len(rows) == 5
@@ -416,6 +412,23 @@ def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, comma
 def test_bad_flag_exits_1(capsys):
     assert run_cli("fringe", "--no-such-flag") == 1
     assert run_cli("no-such-command") == 1
+
+
+@pytest.mark.parametrize("option, value", [("--theta-min", "-1e-3"), ("--theta-plus", "-2e-1"),
+                                           ("--phi", "-1E2"), ("--theta-min", "-1.5E+0")])
+def test_negative_values_in_scientific_notation_are_values(capsys, option, value):
+    # the spelling the CSV writes, e.g. -1.0000000000000001e-05, reads as a value
+    outputs = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        assert run_cli("fringe", *spelling, "--theta-max", "1", "--points", "5") == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def test_negative_r_in_scientific_notation_is_refused_in_one_line(capsys):
+    assert run_cli("fringe", "--r", "-1e-3") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: interaction parameter r must be nonnegative\n"
 
 
 def test_single_point_grid_rejected(capsys):

@@ -397,12 +397,12 @@ def _references(node, owner=None):
         yield from _references(child, owner)
 
 
-def test_every_public_function_has_a_use_in_the_package():
-    # no module keeps a public function or classmethod that only tests reach
+def test_every_function_has_a_use_in_the_package():
+    # no module keeps a function or classmethod, public or private, that only tests reach
     trees = [ast.parse(path.read_text()) for path in Path(detection.__file__).parent.glob("*.py")]
-    public = {name for tree in trees for name in _definitions(tree) if not name.startswith("_")}
+    defined = {name for tree in trees for name in _definitions(tree)}
     used = {name for tree in trees for name in _references(tree)}
-    assert sorted(public - used) == []
+    assert sorted(defined - used) == []
 
 
 def test_only_fock_and_medium_know_the_sector_blocks():
@@ -448,19 +448,19 @@ def test_a_batch_of_media_reads_each_medium_with_the_bits_it_has_alone(pairing, 
                                                                         phi, angles):
     # every observable over the whole stack of one-photon matrices at once, and one
     # reading of the channel for several sources, give each medium and source the
-    # bits of a sampler of its own called on that medium alone
+    # bits of a sample of that source alone at that medium alone
     kind, geometry = pairing
     sources = [SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max) for r in rs]
     media = [MediumSpec(theta, theta_plus) for theta, theta_plus in angles]
-    shared = detection._shared_sampler(sources, geometry, EVERY_OBSERVABLE)(media)
-    assert shared.shape == (len(media), len(sources), len(EVERY_OBSERVABLE))
+    shared = detection._sample(sources, geometry, EVERY_OBSERVABLE, media)
+    assert shared.shape == (len(sources), len(media), len(EVERY_OBSERVABLE))
     for i, source in enumerate(sources):
-        sample = detection._sampler(source, geometry, EVERY_OBSERVABLE)
-        batch = sample(media)
-        alone = np.concatenate([sample([medium]) for medium in media])
+        batch = detection._sample([source], geometry, EVERY_OBSERVABLE, media)[0]
+        alone = np.concatenate([detection._sample([source], geometry, EVERY_OBSERVABLE,
+                                                  [medium])[0] for medium in media])
         assert batch.shape == alone.shape == (len(media), len(EVERY_OBSERVABLE))
         assert batch.tobytes() == alone.tobytes()
-        assert shared[:, i].tobytes() == alone.tobytes()
+        assert shared[i].tobytes() == alone.tobytes()
 
 
 def _node(j, degree):
@@ -480,9 +480,9 @@ def test_fringes_have_no_harmonic_above_the_detected_photon_number(pairing, r, n
         observables = [o for o in EVERY_OBSERVABLE if detection._fringe_degree(o) == degree]
         assert observables
         n = 2 * degree + 3
-        sample = detection._sampler(source, geometry, observables)
-        samples = sample([MediumSpec(theta=2 * math.pi * j / n, theta_plus=theta_plus)
-                          for j in range(n)])
+        samples = detection._sample([source], geometry, observables,
+                                    [MediumSpec(theta=2 * math.pi * j / n, theta_plus=theta_plus)
+                                     for j in range(n)])[0]
         above = 2.0 * np.abs(np.fft.rfft(samples, axis=0)[degree + 1:]) / n
         assert np.all(above <= 1e-13 * np.abs(samples).max(axis=0))
 
@@ -614,11 +614,10 @@ def test_heisenberg_moments_match_the_schroedinger_reference(pairing, r, n_max, 
     # evolved state, at theta_plus, phi != 0
     kind, geometry = pairing
     source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
-    sample = detection._sampler(source, geometry, EVERY_OBSERVABLE)
     state = build_state(source)
     media = [MediumSpec(theta, theta_plus) for theta in thetas + TURN]
     _assert_close_to_the_reference(
-        sample(media),
+        detection._sample([source], geometry, EVERY_OBSERVABLE, media)[0],
         [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
          for medium in media])
 
@@ -639,11 +638,11 @@ def normalized_superpositions(draw, geometry):
 def _reference_and_heisenberg(state, geometry, media, transform=lambda t: t):
     """Per medium, every observable read off the evolved state and in the Heisenberg
     picture from the channel's one-photon matrix, passed through ``transform`` first."""
-    read = detection._moment_reader(state, EVERY_OBSERVABLE)
     ts = detection._one_photon_matrices(apply_mor, media, geometry)
     reference = [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
                  for medium in media]
-    return reference, read(np.array([transform(t) for t in ts]))
+    heisenberg = detection._read(state, EVERY_OBSERVABLE, np.array([transform(t) for t in ts]))
+    return reference, heisenberg
 
 
 @PROPERTY_SETTINGS

@@ -426,5 +426,13 @@ def test_grams_of_edge_and_source_states(state, size):
     check_grams(state, size)
 
 
+def test_gram_keys_whose_mode_bounds_multiply_past_64_bits_are_refused():
+    # each mode's bound is 2^16 + 1, and the four of them multiply past 2^63
+    state = make_basis_state((2**16,) * 4)
+    with pytest.raises(ValueError) as refused:
+        fock.lowered_gram(state, 1)
+    assert str(refused.value) == "photon numbers up to 65536 per mode overflow 64-bit Gram keys"
+
+
 def test_mode_ordering_and_attributes():
     assert Mode.AH < Mode.AV < Mode.BH < Mode.BV

@@ -22,18 +22,21 @@ from reference_channel import (amplitude_dict, reference_collinear_state,
                                reference_noncollinear_state)
 
 
-def test_a_deep_collinear_state_takes_only_the_bytes_its_budget_counts():
-    # tanh 25 rounds to 1, so no amplitude underflows and all n_max + 1 pairs are kept;
+@pytest.mark.parametrize("kind, n_max, amplitudes, slack", [
+    ("collinear_pdc", 200_000, 200_001, 2**16),
+    ("noncollinear_pdc", 600, 601 * 602 // 2, 2**17),
+], ids=["collinear_pdc", "noncollinear_pdc"])
+def test_a_deep_state_takes_only_the_bytes_its_budget_counts(kind, n_max, amplitudes, slack):
+    # tanh 25 rounds to 1, so no amplitude underflows and all pairs up to n_max are kept;
     # nothing beside the occupations and amplitudes may grow with n_max
-    n_max = 200_000
     tracemalloc.start()
     try:
-        state = build_state(SourceSpec(kind="collinear_pdc", r=25.0, n_max=n_max))
+        state = build_state(SourceSpec(kind=kind, r=25.0, n_max=n_max))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(state.amplitudes) == n_max + 1
-    assert peak <= sources.STATE_BYTES_PER_AMPLITUDE * (n_max + 1) + 2**16
+    assert len(state.amplitudes) == amplitudes
+    assert peak <= sources.STATE_BYTES_PER_AMPLITUDE * amplitudes + slack
 
 
 def test_collinear_r_zero_is_vacuum():

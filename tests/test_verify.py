@@ -110,8 +110,8 @@ def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
     deep, shallow = (build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=n_max))
                      for n_max in (128, 2))
     media = [MediumSpec(theta=float(theta)) for theta in np.linspace(0.0, 2.0 * math.pi, 25)]
-    engine = verify._engine_values(apply_mor, [source], media,
-                                   [verify.PROJECTION[verify.COLLINEAR]])[0]
+    engine = detection._sample([source], Geometry.COLLINEAR, [verify.PROJECTION[verify.COLLINEAR]],
+                               media, apply_mor)[0]
     reference = []
     for medium in media:
         reference.append(measure(apply_mor(deep, medium, Geometry.COLLINEAR),
