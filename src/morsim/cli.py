@@ -51,9 +51,10 @@ MODE_NAMES = {"aH": Mode.AH, "aV": Mode.AV, "bH": Mode.BH, "bV": Mode.BV}
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-1e-3" for an option, not a value: its negative-number
-        # pattern has no exponent, though the CSV's .17g output writes them
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse takes "-1e-3" and "-inf" for options: its negative-number pattern
+        # knows neither the exponents .17g writes nor the inf and nan float() reads
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     # argparse defaults to exit code 2, which is reserved for verification failures
     def error(self, message):
@@ -83,10 +84,9 @@ def _source_from_args(args) -> SourceSpec:
     kwargs = {}
     if args.n_max is not None:
         kwargs["n_max"] = args.n_max
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
-    return SourceSpec(kind=kind, alpha=complex(args.alpha), r=args.r,
-                      phi=getattr(args, "phi", 0.0), **kwargs)
+    return SourceSpec(kind=kind, alpha=complex(args.alpha), r=args.r, phi=args.phi, **kwargs)
 
 
 def _geometry_from_args(args, source: SourceSpec) -> Geometry:
@@ -270,16 +270,15 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def _add_source_flags(parser, with_phi=True):
+def _add_source_flags(parser):
     parser.add_argument("--source", choices=sorted(SOURCE_NAMES), default="collinear",
                         help="input light source")
     parser.add_argument("--alpha", type=float, default=1.0,
                         help="coherent amplitude (coherent source only)")
     parser.add_argument("--r", type=float, default=0.5,
                         help="PDC interaction parameter")
-    if with_phi:
-        parser.add_argument("--phi", type=float, default=0.0,
-                            help="pump phase (collinear PDC only)")
+    parser.add_argument("--phi", type=float, default=0.0,
+                        help="pump phase (collinear PDC only)")
     parser.add_argument("--n-max", type=int, default=None,
                         help="retained photon pairs; default: automatic from --epsilon")
     parser.add_argument("--epsilon", type=float, default=None,

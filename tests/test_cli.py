@@ -431,6 +431,19 @@ def test_negative_r_in_scientific_notation_is_refused_in_one_line(capsys):
     assert out == "" and err == "error: interaction parameter r must be nonnegative\n"
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
+@pytest.mark.parametrize("option", ["--theta-min", "--theta-plus", "--r", "--phi"])
+def test_negative_non_finite_values_are_refused_in_one_line(capsys, option, value):
+    # float() reads every spelling, so each reaches the finiteness check as a value
+    outputs = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        assert run_cli("fringe", *spelling, "--points", "5") == 1
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out == "" and len(outputs[0].err.splitlines()) == 1
+    assert "must be finite" in outputs[0].err
+
+
 def test_single_point_grid_rejected(capsys):
     assert run_cli("fringe", "--points", "1") == 1
     assert run_cli("sensitivity", "--points", "1") == 1
@@ -634,11 +647,11 @@ def test_sensitivity_rejects_low_mean_n(capsys):
 
 
 def test_verify_exit_codes(monkeypatch, capsys):
-    ok = [CheckResult(name="stub_pass", passed=True, max_error=0.0, tolerance=1.0)]
+    ok = [CheckResult(name="stub_pass", max_error=0.0, tolerance=1.0)]
     monkeypatch.setattr(verify, "run_all", lambda: ok)
     assert run_cli("verify") == 0
     assert "[PASS] stub_pass" in capsys.readouterr().out
-    bad = ok + [CheckResult(name="stub_fail", passed=False, max_error=2.0, tolerance=1.0)]
+    bad = ok + [CheckResult(name="stub_fail", max_error=2.0, tolerance=1.0)]
     monkeypatch.setattr(verify, "run_all", lambda: bad)
     assert run_cli("verify") == 2
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from morsim import Geometry, MediumSpec, apply_mor, detection, oracles, verify
 from morsim.detection import ObservableKind
+from morsim.fock import KetState
 from morsim.sources import SourceSpec, build_state
 from morsim.verify import (
     check_two_photon_closed_form,
@@ -155,6 +156,26 @@ def test_run_all_reads_each_probe_once_per_check(monkeypatch):
     scanned = [call for call in calls if call[0] == "check_visibility_curve"]
     assert len(scanned) == 2 * 6 * len(verify.ORACLE_R_VALUES)
     assert len(set(scanned)) == 2 * 6
+
+
+CHANNEL_FREE_CHECKS = {"visibility_two_photon_monotone", "visibility_four_photon_weak_pumping",
+                       "sensitivity_slope_coherent", "sensitivity_slope_collinear",
+                       "source_norm_plus_tail"}
+
+
+def test_a_nan_channel_fails_every_check_that_reads_it(monkeypatch):
+    def nan_apply_mor(state, medium, geometry):
+        out = apply_mor(state, medium, geometry)
+        return KetState(out.occupations, np.full_like(out.amplitudes, np.nan),
+                        out.truncation_tail)
+
+    monkeypatch.setattr(detection, "apply_mor", nan_apply_mor)
+    results = run_all(apply_mor_fn=nan_apply_mor)
+    assert len(results) == 17
+    assert {r.name for r in results if r.passed} == CHANNEL_FREE_CHECKS
+    # the 1:2:4 check counts mismatched frequencies, and a count is never NaN
+    assert {r.name for r in results if math.isnan(r.max_error)} \
+        == {r.name for r in results} - CHANNEL_FREE_CHECKS - {"fringe_frequency_factor_of_four"}
 
 
 def test_mutated_channel_still_norm_preserving():
