@@ -345,11 +345,14 @@ def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int
     the harmonic m >= 1 with the largest exact Fourier coefficient |c_m|, or 0
     for a fringe that does not oscillate, where no |c_m| with m >= 1 exceeds
     1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
-    The global phase theta_plus does not move the spectrum."""
+    The global phase theta_plus does not move the spectrum.  Raises ValueError
+    where a coefficient is not finite."""
     geometry = check_pairing(source, geometry)
     degree = _fringe_degree(obs)
     media = [MediumSpec(theta=t) for t in _nodes(degree)]
     magnitudes = np.abs(_fourier(_sample([source], geometry, [obs], media)[0, :, 0], degree))
+    if not np.isfinite(magnitudes).all():
+        raise ValueError("the fringe's Fourier coefficients are not finite")
     if magnitudes[1:].max() <= 1e-13 * magnitudes.max():
         return 0
     return int(np.argmax(magnitudes[1:]) + 1)
@@ -375,14 +378,16 @@ def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeS
 def visibility(series: FringeSeries) -> VisibilityResult:
     """(max - min) / (max + min) over the series; the grid must cover at
     least one full period of the observable."""
-    values = series.values
-    vmax, vmin = max(values), min(values)
+    # argmax and argmin take the first extreme, as max() and min() do, but a NaN wins
+    values = np.asarray(series.values)
+    top, bottom = int(values.argmax()), int(values.argmin())
+    vmax, vmin = series.values[top], series.values[bottom]
     if vmax + vmin == 0.0:
         raise ValueError("visibility undefined: fringe is identically zero")
     return VisibilityResult(
         v=(vmax - vmin) / (vmax + vmin),
-        theta_at_max=series.theta_grid[values.index(vmax)],
-        theta_at_min=series.theta_grid[values.index(vmin)],
+        theta_at_max=series.theta_grid[top],
+        theta_at_min=series.theta_grid[bottom],
     )
 
 

@@ -26,14 +26,15 @@ The polarization rotation of one spatial pair acts on the rows (beam a) or
 columns (beam b) of a sector.  It is generated by the tridiagonal J_y
 operator, whose real eigenbasis W does not depend on the angle: it is the
 n-photon lift U_n of a half turn of the pair with its columns reversed,
-cached per photon number.  U_n is built by the two-path (Risbo) recurrence
+built once per layout (``SectorLayout.bases``) and freed with the state.
+U_n is built by the two-path (Risbo) recurrence
 U_n = S^T (U_{n-1} (x) U_1) S, where S is the isometry that splits off the
 last photon: each entry mixes four entries of U_{n-1} with coefficients at
 most 1, and the step cannot enlarge the error it inherits, so rounding
 grows only like n * eps.  No sweep builds a basis above 1 photon per beam
 (every observable is read off the channel's one-photon probes) and
-``verify`` none above 96, so the recurrence runs on plain full rows: cold on
-a 2-vCPU Xeon, every even size up to 4 photons takes 0.1-0.2 ms and up to
+``verify`` none above 96, so the recurrence runs on plain full rows: on a
+2-vCPU Xeon, every even size up to 4 photons takes 0.1-0.2 ms and up to
 96 photons 5-6 ms; a whole state of collinear n_max 128 (256 photons) takes
 0.07-0.14 s and one of 1162 photons 9 s.
 At 256 photons max|W^T W - I| = 3.5e-14 and
@@ -128,7 +129,8 @@ class SectorLayout:
 
     @cached_property
     def bases(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W_a, W_b) of every sector, in layout order, all built in one pass."""
+        """(W_a, W_b) of every sector, in layout order, all built in one pass; nothing
+        else holds them, so they are freed with the layout."""
         bases = iter(_rotation_bases([n for key in self.keys for n in key]))
         return list(zip(bases, bases))
 
@@ -352,17 +354,16 @@ def centred_bilinear_gram(state: KetState, expectations: np.ndarray) -> np.ndarr
     own = _encode(occupations, bases)
     unit = _encode(np.eye(4, dtype=np.int64), bases)  # the key of e_i
     moved = occupations[j] > 0
-    _require_gram_memory(state, np.count_nonzero(moved) + 16 * len(own))
+    # -E_ij psi only where E_ij != 0 (on the diagonal for PDC): a zero adds to no sum
+    centred = np.flatnonzero(expectations)
+    _require_gram_memory(state, np.count_nonzero(moved) + len(centred) * len(own))
     column, entry = np.nonzero(moved)
     n_i, n_j = occupations[i[column], entry], occupations[j[column], entry]
-    keys = [own[entry] + unit[i[column]] - unit[j[column]], np.tile(own, 16)]
-    columns = [column, np.repeat(np.arange(16), len(own))]
+    keys = [own[entry] + unit[i[column]] - unit[j[column]], np.tile(own, len(centred))]
+    columns = [column, np.repeat(centred, len(own))]
     values = [amplitudes[entry] * np.sqrt(n_j * (n_i + (i != j)[column])),
-              (-expectations.reshape(16, 1) * amplitudes).ravel()]
+              (-expectations.reshape(16, 1)[centred] * amplitudes).ravel()]
     return _gram(*map(np.concatenate, (keys, columns, values)), 16)
-
-
-_ROT_BASIS_CACHE: dict[int, np.ndarray] = {}
 
 
 def _rotation_bases(sizes) -> list[np.ndarray]:
@@ -371,21 +372,18 @@ def _rotation_bases(sizes) -> list[np.ndarray]:
     spectrum (-n, -n+2, ..., n).  The lift of Ry(beta) is V diag(e^{i beta lam / 2}) V^dag
     with V = diag(i^k) W.
 
-    W_n is the n-photon lift U_n of the half turn with its columns reversed.  The
-    missing sizes are built in one pass of ``_risbo_step`` that starts from the
-    largest cached size below them and keeps only the sizes asked for; the
-    recurrence is deterministic, so W_n has the same bits whichever pass built it.
+    W_n is the n-photon lift U_n of the half turn with its columns reversed.  One
+    pass of ``_risbo_step`` from n = 0 to the largest size builds them all and keeps
+    only the sizes asked for; the recurrence is deterministic, so W_n has the same
+    bits whichever pass built it.
     """
-    missing = sorted(set(sizes) - _ROT_BASIS_CACHE.keys())
-    if missing:
-        n = max((m for m in _ROT_BASIS_CACHE if m < missing[0]), default=0)
-        u = _ROT_BASIS_CACHE[n][:, ::-1] if n in _ROT_BASIS_CACHE else np.ones((1, 1))
-        for m in missing:
-            while n < m:
-                n += 1
-                u = _risbo_step(u, n)
-            _ROT_BASIS_CACHE[m] = np.ascontiguousarray(u[:, ::-1])
-    return [_ROT_BASIS_CACHE[n] for n in sizes]
+    wanted, u = set(sizes), np.ones((1, 1))
+    built = {0: u}
+    for n in range(1, max(wanted, default=0) + 1):
+        u = _risbo_step(u, n)
+        if n in wanted:
+            built[n] = np.ascontiguousarray(u[:, ::-1])
+    return [built[n] for n in sizes]
 
 
 def _risbo_step(u: np.ndarray, n: int) -> np.ndarray:

@@ -396,7 +396,9 @@ def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, comma
         init(layout, *args)
         entries.append(int(layout.offsets[-1]))
 
-    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    sizes = []
+    bases = fock._rotation_bases
+    monkeypatch.setattr(fock, "_rotation_bases", lambda n: sizes.extend(n) or bases(n))
     monkeypatch.setattr(fock.SectorLayout, "__init__", counted)
     # fresh probes: cached ones keep the bases an earlier test built for them
     monkeypatch.setattr(detection, "_one_photon_probes",
@@ -405,7 +407,7 @@ def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, comma
     assert run_cli(*command.split()) == 0
     capsys.readouterr()
     photons, largest = BASIS_TRAFFIC[command]
-    assert 1 <= max(fock._ROT_BASIS_CACHE) <= photons
+    assert 1 <= max(sizes) <= photons
     assert 2 <= max(entries) <= largest
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from morsim import (
     FringeSeries,
     Geometry,
+    KetState,
     MediumSpec,
     Mode,
     ObservableKind,
@@ -249,6 +250,12 @@ def test_visibility_undefined_for_all_zero_series():
         visibility(FringeSeries(theta_grid=(0.0, 1.0), values=(0.0, 0.0)))
 
 
+@pytest.mark.parametrize("values", [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5),
+                                    (1.0, 0.5, math.nan)])
+def test_a_nan_anywhere_in_a_fringe_gives_a_nan_visibility(values):
+    assert math.isnan(visibility(FringeSeries((0.0, 1.0, 2.0), values)).v)
+
+
 def _nd_variance(source, theta):
     return evaluate(source, MediumSpec(theta=theta), Geometry.COLLINEAR, ND_VAR)
 
@@ -319,6 +326,17 @@ def test_dominant_frequency_hierarchy():
     f_two = dominant_frequency(collinear(0.5, n_max=32), Geometry.COLLINEAR, TWO_PHOTON)
     f_four = dominant_frequency(noncollinear(0.5, n_max=8), Geometry.NONCOLLINEAR, PROJ_NON)
     assert (f_coh, f_two, f_four) == (1, 2, 4)
+
+
+def test_dominant_frequency_refuses_a_nan_fringe(monkeypatch):
+    def nan_apply_mor(state, medium, geometry):
+        out = apply_mor(state, medium, geometry)
+        return KetState(out.occupations, np.full_like(out.amplitudes, np.nan),
+                        out.truncation_tail)
+
+    monkeypatch.setattr(detection, "apply_mor", nan_apply_mor)
+    with pytest.raises(ValueError, match="not finite"):
+        dominant_frequency(collinear(0.5, n_max=32), Geometry.COLLINEAR, TWO_PHOTON)
 
 
 def _reference_dominant_frequency(source, geometry, obs):
@@ -415,6 +433,18 @@ def test_only_fock_and_medium_know_the_sector_blocks():
         attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
         assert "SectorLayout" not in names | attributes, path.name
         assert not {"buffer", "layout"} & attributes, path.name
+
+
+def test_no_module_binds_a_process_wide_cache():
+    # a top-level empty container is state that every caller shares for the life of
+    # the process, where no memory check sees it; a cache belongs to the object whose
+    # result it holds, and is freed with it
+    empty = {"{}", "[]", "set()", "dict()", "list()"}
+    for path in Path(detection.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+                assert not {ast.unparse(v) for v in values} & empty, f"{path.name}:{node.lineno}"
 
 
 def test_observables_independent_of_pump_phase():
@@ -564,7 +594,9 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
         built.append(spec.n_max)
         return build_state(spec)
 
-    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+    sizes = []
+    bases = fock._rotation_bases
+    monkeypatch.setattr(fock, "_rotation_bases", lambda n: sizes.extend(n) or bases(n))
     monkeypatch.setattr(detection, "_one_photon_probes",
                         functools.cache(detection._one_photon_probes.__wrapped__))
     monkeypatch.setattr(detection, "build_state", recorded)
@@ -574,7 +606,7 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
     assert deep.values == default.values
     # (1,1,1,1) lies in sector (2, 2): two pairs, read off one-photon probes
     assert built == [2, 2]
-    assert max(fock._ROT_BASIS_CACHE) == 1
+    assert max(sizes) == 1
 
     # (2,2,0,0) lies in sector (4, 0): two collinear pairs, not four
     built.clear()

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from math import comb, factorial
 
 import numpy as np
@@ -273,7 +275,7 @@ def test_rotation_basis_is_the_exact_eigenbasis(n):
     assert_reflection_symmetric(w)
 
 
-def test_rotation_bases_do_not_depend_on_request_order(monkeypatch):
+def test_rotation_bases_do_not_depend_on_request_order():
     sizes = [0, 1, 2, 5, 17, 40, 64, 65, 100, 128]
     requests = {
         "all_at_once": [sizes],
@@ -283,12 +285,12 @@ def test_rotation_bases_do_not_depend_on_request_order(monkeypatch):
     }
     built = {}
     for name, calls in requests.items():
-        monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
+        built[name] = {}
         for call in calls:
             for n, w in zip(call, fock._rotation_bases(call)):
                 assert w.shape == (n + 1, n + 1)
-        assert sorted(fock._ROT_BASIS_CACHE) == sizes
-        built[name] = {n: w.tobytes() for n, w in fock._ROT_BASIS_CACHE.items()}
+                built[name][n] = w.tobytes()
+        assert sorted(built[name]) == sizes
     assert all(bases == built["all_at_once"] for bases in built.values())
 
 
@@ -296,21 +298,31 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     # 129 sectors rotate rows of 1..257 entries: one pass of 256 recurrence steps
     steps = []
     step = fock._risbo_step
-    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
     monkeypatch.setattr(fock, "_risbo_step", lambda u, n: steps.append(n) or step(u, n))
     psi = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
-    out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
     assert steps == list(range(1, 257))
-    assert sorted(fock._ROT_BASIS_CACHE) == list(range(0, 257, 2))
-    apply_mor(out, MediumSpec(theta=0.7), Geometry.COLLINEAR)
+    assert [len(w_a) - 1 for w_a, _ in psi.layout.bases] == list(range(0, 257, 2))
+    apply_mor(psi, MediumSpec(theta=0.7), Geometry.COLLINEAR)
+    assert steps == list(range(1, 257))
+    # the bases live with the layout: a state with the same sectors makes its own pass
     apply_mor(build_state(SourceSpec(kind="collinear_pdc", r=0.4, n_max=128)),
               MediumSpec(theta=0.3), Geometry.COLLINEAR)
-    assert steps == list(range(1, 257))
+    assert steps == 2 * list(range(1, 257))
 
 
-def test_rotation_bases_match_the_reference_recurrence_bit_for_bit(monkeypatch):
+def test_a_states_rotation_bases_are_freed_with_it():
+    psi = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
+    out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    largest = weakref.ref(max((w_a for w_a, _ in psi.layout.bases), key=len))
+    assert len(largest()) == 257
+    del psi, out
+    gc.collect()
+    assert largest() is None
+
+
+def test_rotation_bases_match_the_reference_recurrence_bit_for_bit():
     # one pass of the engine's recurrence against the reference's, step by step
-    monkeypatch.setattr(fock, "_ROT_BASIS_CACHE", {})
     built = fock._rotation_bases(range(301))
     for n, (w, ref) in enumerate(zip(built, reference_rotation_bases(300))):
         assert w.tobytes() == ref.tobytes(), n
@@ -424,6 +436,38 @@ def test_grams_match_the_loop_references_bit_for_bit(state, size):
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_grams_of_edge_and_source_states(state, size):
     check_grams(state, size)
+
+
+@pytest.mark.parametrize("spec, nonzero", [
+    (SourceSpec(kind="collinear_pdc", r=1.3, phi=0.3, n_max=128), 2),
+    (SourceSpec(kind="collinear_pdc", r=0.5, n_max=48), 2),
+    (SourceSpec(kind="noncollinear_pdc", r=0.9, n_max=30), 4),
+    (SourceSpec(kind="noncollinear_pdc", r=0.3, n_max=8), 4),
+])
+def test_sparse_centring_keeps_every_bit_of_the_dense_centring(spec, nonzero):
+    # the kernel skips the 14 (collinear) or 12 (non-collinear) zero E_ij; the
+    # reference adds -E_ij psi for all 16
+    state = build_state(spec)
+    expectations = fock.lowered_gram(state, 1)
+    assert np.count_nonzero(expectations) == nonzero
+    assert np.array_equal(fock.centred_bilinear_gram(state, expectations),
+                          reference_centred_bilinear_gram(state, expectations))
+
+
+def test_centring_counts_only_the_nonzero_expectations_against_the_budget(monkeypatch):
+    # collinear light has 2 nonzero E_ij, so the centring adds 2k sparse entries, not 16k
+    state = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
+    expectations = fock.lowered_gram(state, 1)
+    assert np.count_nonzero(expectations) == 2
+    k = len(state.amplitudes)
+    moved = 8 * (k - 1)  # a_i^dag a_j with j in beam a, on every amplitude but the vacuum
+    needed = (state.occupations.nbytes + state.amplitudes.nbytes
+              + fock.GRAM_BYTES_PER_ENTRY * (moved + 2 * k))
+    monkeypatch.setattr(fock, "MEMORY_BUDGET_BYTES", needed)
+    fock.centred_bilinear_gram(state, expectations)
+    monkeypatch.setattr(fock, "MEMORY_BUDGET_BYTES", needed - 1)
+    with pytest.raises(ValueError, match="GiB budget"):
+        fock.centred_bilinear_gram(state, expectations)
 
 
 def test_gram_keys_whose_mode_bounds_multiply_past_64_bits_are_refused():

@@ -173,9 +173,8 @@ def test_a_nan_channel_fails_every_check_that_reads_it(monkeypatch):
     results = run_all(apply_mor_fn=nan_apply_mor)
     assert len(results) == 17
     assert {r.name for r in results if r.passed} == CHANNEL_FREE_CHECKS
-    # the 1:2:4 check counts mismatched frequencies, and a count is never NaN
     assert {r.name for r in results if math.isnan(r.max_error)} \
-        == {r.name for r in results} - CHANNEL_FREE_CHECKS - {"fringe_frequency_factor_of_four"}
+        == {r.name for r in results} - CHANNEL_FREE_CHECKS
 
 
 def test_mutated_channel_still_norm_preserving():
