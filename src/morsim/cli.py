@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import operator
 import re
 import sys
 
@@ -124,7 +125,16 @@ def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace,
         raise ValueError(f"{name} grid bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"{name} grid needs min < max, got [{lo}, {hi}]")
-    return spacing(lo, hi, points)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name} grid span max - min overflows, got [{lo}, {hi}]")
+    # the last step toward a bound near the largest float may overflow; the
+    # spacings then put the bound itself there
+    with np.errstate(over="ignore"):
+        grid = spacing(lo, hi, points)
+    # neighbouring bounds leave the points no room: the spacing repeats one
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise ValueError(f"{name} grid must be strictly increasing")
+    return grid
 
 
 def _warn_if_truncation_misses(sources, obs: ObservableSpec) -> None:
@@ -250,9 +260,10 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    mean_n = _grid(args.mean_n_min, args.mean_n_max, args.points, "mean_n", np.geomspace)
+    # before the grid: a geometric grid cannot reach or cross 0
     if args.mean_n_min <= 1.0:
         raise ValueError("sensitivity sweep needs mean photon numbers above 1")
+    mean_n = _grid(args.mean_n_min, args.mean_n_max, args.points, "mean_n", np.geomspace)
     theta_m, slope = sensitivity_curve(SOURCE_NAMES[args.source], mean_n)
     _write_csv(args.out, "mean_n,theta_m", zip(mean_n, theta_m),
                comments=[f"# loglog_slope={_fmt(slope)}"])

@@ -189,7 +189,7 @@ def _one_photon_probes(geometry: Geometry) -> tuple[KetState, KetState]:
                  for m in modes)
 
 
-def _one_photon_matrices(channel, media, geometry: Geometry) -> np.ndarray:
+def _one_photon_matrices(media, geometry: Geometry) -> np.ndarray:
     """The (len(media), 4, 4) stack of T with U^dag a_k U = sum_i T[k, i] a_i, one per
     medium: T[k, i] = <1_k|U|1_i>, read off the channel's images of the one-photon
     probes, each amplitude by the mode its occupation holds.  Each medium, in order,
@@ -198,7 +198,7 @@ def _one_photon_matrices(channel, media, geometry: Geometry) -> np.ndarray:
     probes = _one_photon_probes(geometry)
     for t, medium in zip(ts, media):
         for j, probe in enumerate(probes):
-            image = channel(probe, medium, geometry)
+            image = apply_mor(probe, medium, geometry)
             modes = image.occupations.argmax(axis=0)
             t[modes, modes & 2 | j] = image.amplitudes
     return ts
@@ -252,7 +252,7 @@ def _read(state: KetState, observables, ts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sample(sources, geometry: Geometry, observables, media, channel=None) -> np.ndarray:
+def _sample(sources, geometry: Geometry, observables, media) -> np.ndarray:
     """(len(sources), len(media), len(observables)): the observables on each source,
     all of one geometry, passed through each medium.
 
@@ -261,7 +261,7 @@ def _sample(sources, geometry: Geometry, observables, media, channel=None) -> np
     target's depth, so they are exact at any r.  The channel's one-photon matrices are
     then read once per medium, in order, and serve every PDC source, and ``_read``
     evaluates every observable over the whole stack in one vectorised pass.
-    ``channel`` defaults to the ``apply_mor`` this module holds at the call."""
+    Tests substitute the channel at ``apply_mor``, which every read looks up at the call."""
     only_projections = all(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION
                            for obs in observables)
     states = []
@@ -271,7 +271,7 @@ def _sample(sources, geometry: Geometry, observables, media, channel=None) -> np
             source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
         states.append(build_state(source) if source.is_pdc else None)
     if any(state is not None for state in states):
-        ts = _one_photon_matrices(apply_mor if channel is None else channel, media, geometry)
+        ts = _one_photon_matrices(media, geometry)
     thetas = [medium.theta for medium in media]
     return np.stack([
         np.array([closed_form_scan(source, thetas, obs).values for obs in observables]).T
@@ -424,4 +424,7 @@ def sensitivity_curve(kind, mean_n) -> tuple[list[float], float]:
         else:
             source = SourceSpec(kind=kind, r=math.asinh(math.sqrt(n / 2.0)))
         theta_m.append(min_detectable_angle(source))
-    return theta_m, float(np.polyfit(np.log(mean_n), np.log(theta_m), 1)[0])
+    coefficients, _, rank, _, _ = np.polyfit(np.log(mean_n), np.log(theta_m), 1, full=True)
+    if rank < 2:
+        raise ValueError("the mean photon numbers lie too close together to fit a log-log slope")
+    return theta_m, float(coefficients[0])

@@ -59,6 +59,10 @@ class SourceSpec:
         for name in ("alpha", "r", "phi", "epsilon"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # |alpha|^2 as a product, which overflows to inf where ** raises
+        size = abs(self.alpha)
+        if self.kind is SourceKind.COHERENT and not math.isfinite(size * size):
+            raise ValueError(f"alpha must have |alpha|^2 below the largest float, got {self.alpha}")
         if self.r < 0:
             raise ValueError("interaction parameter r must be nonnegative")
         if self.n_max is not None and self.n_max < 1:

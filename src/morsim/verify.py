@@ -9,8 +9,8 @@ error.  A check passes iff the max_error it prints is at most the tolerance it
 prints; its errors reduce through one maximum in which NaN wins, so NaN fails.
 A check that reads several sources in one geometry reads the channel's
 one-photon matrices once per angle for all of them, and compares whole arrays.
-The channel implementation is injectable so that tests can demonstrate the
-suite actually catches a miswired medium.
+Tests substitute the channel at ``detection.apply_mor``, which every read looks
+up at the call, to show that the suite catches a miswired medium.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracles
+from . import detection, oracles
 from .detection import (
     ObservableKind,
     ObservableSpec,
@@ -32,7 +32,7 @@ from .detection import (
     visibility,
 )
 from .fock import Mode, make_basis_state
-from .medium import Geometry, MediumSpec, apply_mor
+from .medium import Geometry, MediumSpec
 from .sources import SourceKind, SourceSpec, build_state
 
 COLLINEAR, NONCOLLINEAR = SourceKind.COLLINEAR_PDC, SourceKind.NONCOLLINEAR_PDC
@@ -79,7 +79,7 @@ def _tolerance_ratio(engine, reference, rel: float = REL_TOL):
     return np.abs(np.subtract(engine, reference)) / np.maximum(ABS_TOL, rel * np.abs(reference))
 
 
-def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
+def check_oracle_equivalence() -> list[CheckResult]:
     """Every ORACLE_ROWS observable on the engine against its closed form, on 33
     angles per interaction strength; the channel is read once per angle for each
     source kind, and serves all of its strengths and rows."""
@@ -93,7 +93,7 @@ def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
         # four-photon sector n_max = 2 holds exactly
         sources = [SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
                    for r in ORACLE_R_VALUES]
-        engine = _sample(sources, geometry, [row[2] for row in rows], media, apply_mor_fn)
+        engine = _sample(sources, geometry, [row[2] for row in rows], media)
         for source, values in zip(sources, engine):
             for (name, _, obs, rel), column in zip(rows, values.T):
                 exact = closed_form_scan(source, thetas, obs).values
@@ -106,14 +106,14 @@ def check_oracle_equivalence(apply_mor_fn=apply_mor) -> list[CheckResult]:
     ]
 
 
-def check_two_photon_closed_form(apply_mor_fn=apply_mor) -> CheckResult:
+def check_two_photon_closed_form() -> CheckResult:
     """Evolved |1,1> pair against the closed two-photon solution after
     removing the global phase."""
     pair_in = make_basis_state((1, 1, 0, 0))
     errors = []
     for theta in map(float, np.linspace(0.0, 2.0 * math.pi, 100)):
-        out = apply_mor_fn(pair_in, MediumSpec(theta=theta, theta_plus=0.37),
-                           Geometry.COLLINEAR)
+        out = detection.apply_mor(pair_in, MediumSpec(theta=theta, theta_plus=0.37),
+                                  Geometry.COLLINEAR)
         got = [out.amplitude((2, 0, 0, 0)), out.amplitude((0, 2, 0, 0)),
                out.amplitude((1, 1, 0, 0))]
         expected = oracles.two_photon_pair_amplitudes(theta)
@@ -196,7 +196,7 @@ def check_sensitivity_scaling() -> list[CheckResult]:
     ]
 
 
-def check_glauber_vs_projection(apply_mor_fn=apply_mor) -> list[CheckResult]:
+def check_glauber_vs_projection() -> list[CheckResult]:
     """Four-photon counting dominates the post-selected projection, and the
     two coincide at weak pumping; both are read off one reading of the channel
     per angle, which serves every strength."""
@@ -205,7 +205,7 @@ def check_glauber_vs_projection(apply_mor_fn=apply_mor) -> list[CheckResult]:
     sources = [SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
                for r in (0.01, 0.1, 0.5, 1.0, 1.3)]
     glauber, proj = _sample(sources, Geometry.COLLINEAR, (GLAUBER, PROJECTION[COLLINEAR]),
-                            media, apply_mor_fn).transpose(2, 0, 1)
+                            media).transpose(2, 0, 1)
     # the gap is signed: a negative one is no error, so the floor is 0
     worst_gap = _worst(0.0, 4.0 * proj - glauber)
     # the ratio is 0/0 where (3 cos^2 theta - 1) vanishes; stay clear of it, at r = 0.01
@@ -219,7 +219,7 @@ def check_glauber_vs_projection(apply_mor_fn=apply_mor) -> list[CheckResult]:
     ]
 
 
-def check_normalization_and_invariance(apply_mor_fn=apply_mor) -> list[CheckResult]:
+def check_normalization_and_invariance() -> list[CheckResult]:
     """Source norm + tail = 1, channel unitarity, and invariance of the
     observables under the global phase angle and the pump phase."""
     # the pump phase enters the collinear amplitudes only
@@ -235,18 +235,17 @@ def check_normalization_and_invariance(apply_mor_fn=apply_mor) -> list[CheckResu
         (build_state(SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=10)), Geometry.NONCOLLINEAR),
         (make_basis_state((1, 1, 1, 1)), Geometry.NONCOLLINEAR),
     ):
-        out = apply_mor_fn(state, MediumSpec(theta=0.9, theta_plus=0.5), geometry)
+        out = detection.apply_mor(state, MediumSpec(theta=0.9, theta_plus=0.5), geometry)
         drifts.append(abs((out.norm_squared() + out.truncation_tail)
                           - (state.norm_squared() + state.truncation_tail)))
 
     # each run varies only theta_plus, or only the pump phase: one row per run entry
     runs = (_sample([SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)], Geometry.NONCOLLINEAR,
                     (TWO_PHOTON, GLAUBER, PROJECTION[NONCOLLINEAR]),
-                    [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)],
-                    apply_mor_fn)[0],
+                    [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)])[0],
             _sample([SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48) for phi in (0.0, 1.3)],
                     Geometry.COLLINEAR, (TWO_PHOTON, GLAUBER, PROJECTION[COLLINEAR]),
-                    [MediumSpec(theta=0.8)], apply_mor_fn)[:, 0])
+                    [MediumSpec(theta=0.8)])[:, 0])
     worst_phase = _worst(*(np.abs(run[1:] - run[0]) for run in runs))
 
     return [
@@ -259,13 +258,13 @@ def check_normalization_and_invariance(apply_mor_fn=apply_mor) -> list[CheckResu
     ]
 
 
-def run_all(apply_mor_fn=apply_mor) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     results = []
-    results.extend(check_oracle_equivalence(apply_mor_fn))
-    results.append(check_two_photon_closed_form(apply_mor_fn))
+    results.extend(check_oracle_equivalence())
+    results.append(check_two_photon_closed_form())
     results.append(check_fringe_frequencies())
     results.extend(check_visibility_curve())
     results.extend(check_sensitivity_scaling())
-    results.extend(check_glauber_vs_projection(apply_mor_fn))
-    results.extend(check_normalization_and_invariance(apply_mor_fn))
+    results.extend(check_glauber_vs_projection())
+    results.extend(check_normalization_and_invariance())
     return results

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import morsim
 from morsim import (
@@ -690,3 +693,58 @@ def test_stdout_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "theta,value"
     assert len(lines) == 4
+
+
+# each sweep: its command, the options of its two bounds, and the options it runs with
+SWEEPS = (
+    ("fringe", "--theta-min", "--theta-max", ()),
+    ("visibility", "--r-min", "--r-max", ("--mode", "exact", "--theta-points", "3")),
+    ("envelope", "--r-min", "--r-max", ("--mode", "exact")),
+    ("sensitivity", "--mean-n-min", "--mean-n-max", ()),
+)
+FRINGE, VISIBILITY, ENVELOPE, SENSITIVITY = SWEEPS
+# bounds whose span overflows, the smallest subnormal, and neighbouring floats
+EDGE_BOUNDS = (-1e308, 1e308, 5e-324, 1.0, 1.0000000000000002, 2.0, 2.0000000000000004)
+
+
+def _csv_values(out: str) -> list[float]:
+    """Every number a sweep printed: its rows, and the key=value pairs of its comments."""
+    values = []
+    for line in out.splitlines()[1:]:
+        fields = line[1:].split(",") if line.startswith("#") else line.split(",")
+        values.extend(float(field.rpartition("=")[2]) for field in fields)
+    return values
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SWEEPS),
+       st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_BOUNDS),
+       st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_BOUNDS),
+       st.integers(2, 6))
+@example(FRINGE, -1e308, 1e308, 3)
+@example(FRINGE[:3] + (("--mode", "exact"),), -1e308, 1e308, 3)
+@example(VISIBILITY, -1e308, 1e308, 3)
+@example(ENVELOPE, -1e308, 1e308, 3)
+@example(ENVELOPE, 1.0, 1.0000000000000002, 3)
+@example(VISIBILITY, 1.0, 1.0000000000000002, 3)
+@example(SENSITIVITY, 2.0, 2.0000000000000004, 3)
+@example(SENSITIVITY, 2.0, 2.0000000000000004, 2)
+@example(FRINGE[:3] + (("--source", "coherent", "--alpha", "1e200", "--observable",
+                        "intensity"),), 0.0, 2.0 * math.pi, 3)
+@example(FRINGE[:3] + (("--source", "coherent", "--alpha", "1.5e154", "--observable",
+                        "nd-variance"),), 0.0, 2.0 * math.pi, 3)
+def test_sweep_bounds_print_finite_csv_or_one_error_line(capsys, sweep, lo, hi, points):
+    command, lo_option, hi_option, options = sweep
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        # a warning that escapes the sweep fails it
+        warnings.simplefilter("error")
+        code = run_cli(command, *options, lo_option, repr(lo), hi_option, repr(hi),
+                       "--points", str(points))
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and all(map(math.isfinite, _csv_values(out)))
+    else:
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

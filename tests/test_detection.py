@@ -673,7 +673,7 @@ def normalized_superpositions(draw, geometry):
 def _reference_and_heisenberg(state, geometry, media, transform=lambda t: t):
     """Per medium, every observable read off the evolved state and in the Heisenberg
     picture from the channel's one-photon matrix, passed through ``transform`` first."""
-    ts = detection._one_photon_matrices(apply_mor, media, geometry)
+    ts = detection._one_photon_matrices(media, geometry)
     reference = [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
                  for medium in media]
     heisenberg = detection._read(state, EVERY_OBSERVABLE, np.array([transform(t) for t in ts]))

@@ -40,7 +40,8 @@ def test_mutated_b_rotation_is_caught_by_projection_oracle(monkeypatch):
     import morsim.verify as verify_mod
 
     monkeypatch.setattr(verify_mod, "ORACLE_R_VALUES", (0.5,))
-    results = {r.name: r for r in check_oracle_equivalence(broken_apply_mor)}
+    monkeypatch.setattr(detection, "apply_mor", broken_apply_mor)
+    results = {r.name: r for r in check_oracle_equivalence()}
     assert not results["oracle_noncollinear_projection"].passed
     # the sign error does not touch the single-beam observables
     assert results["oracle_two_photon_coincidence"].passed
@@ -112,7 +113,7 @@ def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
                      for n_max in (128, 2))
     media = [MediumSpec(theta=float(theta)) for theta in np.linspace(0.0, 2.0 * math.pi, 25)]
     engine = detection._sample([source], Geometry.COLLINEAR, [verify.PROJECTION[verify.COLLINEAR]],
-                               media, apply_mor)[0]
+                               media)[0]
     reference = []
     for medium in media:
         reference.append(measure(apply_mor(deep, medium, Geometry.COLLINEAR),
@@ -125,16 +126,14 @@ def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
 
 def test_run_all_reads_each_probe_once_per_check(monkeypatch):
     # a check reads the channel once per (geometry, theta, theta_plus) for all of its
-    # sources; counted through the channel it is given and the one detection holds
+    # sources; counted through the one channel detection holds
     calls = []
     running = [None]
 
-    def channel(via):
-        def counted(state, medium, geometry):
-            calls.append((running[0], via, Geometry(geometry), medium.theta, medium.theta_plus,
-                          state.occupations.tobytes()))
-            return apply_mor(state, medium, geometry)
-        return counted
+    def counted(state, medium, geometry):
+        calls.append((running[0], Geometry(geometry), medium.theta, medium.theta_plus,
+                      state.occupations.tobytes()))
+        return apply_mor(state, medium, geometry)
 
     for name, check in list(vars(verify).items()):
         if name.startswith("check_"):
@@ -142,15 +141,17 @@ def test_run_all_reads_each_probe_once_per_check(monkeypatch):
                 running[0] = _name
                 return _check(*args, **kwargs)
             monkeypatch.setattr(verify, name, labelled)
-    monkeypatch.setattr(detection, "apply_mor", channel("detection"))
-    assert all(r.passed for r in run_all(apply_mor_fn=channel("argument")))
+    monkeypatch.setattr(detection, "apply_mor", counted)
+    assert all(r.passed for r in run_all())
     # 891 when each source read its own one-photon matrices
     assert len(calls) <= 359
-    given = [call for call in calls if call[1] == "argument"]
-    assert {call[0] for call in given} == {
-        "check_oracle_equivalence", "check_two_photon_closed_form",
-        "check_glauber_vs_projection", "check_normalization_and_invariance"}
-    assert len(set(given)) == len(given)
+    assert {call[0] for call in calls} == {
+        "check_oracle_equivalence", "check_two_photon_closed_form", "check_fringe_frequencies",
+        "check_visibility_curve", "check_glauber_vs_projection",
+        "check_normalization_and_invariance"}
+    # every other check reads each probe at each medium once
+    others = [call for call in calls if call[0] != "check_visibility_curve"]
+    assert len(set(others)) == len(others)
     # the visibility check scans each engine fringe through fringe_scan, the CLI's
     # path: its six nodes once per source
     scanned = [call for call in calls if call[0] == "check_visibility_curve"]
@@ -170,16 +171,17 @@ def test_a_nan_channel_fails_every_check_that_reads_it(monkeypatch):
                         out.truncation_tail)
 
     monkeypatch.setattr(detection, "apply_mor", nan_apply_mor)
-    results = run_all(apply_mor_fn=nan_apply_mor)
+    results = run_all()
     assert len(results) == 17
     assert {r.name for r in results if r.passed} == CHANNEL_FREE_CHECKS
     assert {r.name for r in results if math.isnan(r.max_error)} \
         == {r.name for r in results} - CHANNEL_FREE_CHECKS
 
 
-def test_mutated_channel_still_norm_preserving():
+def test_mutated_channel_still_norm_preserving(monkeypatch):
     # the mutation is a perfectly valid unitary, so only oracle checks see it
-    results = check_normalization_and_invariance(broken_apply_mor)
+    monkeypatch.setattr(detection, "apply_mor", broken_apply_mor)
+    results = check_normalization_and_invariance()
     by_name = {r.name: r for r in results}
     assert by_name["channel_norm_preservation"].passed
 
