@@ -18,7 +18,7 @@ from .fock import (
     Mode,
     make_basis_state,
 )
-from .medium import Geometry, MediumSpec, apply_mor
+from .medium import MediumSpec, apply_mor
 from .sources import (
     SourceKind,
     SourceSpec,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FringeSeries",
-    "Geometry",
     "KetState",
     "MediumSpec",
     "Mode",

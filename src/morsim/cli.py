@@ -21,15 +21,14 @@ from .detection import (
     ObservableKind,
     ObservableSpec,
     _projection_depth,
-    check_pairing,
     closed_form_scan,
     evaluate,
     fringe_scan,
     sensitivity_curve,
     visibility,
 )
-from .fock import Mode
-from .medium import Geometry, MediumSpec
+from .fock import Mode, Occupation
+from .medium import MediumSpec
 from .sources import SourceKind, SourceSpec, truncation_bound
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -90,12 +89,9 @@ def _source_from_args(args) -> SourceSpec:
     return SourceSpec(kind=kind, alpha=complex(args.alpha), r=args.r, phi=args.phi, **kwargs)
 
 
-def _geometry_from_args(args, source: SourceSpec) -> Geometry:
-    if args.geometry is not None:
-        return Geometry(args.geometry)
-    if source.kind is SourceKind.NONCOLLINEAR_PDC:
-        return Geometry.NONCOLLINEAR
-    return Geometry.COLLINEAR
+def _default_target(kind: SourceKind) -> Occupation:
+    """The projection target of the source's four-photon closed form."""
+    return (1, 1, 1, 1) if kind is SourceKind.NONCOLLINEAR_PDC else (2, 2, 0, 0)
 
 
 def _observable_from_args(args, source: SourceSpec) -> ObservableSpec:
@@ -109,10 +105,8 @@ def _observable_from_args(args, source: SourceSpec) -> ObservableSpec:
             except ValueError:
                 raise ValueError(f"cannot parse projection target {args.target!r}; "
                                  "expected e.g. 1,1,1,1") from None
-        elif source.kind is SourceKind.NONCOLLINEAR_PDC:
-            target = (1, 1, 1, 1)
         else:
-            target = (2, 2, 0, 0)
+            target = _default_target(source.kind)
         return ObservableSpec(kind=kind, target=target)
     return ObservableSpec(kind=kind)
 
@@ -162,7 +156,6 @@ def _warn_if_truncation_misses(sources, obs: ObservableSpec) -> None:
 
 def cmd_fringe(args) -> int:
     source = _source_from_args(args)
-    geometry = check_pairing(source, _geometry_from_args(args, source))
     obs = _observable_from_args(args, source)
     thetas = _grid(args.theta_min, args.theta_max, args.points, "theta")
     # closed forms ignore theta_plus, but a non-finite one is still bad input
@@ -170,8 +163,7 @@ def cmd_fringe(args) -> int:
 
     columns = [thetas]
     if args.mode in ("numeric", "both"):
-        columns.append(fringe_scan(source, thetas, geometry, obs,
-                                   theta_plus=args.theta_plus).values)
+        columns.append(fringe_scan(source, thetas, obs, theta_plus=args.theta_plus).values)
     if args.mode in ("exact", "both"):
         columns.append(closed_form_scan(source, thetas, obs).values)
     header = "theta,value,value_exact" if args.mode == "both" else "theta,value"
@@ -195,7 +187,7 @@ def cmd_visibility(args) -> int:
         if args.mode == "exact":
             series = closed_form_scan(source, thetas, obs)
         else:
-            series = fringe_scan(source, thetas, Geometry.COLLINEAR, obs)
+            series = fringe_scan(source, thetas, obs)
         rows.append((source.r, visibility(series).v))
     if args.mode != "exact":
         _warn_if_truncation_misses(sources, obs)
@@ -226,12 +218,9 @@ def cmd_envelope(args) -> int:
     r_grid = _grid(args.r_min, args.r_max, args.points, "r")
     if args.r_min < 0:
         raise ValueError("envelope sweep needs r >= 0")
-    geometry = Geometry(args.geometry)
-    if geometry is Geometry.NONCOLLINEAR:
-        target, kind = (1, 1, 1, 1), SourceKind.NONCOLLINEAR_PDC
-    else:
-        target, kind = (2, 2, 0, 0), SourceKind.COLLINEAR_PDC
-    obs = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target)
+    # the geometry names its source, and with it the target
+    kind = SOURCE_NAMES[args.geometry]
+    obs = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=_default_target(kind))
 
     def value_at(r: float) -> float:
         source = SourceSpec(kind=kind, r=r)
@@ -239,7 +228,7 @@ def cmd_envelope(args) -> int:
             return closed_form_scan(source, (0.0,), obs).values[0]
         # the projection only sees the four-photon sector, so this is exact
         # at any r without a deep truncation
-        return evaluate(source, MediumSpec(theta=0.0), geometry, obs)
+        return evaluate(source, MediumSpec(theta=0.0), obs)
 
     values = [value_at(float(r)) for r in r_grid]
     if not any(values):
@@ -304,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fringe = sub.add_parser("fringe", help="observable vs rotation angle", parents=[])
     _add_source_flags(fringe)
-    fringe.add_argument("--geometry", choices=[g.value for g in Geometry], default=None,
-                        help="medium geometry; default inferred from the source")
     fringe.add_argument("--observable", choices=sorted(OBSERVABLE_NAMES),
                         default="two-photon")
     fringe.add_argument("--intensity-mode", choices=sorted(MODE_NAMES), default="aH",
@@ -335,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     vis.set_defaults(func=cmd_visibility)
 
     env = sub.add_parser("envelope", help="four-photon probability envelope vs r")
-    env.add_argument("--geometry", choices=[g.value for g in Geometry],
+    env.add_argument("--geometry", choices=["collinear", "noncollinear"],
                      default="noncollinear")
     env.add_argument("--r-min", type=float, default=0.0)
     env.add_argument("--r-max", type=float, default=3.0)

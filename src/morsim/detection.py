@@ -42,7 +42,7 @@ from .fock import (
     lowered_gram,
     vacuum_overlaps,
 )
-from .medium import Geometry, MediumSpec, apply_mor
+from .medium import MediumSpec, apply_mor
 from .sources import (
     SourceKind,
     SourceSpec,
@@ -158,47 +158,32 @@ def _projection_depth(kind: SourceKind, target: Occupation) -> int:
     return max(n_a // 2 if kind is SourceKind.COLLINEAR_PDC else max(n_a, n_b), 1)
 
 
-def check_pairing(source: SourceSpec, geometry) -> Geometry:
-    """Reject a source that cannot pass through the geometry.
-
-    Coherent light is modelled in the a beam only, and the non-collinear
-    source fills the counter-propagating b beam, so each needs its own
-    geometry; collinear PDC leaves the b beam empty and fits either.
-    """
-    geometry = Geometry(geometry)
-    if source.kind is SourceKind.COHERENT and geometry is not Geometry.COLLINEAR:
-        raise ValueError("coherent sources use the collinear geometry")
-    if source.kind is SourceKind.NONCOLLINEAR_PDC and geometry is not Geometry.NONCOLLINEAR:
-        raise ValueError("noncollinear PDC sources use the noncollinear geometry")
-    return geometry
-
-
-def evaluate(source: SourceSpec, medium: MediumSpec, geometry, obs: ObservableSpec) -> float:
+def evaluate(source: SourceSpec, medium: MediumSpec, obs: ObservableSpec) -> float:
     """One observable value for a source evolved through the medium: what fringe_scan
     samples, at one medium."""
-    return float(_sample([source], check_pairing(source, geometry), [obs], [medium])[0, 0, 0])
+    return float(_sample([source], [obs], [medium])[0, 0, 0])
 
 
 @cache
-def _one_photon_probes(geometry: Geometry) -> tuple[KetState, KetState]:
-    """Probe j holds one photon in mode j of beam a and, in the non-collinear
-    geometry, one in mode j of beam b, so that the channel's image of probe j
-    holds column j of T on beam a and column j + 2 on beam b."""
-    modes = [[0], [1]] if geometry is Geometry.COLLINEAR else [[0, 2], [1, 3]]
-    return tuple(KetState(np.eye(4, dtype=np.int64)[:, m], np.ones(len(m), dtype=complex))
-                 for m in modes)
+def _one_photon_probes() -> tuple[KetState, KetState]:
+    """Probe j holds one photon in mode j of beam a and one in mode j of beam b,
+    so that the channel's image of probe j holds column j of T on beam a and
+    column j + 2 on beam b.  The pair serves every source: where a source leaves
+    the b beam empty, T's b block meets only zero Gram entries."""
+    return tuple(KetState(np.eye(4, dtype=np.int64)[:, [j, j + 2]], np.ones(2, dtype=complex))
+                 for j in (0, 1))
 
 
-def _one_photon_matrices(media, geometry: Geometry) -> np.ndarray:
+def _one_photon_matrices(media) -> np.ndarray:
     """The (len(media), 4, 4) stack of T with U^dag a_k U = sum_i T[k, i] a_i, one per
     medium: T[k, i] = <1_k|U|1_i>, read off the channel's images of the one-photon
     probes, each amplitude by the mode its occupation holds.  Each medium, in order,
-    costs one channel call per probe.  The collinear geometry leaves the b beam alone."""
-    ts = np.tile(np.eye(4, dtype=complex), (len(media), 1, 1))
-    probes = _one_photon_probes(geometry)
+    costs one channel call per probe."""
+    ts = np.zeros((len(media), 4, 4), dtype=complex)
+    probes = _one_photon_probes()
     for t, medium in zip(ts, media):
         for j, probe in enumerate(probes):
-            image = apply_mor(probe, medium, geometry)
+            image = apply_mor(probe, medium)
             modes = image.occupations.argmax(axis=0)
             t[modes, modes & 2 | j] = image.amplitudes
     return ts
@@ -252,9 +237,9 @@ def _read(state: KetState, observables, ts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sample(sources, geometry: Geometry, observables, media) -> np.ndarray:
-    """(len(sources), len(media), len(observables)): the observables on each source,
-    all of one geometry, passed through each medium.
+def _sample(sources, observables, media) -> np.ndarray:
+    """(len(sources), len(media), len(observables)): the observables on each source
+    passed through each medium.
 
     Coherent light is read off its closed forms, one call per observable.  Each PDC
     source's state is built once; projections alone build it only to the deepest
@@ -271,7 +256,7 @@ def _sample(sources, geometry: Geometry, observables, media) -> np.ndarray:
             source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
         states.append(build_state(source) if source.is_pdc else None)
     if any(state is not None for state in states):
-        ts = _one_photon_matrices(media, geometry)
+        ts = _one_photon_matrices(media)
     thetas = [medium.theta for medium in media]
     return np.stack([
         np.array([closed_form_scan(source, thetas, obs).values for obs in observables]).T
@@ -301,7 +286,7 @@ def _finite_grid(thetas, theta_plus: float) -> tuple[float, ...]:
     return grid
 
 
-def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
+def fringe_scan(source: SourceSpec, thetas, obs: ObservableSpec,
                 theta_plus: float = 0.0) -> FringeSeries:
     """Evaluate an observable over a theta grid.
 
@@ -320,7 +305,6 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     Shorter grids are evaluated point by point.  Either way ``_sample`` is
     called once.
     """
-    geometry = check_pairing(source, geometry)
     grid = _finite_grid(thetas, theta_plus)
     if not grid:
         # refused by FringeSeries, before any sample
@@ -329,7 +313,7 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
     nodes = _nodes(degree)
     direct = source.kind is SourceKind.COHERENT or len(grid) <= len(nodes)
     media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in (grid if direct else nodes)]
-    samples = _sample([source], geometry, [obs], media)[0, :, 0]
+    samples = _sample([source], [obs], media)[0, :, 0]
     if direct:
         return FringeSeries(theta_grid=grid, values=samples)
     coefficients = _fourier(samples, degree)
@@ -340,17 +324,16 @@ def fringe_scan(source: SourceSpec, thetas, geometry, obs: ObservableSpec,
                         values=tuple(at_node.get(t, v) for t, v in zip(grid, values.tolist())))
 
 
-def dominant_frequency(source: SourceSpec, geometry, obs: ObservableSpec) -> int:
+def dominant_frequency(source: SourceSpec, obs: ObservableSpec) -> int:
     """Dominant integer frequency (cycles per 2 pi) of the observable's fringe:
     the harmonic m >= 1 with the largest exact Fourier coefficient |c_m|, or 0
     for a fringe that does not oscillate, where no |c_m| with m >= 1 exceeds
     1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
     The global phase theta_plus does not move the spectrum.  Raises ValueError
     where a coefficient is not finite."""
-    geometry = check_pairing(source, geometry)
     degree = _fringe_degree(obs)
     media = [MediumSpec(theta=t) for t in _nodes(degree)]
-    magnitudes = np.abs(_fourier(_sample([source], geometry, [obs], media)[0, :, 0], degree))
+    magnitudes = np.abs(_fourier(_sample([source], [obs], media)[0, :, 0], degree))
     if not np.isfinite(magnitudes).all():
         raise ValueError("the fringe's Fourier coefficients are not finite")
     if magnitudes[1:].max() <= 1e-13 * magnitudes.max():

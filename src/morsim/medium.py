@@ -2,25 +2,20 @@
 
 The medium is parameterized directly by the rotation angle theta and the
 global phase angle theta_plus (derivable from susceptibilities chi_+/- and
-the geometric factor k*l); the evolution time never appears.  In the
-non-collinear geometry the b beam counter-propagates and sees the opposite
-sign of both angles.
+the geometric factor k*l); the evolution time never appears.  The b beam
+counter-propagates and sees the opposite sign of both angles.  The source
+decides the geometry: collinear PDC leaves the b beam empty, non-collinear PDC
+fills it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .fock import KetState, rotate_sectors
-
-
-class Geometry(str, Enum):
-    COLLINEAR = "collinear"
-    NONCOLLINEAR = "noncollinear"
 
 
 @dataclass(frozen=True)
@@ -36,22 +31,19 @@ class MediumSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-def apply_mor(state: KetState, medium: MediumSpec, geometry) -> KetState:
+def apply_mor(state: KetState, medium: MediumSpec) -> KetState:
     """Evolve a state through the medium.
 
     Rotates the aH/aV pair by e^{i theta_plus} e^{i theta/2} R(theta/2),
     R(x) = [[cos x, -sin x], [sin x, cos x]] acting on the creation
-    operators; in the non-collinear geometry additionally rotates the bH/bV
-    pair by (-theta, -theta_plus).  Photon numbers are conserved per spatial
-    pair: in each (n_a, n_b) sector's J_y eigenbasis the channel is one phase
-    per entry (``SectorLayout.phases``), applied to the state's cached
+    operators, and the counter-propagating bH/bV pair by (-theta,
+    -theta_plus); a state with an empty b beam sees the a rotation alone.
+    Photon numbers are conserved per spatial pair: in each (n_a, n_b)
+    sector's J_y eigenbasis the channel is one phase per entry
+    (``SectorLayout.phases``), applied to the state's cached
     eigen-coefficients before rotating back.
     """
-    geometry = Geometry(geometry)
     layout = state.layout
-    n_b = max((n_b for _, n_b in layout.keys), default=0)
-    if geometry is Geometry.COLLINEAR and n_b:
-        raise ValueError(f"collinear geometry requires empty b modes; found {n_b} b photons")
     (a, i_a), (b, i_b), post_phase = layout.phases
     phase = np.exp(1j * (medium.theta * a))[i_a] * np.exp(1j * (medium.theta_plus * b))[i_b]
     out = rotate_sectors(layout, state.eigen_coefficients * phase)

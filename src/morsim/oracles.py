@@ -110,4 +110,8 @@ def closed_form(source: str, observable: str, detail, thetas, *,
         raise ValueError(f"closed form for {source} {observable} requires {parameter}")
     if parameter == "r" and value < 0:
         raise ValueError("interaction parameter r must be nonnegative")
-    return fn(value, thetas)
+    try:
+        return fn(value, thetas)
+    except OverflowError:
+        raise ValueError(f"the closed form for {source} {observable} overflows at "
+                         f"{parameter}={value:g}") from None

@@ -7,8 +7,8 @@ and the reference values through the closed-form table
 compares the two (or asserts an invariant) and reports its worst observed
 error.  A check passes iff the max_error it prints is at most the tolerance it
 prints; its errors reduce through one maximum in which NaN wins, so NaN fails.
-A check that reads several sources in one geometry reads the channel's
-one-photon matrices once per angle for all of them, and compares whole arrays.
+A check that reads several sources reads the channel's one-photon matrices
+once per medium for all of them, and compares whole arrays.
 Tests substitute the channel at ``detection.apply_mor``, which every read looks
 up at the call, to show that the suite catches a miswired medium.
 """
@@ -32,7 +32,7 @@ from .detection import (
     visibility,
 )
 from .fock import Mode, make_basis_state
-from .medium import Geometry, MediumSpec
+from .medium import MediumSpec
 from .sources import SourceKind, SourceSpec, build_state
 
 COLLINEAR, NONCOLLINEAR = SourceKind.COLLINEAR_PDC, SourceKind.NONCOLLINEAR_PDC
@@ -81,21 +81,19 @@ def _tolerance_ratio(engine, reference, rel: float = REL_TOL):
 
 def check_oracle_equivalence() -> list[CheckResult]:
     """Every ORACLE_ROWS observable on the engine against its closed form, on 33
-    angles per interaction strength; the channel is read once per angle for each
-    source kind, and serves all of its strengths and rows."""
+    angles per interaction strength; the channel is read once per angle, and
+    serves every source and row.  Each row compares the sources of its kind."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 33)
     media = [MediumSpec(theta=float(t)) for t in thetas]
+    # the non-collinear source is checked on its projection only, whose
+    # four-photon sector n_max = 2 holds exactly
+    sources = [SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
+               for kind in (COLLINEAR, NONCOLLINEAR) for r in ORACLE_R_VALUES]
+    engine = _sample(sources, [row[2] for row in ORACLE_ROWS], media)
     errors = {name: [] for name, *_ in ORACLE_ROWS}
-    for kind, geometry in ((COLLINEAR, Geometry.COLLINEAR),
-                           (NONCOLLINEAR, Geometry.NONCOLLINEAR)):
-        rows = [row for row in ORACLE_ROWS if row[1] is kind]
-        # the non-collinear source is checked on its projection only, whose
-        # four-photon sector n_max = 2 holds exactly
-        sources = [SourceSpec(kind=kind, r=r, n_max=ORACLE_N_MAX[r] if kind is COLLINEAR else 2)
-                   for r in ORACLE_R_VALUES]
-        engine = _sample(sources, geometry, [row[2] for row in rows], media)
-        for source, values in zip(sources, engine):
-            for (name, _, obs, rel), column in zip(rows, values.T):
+    for source, values in zip(sources, engine):
+        for (name, kind, obs, rel), column in zip(ORACLE_ROWS, values.T):
+            if kind is source.kind:
                 exact = closed_form_scan(source, thetas, obs).values
                 errors[name].append(_tolerance_ratio(column, exact, rel))
     return [
@@ -112,8 +110,7 @@ def check_two_photon_closed_form() -> CheckResult:
     pair_in = make_basis_state((1, 1, 0, 0))
     errors = []
     for theta in map(float, np.linspace(0.0, 2.0 * math.pi, 100)):
-        out = detection.apply_mor(pair_in, MediumSpec(theta=theta, theta_plus=0.37),
-                                  Geometry.COLLINEAR)
+        out = detection.apply_mor(pair_in, MediumSpec(theta=theta, theta_plus=0.37))
         got = [out.amplitude((2, 0, 0, 0)), out.amplitude((0, 2, 0, 0)),
                out.amplitude((1, 1, 0, 0))]
         expected = oracles.two_photon_pair_amplitudes(theta)
@@ -129,19 +126,17 @@ def check_fringe_frequencies() -> CheckResult:
     """The factor-of-four: dominant fringe frequencies 1 : 2 : 4 for coherent
     intensity, two-photon coincidence and the four-photon projection, read
     off each fringe's exact Fourier coefficients."""
-    def frequency(source, geometry, obs):
+    def frequency(source, obs):
         # a fringe with a non-finite coefficient has no frequency, and fails the check
         try:
-            return dominant_frequency(source, geometry, obs)
+            return dominant_frequency(source, obs)
         except ValueError:
             return math.nan
 
-    f_coh = frequency(SourceSpec(kind=SourceKind.COHERENT, alpha=1.0), Geometry.COLLINEAR,
+    f_coh = frequency(SourceSpec(kind=SourceKind.COHERENT, alpha=1.0),
                       ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH))
-    f_two = frequency(SourceSpec(kind=COLLINEAR, r=0.5, n_max=48), Geometry.COLLINEAR,
-                      TWO_PHOTON)
-    f_four = frequency(SourceSpec(kind=NONCOLLINEAR, r=0.5, n_max=8), Geometry.NONCOLLINEAR,
-                       PROJECTION[NONCOLLINEAR])
+    f_two = frequency(SourceSpec(kind=COLLINEAR, r=0.5, n_max=48), TWO_PHOTON)
+    f_four = frequency(SourceSpec(kind=NONCOLLINEAR, r=0.5, n_max=8), PROJECTION[NONCOLLINEAR])
     return CheckResult(name="fringe_frequency_factor_of_four",
                        max_error=_worst(abs(f_coh - 1), abs(f_two - 2), abs(f_four - 4)),
                        tolerance=0.0,
@@ -167,7 +162,7 @@ def check_visibility_curve() -> list[CheckResult]:
         previous = v
     for r in ORACLE_R_VALUES:
         source = SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
-        v = visibility(fringe_scan(source, thetas, Geometry.COLLINEAR, TWO_PHOTON)).v
+        v = visibility(fringe_scan(source, thetas, TWO_PHOTON)).v
         deviations.append(abs(v - oracles.two_photon_visibility_closed(r)))
     v4 = visibility(closed_form_scan(SourceSpec(kind=COLLINEAR, r=0.01), thetas, GLAUBER)).v
     return [
@@ -204,8 +199,7 @@ def check_glauber_vs_projection() -> list[CheckResult]:
     media = [MediumSpec(theta=float(t)) for t in thetas]
     sources = [SourceSpec(kind=COLLINEAR, r=r, n_max=ORACLE_N_MAX[r])
                for r in (0.01, 0.1, 0.5, 1.0, 1.3)]
-    glauber, proj = _sample(sources, Geometry.COLLINEAR, (GLAUBER, PROJECTION[COLLINEAR]),
-                            media).transpose(2, 0, 1)
+    glauber, proj = _sample(sources, (GLAUBER, PROJECTION[COLLINEAR]), media).transpose(2, 0, 1)
     # the gap is signed: a negative one is no error, so the floor is 0
     worst_gap = _worst(0.0, 4.0 * proj - glauber)
     # the ratio is 0/0 where (3 cos^2 theta - 1) vanishes; stay clear of it, at r = 0.01
@@ -230,22 +224,21 @@ def check_normalization_and_invariance() -> list[CheckResult]:
                    for state in map(build_state, sources)]
 
     drifts = []
-    for state, geometry in (
-        (build_state(SourceSpec(kind=COLLINEAR, r=1.0, n_max=48)), Geometry.COLLINEAR),
-        (build_state(SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=10)), Geometry.NONCOLLINEAR),
-        (make_basis_state((1, 1, 1, 1)), Geometry.NONCOLLINEAR),
-    ):
-        out = detection.apply_mor(state, MediumSpec(theta=0.9, theta_plus=0.5), geometry)
+    for state in (build_state(SourceSpec(kind=COLLINEAR, r=1.0, n_max=48)),
+                  build_state(SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=10)),
+                  make_basis_state((1, 1, 1, 1))):
+        out = detection.apply_mor(state, MediumSpec(theta=0.9, theta_plus=0.5))
         drifts.append(abs((out.norm_squared() + out.truncation_tail)
                           - (state.norm_squared() + state.truncation_tail)))
 
+    # one read for both runs: the non-collinear source under three theta_plus, and the
+    # collinear one under two pump phases at theta_plus = 0
+    sources = [SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)] + [
+        SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48) for phi in (0.0, 1.3)]
+    engine = _sample(sources, (TWO_PHOTON, GLAUBER, *PROJECTION.values()),
+                     [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)])
     # each run varies only theta_plus, or only the pump phase: one row per run entry
-    runs = (_sample([SourceSpec(kind=NONCOLLINEAR, r=0.9, n_max=8)], Geometry.NONCOLLINEAR,
-                    (TWO_PHOTON, GLAUBER, PROJECTION[NONCOLLINEAR]),
-                    [MediumSpec(theta=0.8, theta_plus=p) for p in (0.0, 0.7, math.pi)])[0],
-            _sample([SourceSpec(kind=COLLINEAR, r=0.9, phi=phi, n_max=48) for phi in (0.0, 1.3)],
-                    Geometry.COLLINEAR, (TWO_PHOTON, GLAUBER, PROJECTION[COLLINEAR]),
-                    [MediumSpec(theta=0.8)])[:, 0])
+    runs = (engine[0], engine[1:, 0])
     worst_phase = _worst(*(np.abs(run[1:] - run[0]) for run in runs))
 
     return [

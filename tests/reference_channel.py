@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 from scipy.linalg import expm
 
-from morsim import (Geometry, KetState, MediumSpec, ObservableKind, SourceKind, apply_mor,
+from morsim import (KetState, MediumSpec, ObservableKind, SourceKind, apply_mor,
                     make_basis_state, truncation_tail)
 from morsim.detection import _detector_powers
 from morsim.fock import _encode, _multisets
@@ -137,13 +137,11 @@ def reference_channel(state, a_angles, b_angles=(0.0, 0.0)):
     return state_from_sectors(blocks, state.truncation_tail)
 
 
-def reference_mor(state, medium, geometry):
+def reference_mor(state, medium):
     """The MOR channel: the b beam counter-propagates and sees (-theta,
-    -theta_plus) in the non-collinear geometry, nothing in the collinear one."""
-    b_angles = (0.0, 0.0)
-    if Geometry(geometry) is Geometry.NONCOLLINEAR:
-        b_angles = (-medium.theta, -medium.theta_plus)
-    return reference_channel(state, (medium.theta, medium.theta_plus), b_angles)
+    -theta_plus)."""
+    return reference_channel(state, (medium.theta, medium.theta_plus),
+                             (-medium.theta, -medium.theta_plus))
 
 
 def sector_matrix(theta, theta_plus, n):
@@ -152,7 +150,7 @@ def sector_matrix(theta, theta_plus, n):
     medium = MediumSpec(theta=theta, theta_plus=theta_plus)
     m = np.zeros((n + 1, n + 1), dtype=complex)
     for k in range(n + 1):
-        out = apply_mor(make_basis_state((n - k, k, 0, 0)), medium, Geometry.COLLINEAR)
+        out = apply_mor(make_basis_state((n - k, k, 0, 0)), medium)
         for j in range(n + 1):
             m[j, k] = out.amplitude((n - j, j, 0, 0))
     return m

@@ -1,6 +1,8 @@
 import functools
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 
 import morsim
 from morsim import (
-    Geometry,
     MediumSpec,
     ObservableKind,
     ObservableSpec,
@@ -206,6 +207,26 @@ def test_overflow_exits_1_with_one_error_line(command):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+# command -> the source and observable whose closed form overflows at r = 200
+CLOSED_FORM_OVERFLOWS = {
+    "fringe --r 200 --mode exact --points 3": "collinear_pdc two_photon_coincidence",
+    "fringe --r 200 --observable four-photon-glauber --mode exact --points 3":
+        "collinear_pdc four_photon_glauber",
+    "fringe --source noncollinear --r 200 --observable four-photon-projection --mode exact "
+    "--points 3": "noncollinear_pdc four_photon_projection",
+    "visibility --r-min 200 --r-max 300 --points 2": "collinear_pdc two_photon_coincidence",
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_FORM_OVERFLOWS)
+def test_a_closed_form_overflow_names_its_source_observable_and_r(capsys, command):
+    assert run_cli(*command.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the closed form for {CLOSED_FORM_OVERFLOWS[command]} "
+                   "overflows at r=200\n")
+
+
 @pytest.mark.parametrize("command", ["fringe --points 1000000000000 --mode exact",
                                      "visibility --theta-points 1000000000000"])
 def test_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, command):
@@ -228,37 +249,17 @@ def test_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, command)
     assert err.startswith("error: out of memory: Unable to allocate 7.28 TiB")
 
 
-def test_fringe_exact_mode_checks_source_geometry_pairing(capsys):
-    # numeric mode rejects coherent light in the noncollinear geometry; exact
-    # mode must not print a fringe for it either
-    for mode in ("exact", "numeric", "both"):
-        assert run_cli("fringe", "--source", "coherent", "--geometry", "noncollinear",
-                       "--observable", "intensity", "--mode", mode, "--points", "5") == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "coherent sources use the collinear geometry" in err
-
-
-def test_fringe_noncollinear_source_in_collinear_geometry_exits_1(capsys):
-    # the default collinear target (2,2,0,0) selects a sector the noncollinear
-    # source leaves empty; it must not pass as an all-zero fringe
-    for extra in ([], ["--target", "1,1,1,1"]):
-        assert run_cli("fringe", "--source", "noncollinear", "--geometry", "collinear",
-                       "--observable", "four-photon-projection", "--points", "5", *extra) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "noncollinear geometry" in err
-
-
 def test_fringe_collinear_source_projection_target_follows_source(capsys):
     # collinear PDC leaves the b beam empty, so its default target is
-    # (2,2,0,0) in either geometry, not the geometry's (1,1,1,1)
-    outputs = {}
-    for geometry in ("collinear", "noncollinear"):
-        assert run_cli("fringe", "--source", "collinear", "--geometry", geometry,
-                       "--observable", "four-photon-projection", "--points", "9") == 0
-        outputs[geometry] = capsys.readouterr().out
-    values = [float(line.split(",")[1]) for line in outputs["noncollinear"].splitlines()[1:]]
+    # (2,2,0,0), not the non-collinear source's (1,1,1,1)
+    outputs = []
+    for extra in ([], ["--target", "2,2,0,0"]):
+        assert run_cli("fringe", "--source", "collinear", "--observable",
+                       "four-photon-projection", "--points", "9", *extra) == 0
+        outputs.append(capsys.readouterr().out)
+    values = [float(line.split(",")[1]) for line in outputs[0].splitlines()[1:]]
     assert max(values) > 0.0
-    assert outputs["noncollinear"] == outputs["collinear"]
+    assert outputs[0] == outputs[1]
 
 
 def test_oversized_truncation_refused_before_building(monkeypatch, capsys):
@@ -498,8 +499,7 @@ def test_numeric_visibility_sweep_at_deep_truncation(capsys):
     for (r, v), v_exact in zip(rows, exact):
         # the engine's own visibility, from its extremes at theta = 0 and pi/2
         source = SourceSpec(kind="collinear_pdc", r=r, n_max=128)
-        peak, dip = (evaluate(source, MediumSpec(theta=t), Geometry.COLLINEAR, obs)
-                     for t in (0.0, math.pi / 2))
+        peak, dip = (evaluate(source, MediumSpec(theta=t), obs) for t in (0.0, math.pi / 2))
         assert v == pytest.approx((peak - dip) / (peak + dip), rel=1e-12)
         # the closed form holds where n_max = 128 meets the default truncation
         # target; at r = 3 the truncated weight is 0.28 and v is 1% off
@@ -685,6 +685,31 @@ def test_the_module_exit_prints_and_writes_what_main_does(capsys, tmp_path):
     written = (tmp_path / "module.csv").read_bytes()
     assert written == (tmp_path / "main.csv").read_bytes()
     assert len(written.splitlines()) == 102 and written.endswith(b"\n")
+
+
+def _readme_commands():
+    """The argv of every ``morsim`` command in README's code blocks, each
+    continuation line joined to the line it continues."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("morsim ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "fringe", "visibility", "envelope", "sensitivity", "verify"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=map(" ".join, README_COMMANDS))
+def test_readme_commands_exit_0(capsys, tmp_path, argv):
+    # a flag the CLI no longer takes must not live on in the docs
+    argv = [str(tmp_path / arg) if option == "--out" else arg
+            for option, arg in zip([None, *argv], argv)]
+    assert run_cli(*argv) == 0
 
 
 def test_stdout_output(capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from morsim import (
     FringeSeries,
-    Geometry,
     KetState,
     MediumSpec,
     Mode,
@@ -42,10 +41,7 @@ ND_VAR = ObservableSpec(kind=ObservableKind.ND_VARIANCE)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
-# every PDC source with each geometry it can pass through
-PDC_PAIRINGS = st.sampled_from([("collinear_pdc", Geometry.COLLINEAR),
-                                ("collinear_pdc", Geometry.NONCOLLINEAR),
-                                ("noncollinear_pdc", Geometry.NONCOLLINEAR)])
+PDC_KINDS = st.sampled_from(["collinear_pdc", "noncollinear_pdc"])
 PAIRS = [(Mode.AH, Mode.AV), (Mode.AH, Mode.BV), (Mode.BH, Mode.BV)]
 EVERY_OBSERVABLE = (
     [ObservableSpec(kind=ObservableKind.INTENSITY, mode=mode) for mode in Mode]
@@ -68,43 +64,40 @@ def noncollinear(r, **kw):
 def test_evaluate_two_photon_spot_values():
     src = collinear(0.5, n_max=48)
     s = math.sinh(0.5)
-    got = evaluate(src, MediumSpec(theta=0.0), Geometry.COLLINEAR, TWO_PHOTON)
+    got = evaluate(src, MediumSpec(theta=0.0), TWO_PHOTON)
     expected = s * s * math.cosh(0.5) ** 2 + s**4
     assert got == pytest.approx(expected, rel=1e-10)
     assert abs(expected - 0.41901) < 1e-3
-    got = evaluate(src, MediumSpec(theta=math.pi / 2), Geometry.COLLINEAR, TWO_PHOTON)
+    got = evaluate(src, MediumSpec(theta=math.pi / 2), TWO_PHOTON)
     assert got == pytest.approx(s**4, rel=1e-10)
 
 
 def test_evaluate_projection_zero_at_quarter_turn():
-    got = evaluate(noncollinear(1.0), MediumSpec(theta=math.pi / 4),
-                   Geometry.NONCOLLINEAR, PROJ_NON)
+    got = evaluate(noncollinear(1.0), MediumSpec(theta=math.pi / 4), PROJ_NON)
     assert got < 1e-12
 
 
 def test_evaluate_projection_is_exact_at_any_r():
     # only the four-photon sector contributes, so no truncation cap applies
     for r in (0.5, 1.3, 3.0):
-        got = evaluate(noncollinear(r), MediumSpec(theta=0.3), Geometry.NONCOLLINEAR, PROJ_NON)
+        got = evaluate(noncollinear(r), MediumSpec(theta=0.3), PROJ_NON)
         assert got == pytest.approx(oracles.noncollinear_four_photon_probability(r, [0.3])[0],
                                     rel=1e-12)
-        got = evaluate(collinear(r), MediumSpec(theta=0.3), Geometry.COLLINEAR, PROJ_COL)
+        got = evaluate(collinear(r), MediumSpec(theta=0.3), PROJ_COL)
         assert got == pytest.approx(oracles.collinear_four_photon_probability(r, [0.3])[0],
                                     rel=1e-12)
 
 
 def test_evaluate_collinear_projection_quarter_turn_anchor():
     # (tanh^4(1)/cosh^2(1)) / 16 at cos(2 theta) = 0
-    got = evaluate(collinear(1.0), MediumSpec(theta=math.pi / 4),
-                   Geometry.COLLINEAR, PROJ_COL)
+    got = evaluate(collinear(1.0), MediumSpec(theta=math.pi / 4), PROJ_COL)
     expected = math.tanh(1.0) ** 4 / math.cosh(1.0) ** 2 / 16.0
     assert got == pytest.approx(expected, rel=1e-10)
     assert abs(expected - 0.0088) < 1e-4
 
 
 def test_evaluate_glauber_spot_value():
-    got = evaluate(collinear(1.0, n_max=96), MediumSpec(theta=0.0),
-                   Geometry.COLLINEAR, GLAUBER)
+    got = evaluate(collinear(1.0, n_max=96), MediumSpec(theta=0.0), GLAUBER)
     s, c = math.sinh(1.0), math.cosh(1.0)
     expected = 4 * s**4 * c**4 + 16 * s**6 * c * c + 4 * s**8
     assert got == pytest.approx(expected, rel=1e-9)
@@ -113,7 +106,7 @@ def test_evaluate_glauber_spot_value():
 def test_evaluate_intensity_flat_for_pdc():
     src = collinear(0.7, n_max=40)
     obs = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
-    series = fringe_scan(src, np.linspace(0.0, math.pi, 9), Geometry.COLLINEAR, obs)
+    series = fringe_scan(src, np.linspace(0.0, math.pi, 9), obs)
     assert max(series.values) - min(series.values) < 1e-12
     assert series.values[0] == pytest.approx(math.sinh(0.7) ** 2, rel=1e-9)
 
@@ -122,21 +115,14 @@ def test_evaluate_coherent_dispatch():
     src = SourceSpec(kind="coherent", alpha=2.0)
     ih = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
     iv = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AV)
-    assert evaluate(src, MediumSpec(theta=0.0), Geometry.COLLINEAR, ih) == 4.0
-    got = evaluate(src, MediumSpec(theta=math.pi / 3), Geometry.COLLINEAR, iv)
+    assert evaluate(src, MediumSpec(theta=0.0), ih) == 4.0
+    got = evaluate(src, MediumSpec(theta=math.pi / 3), iv)
     assert got == pytest.approx(4.0 * math.sin(math.pi / 6) ** 2, rel=1e-14)
     with pytest.raises(ValueError):
-        evaluate(src, MediumSpec(theta=0.1), Geometry.COLLINEAR, TWO_PHOTON)
+        evaluate(src, MediumSpec(theta=0.1), TWO_PHOTON)
     with pytest.raises(ValueError):
-        evaluate(src, MediumSpec(theta=0.1), Geometry.NONCOLLINEAR, ih)
-    with pytest.raises(ValueError):
-        evaluate(src, MediumSpec(theta=0.1), Geometry.COLLINEAR,
+        evaluate(src, MediumSpec(theta=0.1),
                  ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.BH))
-
-
-def test_evaluate_rejects_noncollinear_source_in_collinear_geometry():
-    with pytest.raises(ValueError):
-        evaluate(noncollinear(0.5), MediumSpec(theta=0.1), Geometry.COLLINEAR, TWO_PHOTON)
 
 
 def test_observable_spec_validation():
@@ -155,7 +141,7 @@ def test_intensity_mode_given_as_an_integer_is_that_mode():
     obs = ObservableSpec(kind=ObservableKind.INTENSITY, mode=0)
     assert obs.mode is Mode.AH
     src = SourceSpec(kind="coherent", alpha=2.0)
-    assert evaluate(src, MediumSpec(theta=0.0), Geometry.COLLINEAR, obs) == 4.0
+    assert evaluate(src, MediumSpec(theta=0.0), obs) == 4.0
     assert closed_form_scan(src, [0.0], obs).values == (4.0,)
 
 
@@ -184,17 +170,16 @@ def test_closed_forms_describe_the_ah_av_pair_only(source, kind):
             closed_form_scan(source, [0.3], obs)
         assert str(refused.value) == (f"closed forms describe the AH/AV detector pair, "
                                       f"not {pair[0].name}/{pair[1].name}")
-    assert evaluate(collinear(0.5, n_max=16), MediumSpec(theta=0.3), Geometry.COLLINEAR,
+    assert evaluate(collinear(0.5, n_max=16), MediumSpec(theta=0.3),
                     ObservableSpec(kind=kind, pair=(Mode.BH, Mode.BV))) == 0.0
 
 
 def test_fringe_scan_pointwise_equals_evaluate():
     src = noncollinear(0.8, n_max=8)
     grid = np.linspace(0.0, math.pi, 7)
-    series = fringe_scan(src, grid, Geometry.NONCOLLINEAR, PROJ_NON, theta_plus=0.5)
+    series = fringe_scan(src, grid, PROJ_NON, theta_plus=0.5)
     for theta, value in zip(series.theta_grid, series.values):
-        direct = evaluate(src, MediumSpec(theta=theta, theta_plus=0.5),
-                          Geometry.NONCOLLINEAR, PROJ_NON)
+        direct = evaluate(src, MediumSpec(theta=theta, theta_plus=0.5), PROJ_NON)
         assert value == direct
 
 
@@ -212,12 +197,12 @@ def test_fringe_series_validation():
 def test_fringe_periodicity_checks_out_numerically():
     # Eq-12-type fringes repeat after pi, projection fringes after pi/2
     src = collinear(0.6, n_max=32)
-    a = evaluate(src, MediumSpec(theta=0.4), Geometry.COLLINEAR, TWO_PHOTON)
-    b = evaluate(src, MediumSpec(theta=0.4 + math.pi), Geometry.COLLINEAR, TWO_PHOTON)
+    a = evaluate(src, MediumSpec(theta=0.4), TWO_PHOTON)
+    b = evaluate(src, MediumSpec(theta=0.4 + math.pi), TWO_PHOTON)
     assert a == pytest.approx(b, rel=1e-10)
     srcn = noncollinear(0.6, n_max=8)
-    a = evaluate(srcn, MediumSpec(theta=0.4), Geometry.NONCOLLINEAR, PROJ_NON)
-    b = evaluate(srcn, MediumSpec(theta=0.4 + math.pi / 2), Geometry.NONCOLLINEAR, PROJ_NON)
+    a = evaluate(srcn, MediumSpec(theta=0.4), PROJ_NON)
+    b = evaluate(srcn, MediumSpec(theta=0.4 + math.pi / 2), PROJ_NON)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -225,7 +210,7 @@ def test_visibility_two_photon_closed_form():
     # numeric fringe over one period; extremes land exactly on the grid
     src = collinear(1.0, n_max=96)
     grid = np.linspace(0.0, math.pi, 65)
-    series = fringe_scan(src, grid, Geometry.COLLINEAR, TWO_PHOTON)
+    series = fringe_scan(src, grid, TWO_PHOTON)
     res = visibility(series)
     assert res.v == pytest.approx(oracles.two_photon_visibility_closed(1.0), rel=1e-8)
     assert abs(res.v - 0.46295) < 1e-3
@@ -235,13 +220,13 @@ def test_visibility_two_photon_closed_form():
 
 def test_visibility_two_photon_approaches_one_at_weak_pumping():
     src = collinear(0.01, n_max=8)
-    series = fringe_scan(src, np.linspace(0.0, math.pi, 65), Geometry.COLLINEAR, TWO_PHOTON)
+    series = fringe_scan(src, np.linspace(0.0, math.pi, 65), TWO_PHOTON)
     assert visibility(series).v > 0.999
 
 
 def test_visibility_four_photon_glauber_near_one_at_weak_pumping():
     src = collinear(0.01, n_max=8)
-    series = fringe_scan(src, np.linspace(0.0, math.pi, 513), Geometry.COLLINEAR, GLAUBER)
+    series = fringe_scan(src, np.linspace(0.0, math.pi, 513), GLAUBER)
     assert visibility(series).v > 0.999
 
 
@@ -257,7 +242,7 @@ def test_a_nan_anywhere_in_a_fringe_gives_a_nan_visibility(values):
 
 
 def _nd_variance(source, theta):
-    return evaluate(source, MediumSpec(theta=theta), Geometry.COLLINEAR, ND_VAR)
+    return evaluate(source, MediumSpec(theta=theta), ND_VAR)
 
 
 def test_nd_variance_zero_without_rotation():
@@ -306,15 +291,14 @@ def test_sensitivity_curve_slopes():
 
 
 @PROPERTY_SETTINGS
-@given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES)
-def test_glauber_dominates_projection(pairing, r, n_max, theta):
+@given(PDC_KINDS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES)
+def test_glauber_dominates_projection(kind, r, n_max, theta):
     # I_HHVV = sum |psi|^2 n_H(n_H-1) n_V(n_V-1) >= 2! 2! P(|2,2>), on either pair
-    kind, geometry = pairing
     source, medium = SourceSpec(kind=kind, r=r, n_max=n_max), MediumSpec(theta=theta)
     for pair, target in (((Mode.AH, Mode.AV), (2, 2, 0, 0)), ((Mode.AH, Mode.BV), (2, 0, 0, 2))):
-        glauber = evaluate(source, medium, geometry,
+        glauber = evaluate(source, medium,
                            ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER, pair=pair))
-        proj = evaluate(source, medium, geometry, ObservableSpec(
+        proj = evaluate(source, medium, ObservableSpec(
             kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target))
         assert glauber >= 4.0 * proj - 1e-12
 
@@ -322,75 +306,72 @@ def test_glauber_dominates_projection(pairing, r, n_max, theta):
 def test_dominant_frequency_hierarchy():
     coh = SourceSpec(kind="coherent", alpha=1.0)
     ih = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
-    f_coh = dominant_frequency(coh, Geometry.COLLINEAR, ih)
-    f_two = dominant_frequency(collinear(0.5, n_max=32), Geometry.COLLINEAR, TWO_PHOTON)
-    f_four = dominant_frequency(noncollinear(0.5, n_max=8), Geometry.NONCOLLINEAR, PROJ_NON)
+    f_coh = dominant_frequency(coh, ih)
+    f_two = dominant_frequency(collinear(0.5, n_max=32), TWO_PHOTON)
+    f_four = dominant_frequency(noncollinear(0.5, n_max=8), PROJ_NON)
     assert (f_coh, f_two, f_four) == (1, 2, 4)
 
 
 def test_dominant_frequency_refuses_a_nan_fringe(monkeypatch):
-    def nan_apply_mor(state, medium, geometry):
-        out = apply_mor(state, medium, geometry)
+    def nan_apply_mor(state, medium):
+        out = apply_mor(state, medium)
         return KetState(out.occupations, np.full_like(out.amplitudes, np.nan),
                         out.truncation_tail)
 
     monkeypatch.setattr(detection, "apply_mor", nan_apply_mor)
     with pytest.raises(ValueError, match="not finite"):
-        dominant_frequency(collinear(0.5, n_max=32), Geometry.COLLINEAR, TWO_PHOTON)
+        dominant_frequency(collinear(0.5, n_max=32), TWO_PHOTON)
 
 
-def _reference_dominant_frequency(source, geometry, obs):
+def _reference_dominant_frequency(source, obs):
     # the argmax of a 256-point FFT of direct samples over one turn
     thetas = 2.0 * math.pi * np.arange(256) / 256.0
     if source.kind is SourceKind.COHERENT:
         samples = closed_form_scan(source, thetas, obs).values
     else:
         state = build_state(source)
-        samples = [measure(apply_mor(state, MediumSpec(theta=float(t)), geometry), obs)
+        samples = [measure(apply_mor(state, MediumSpec(theta=float(t))), obs)
                    for t in thetas]
     return int(np.argmax(np.abs(np.fft.rfft(samples))[1:]) + 1)
 
 
 BV_PAIR = (Mode.AH, Mode.BV)
 FREQUENCY_CASES = (
-    [(SourceSpec(kind="coherent", alpha=1.5), Geometry.COLLINEAR, obs)
+    [(SourceSpec(kind="coherent", alpha=1.5), obs)
      for obs in (ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH), ND_VAR)]
     # the degree and the harmonics do not depend on the truncation depth
-    + [(collinear(r, n_max=32), Geometry.COLLINEAR, obs)
+    + [(collinear(r, n_max=32), obs)
        for r in (0.1, 1.3) for obs in (TWO_PHOTON, ND_VAR, GLAUBER, PROJ_COL)]
-    + [(noncollinear(0.5, n_max=8), Geometry.NONCOLLINEAR, obs)
+    + [(noncollinear(0.5, n_max=8), obs)
        for obs in (PROJ_NON, ObservableSpec(kind=ObservableKind.TWO_PHOTON_COINCIDENCE,
                                             pair=BV_PAIR),
                    ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER, pair=BV_PAIR))]
 )
 
 
-@pytest.mark.parametrize("source, geometry, obs", FREQUENCY_CASES,
-                         ids=[f"{s.kind.value}-{o.kind.value}-r{s.r}"
-                              for s, _, o in FREQUENCY_CASES])
-def test_dominant_frequency_matches_a_long_fft_of_direct_samples(source, geometry, obs):
-    assert dominant_frequency(source, geometry, obs) == _reference_dominant_frequency(
-        source, geometry, obs)
+@pytest.mark.parametrize("source, obs", FREQUENCY_CASES,
+                         ids=[f"{s.kind.value}-{o.kind.value}-r{s.r}" for s, o in FREQUENCY_CASES])
+def test_dominant_frequency_matches_a_long_fft_of_direct_samples(source, obs):
+    assert dominant_frequency(source, obs) == _reference_dominant_frequency(source, obs)
 
 
 # fringes with no harmonic above c_0: a mode's mean photon number does not
-# move under either PDC pairing, and the collinear source's b beam is empty
+# move under either PDC source, and the collinear source's b beam is empty
 FLAT_CASES = (
-    [(SourceSpec(kind=kind, r=r, n_max=8), geometry,
+    [(SourceSpec(kind=kind, r=r, n_max=8),
       ObservableSpec(kind=ObservableKind.INTENSITY, mode=mode))
-     for kind, geometry in (("collinear_pdc", Geometry.COLLINEAR),
-                            ("noncollinear_pdc", Geometry.NONCOLLINEAR))
-     for r in (0.5, 0.9) for mode in Mode]
-    + [(collinear(0.7, n_max=40), Geometry.COLLINEAR,
+     for kind in ("collinear_pdc", "noncollinear_pdc") for r in (0.5, 0.9) for mode in Mode]
+    + [(collinear(0.7, n_max=40),
         ObservableSpec(kind=ObservableKind.ND_VARIANCE, pair=(Mode.BH, Mode.BV)))]
 )
 
 
-@pytest.mark.parametrize("source, geometry, obs", FLAT_CASES,
-                         ids=[f"{s.kind.value}-{g.value}-{o.kind.value}-{o.mode}-r{s.r}"
-                              for s, g, o in FLAT_CASES])
-def test_dominant_frequency_is_0_for_a_fringe_that_does_not_oscillate(source, geometry, obs):
-    assert dominant_frequency(source, geometry, obs) == 0
+# each id names the source kind, then the geometry that kind decides
+@pytest.mark.parametrize("source, obs", FLAT_CASES,
+                         ids=[f"{s.kind.value}-{s.kind.value.removesuffix('_pdc')}-"
+                              f"{o.kind.value}-{o.mode}-r{s.r}" for s, o in FLAT_CASES])
+def test_dominant_frequency_is_0_for_a_fringe_that_does_not_oscillate(source, obs):
+    assert dominant_frequency(source, obs) == 0
 
 
 def _definitions(tree):
@@ -449,44 +430,42 @@ def test_no_module_binds_a_process_wide_cache():
 
 def test_observables_independent_of_pump_phase():
     grid = np.linspace(0.0, math.pi, 9)
-    base = fringe_scan(collinear(0.9, phi=0.0, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)
-    shifted = fringe_scan(collinear(0.9, phi=1.3, n_max=48), grid, Geometry.COLLINEAR, TWO_PHOTON)
+    base = fringe_scan(collinear(0.9, phi=0.0, n_max=48), grid, TWO_PHOTON)
+    shifted = fringe_scan(collinear(0.9, phi=1.3, n_max=48), grid, TWO_PHOTON)
     assert max(abs(a - b) for a, b in zip(base.values, shifted.values)) < 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(PDC_PAIRINGS, st.floats(0.0, 1.2), st.integers(1, 24), ANGLES,
+@given(PDC_KINDS, st.floats(0.0, 1.2), st.integers(1, 24), ANGLES,
        st.tuples(ANGLES, ANGLES), st.tuples(ANGLES, ANGLES))
-def test_observables_invariant_under_theta_plus_and_pump_phase(pairing, r, n_max, theta,
+def test_observables_invariant_under_theta_plus_and_pump_phase(kind, r, n_max, theta,
                                                                first, second):
     # theta_plus and the pump phase only rephase whole photon-number sectors
-    kind, geometry = pairing
     values = []
     for phi, theta_plus in (first, second):
         source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
         medium = MediumSpec(theta=theta, theta_plus=theta_plus)
-        values.append([evaluate(source, medium, geometry, obs) for obs in EVERY_OBSERVABLE])
+        values.append([evaluate(source, medium, obs) for obs in EVERY_OBSERVABLE])
     assert values[0] == pytest.approx(values[1], rel=1e-12, abs=1e-12)
 
 
 @PROPERTY_SETTINGS
-@given(PDC_PAIRINGS, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+@given(PDC_KINDS, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
        st.integers(1, 24), ANGLES,
        st.lists(st.tuples(ANGLES, st.floats(0.05, 7.0) | st.floats(-7.0, -0.05)),
                 min_size=1, max_size=6))
-def test_a_batch_of_media_reads_each_medium_with_the_bits_it_has_alone(pairing, rs, n_max,
+def test_a_batch_of_media_reads_each_medium_with_the_bits_it_has_alone(kind, rs, n_max,
                                                                         phi, angles):
     # every observable over the whole stack of one-photon matrices at once, and one
     # reading of the channel for several sources, give each medium and source the
     # bits of a sample of that source alone at that medium alone
-    kind, geometry = pairing
     sources = [SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max) for r in rs]
     media = [MediumSpec(theta, theta_plus) for theta, theta_plus in angles]
-    shared = detection._sample(sources, geometry, EVERY_OBSERVABLE, media)
+    shared = detection._sample(sources, EVERY_OBSERVABLE, media)
     assert shared.shape == (len(sources), len(media), len(EVERY_OBSERVABLE))
     for i, source in enumerate(sources):
-        batch = detection._sample([source], geometry, EVERY_OBSERVABLE, media)[0]
-        alone = np.concatenate([detection._sample([source], geometry, EVERY_OBSERVABLE,
+        batch = detection._sample([source], EVERY_OBSERVABLE, media)[0]
+        alone = np.concatenate([detection._sample([source], EVERY_OBSERVABLE,
                                                   [medium])[0] for medium in media])
         assert batch.shape == alone.shape == (len(media), len(EVERY_OBSERVABLE))
         assert batch.tobytes() == alone.tobytes()
@@ -499,18 +478,17 @@ def _node(j, degree):
 
 
 @PROPERTY_SETTINGS
-@given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES, ANGLES)
-def test_fringes_have_no_harmonic_above_the_detected_photon_number(pairing, r, n_max,
+@given(PDC_KINDS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES, ANGLES)
+def test_fringes_have_no_harmonic_above_the_detected_photon_number(kind, r, n_max,
                                                                     theta_plus, phi):
     # 2K + 3 direct samples over one turn: harmonics K + 1 and K + 2 land in
     # the DFT bin K + 1, which must be empty
-    kind, geometry = pairing
     source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
     for degree in (1, 2, 4):
         observables = [o for o in EVERY_OBSERVABLE if detection._fringe_degree(o) == degree]
         assert observables
         n = 2 * degree + 3
-        samples = detection._sample([source], geometry, observables,
+        samples = detection._sample([source], observables,
                                     [MediumSpec(theta=2 * math.pi * j / n, theta_plus=theta_plus)
                                      for j in range(n)])[0]
         above = 2.0 * np.abs(np.fft.rfft(samples, axis=0)[degree + 1:]) / n
@@ -518,17 +496,16 @@ def test_fringes_have_no_harmonic_above_the_detected_photon_number(pairing, r, n
 
 
 @PROPERTY_SETTINGS
-@given(PDC_PAIRINGS, st.floats(0.0, 1.5), st.integers(1, 24), ANGLES,
+@given(PDC_KINDS, st.floats(0.0, 1.5), st.integers(1, 24), ANGLES,
        st.sampled_from(EVERY_OBSERVABLE), st.data())
-def test_fringe_scan_reconstructs_direct_evaluation(pairing, r, n_max, theta_plus, obs, data):
-    kind, geometry = pairing
+def test_fringe_scan_reconstructs_direct_evaluation(kind, r, n_max, theta_plus, obs, data):
     source = SourceSpec(kind=kind, r=r, n_max=n_max)
     degree = detection._fringe_degree(obs)
     nodes = [_node(j, degree) for j in range(2 * degree + 2)]
     angles = st.one_of(st.floats(-3 * math.pi, 5 * math.pi), st.sampled_from(nodes))
     grid = sorted(data.draw(st.sets(angles, min_size=2 * degree + 3, max_size=2 * degree + 12)))
-    series = fringe_scan(source, grid, geometry, obs, theta_plus=theta_plus)
-    direct = [evaluate(source, MediumSpec(theta=t, theta_plus=theta_plus), geometry, obs)
+    series = fringe_scan(source, grid, obs, theta_plus=theta_plus)
+    direct = [evaluate(source, MediumSpec(theta=t, theta_plus=theta_plus), obs)
               for t in grid]
     scale = max(map(abs, direct))
     for theta, value, expected in zip(grid, series.values, direct):
@@ -542,9 +519,9 @@ def _count_channel_calls(monkeypatch):
     ``detection`` holds: every observable reads T off the one-photon probes."""
     calls = []
 
-    def counted(state, medium, geometry):
+    def counted(state, medium):
         calls.append((medium.theta, max(map(sum, state.layout.keys))))
-        return apply_mor(state, medium, geometry)
+        return apply_mor(state, medium)
 
     monkeypatch.setattr(detection, "apply_mor", counted)
     return calls
@@ -565,12 +542,12 @@ def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
     assert {photons for _, photons in calls} == {1}
     # the dominant frequency reads the coefficients off the same ten node angles
     calls.clear()
-    assert dominant_frequency(collinear(1.3, n_max=128), Geometry.COLLINEAR, GLAUBER) == 2
+    assert dominant_frequency(collinear(1.3, n_max=128), GLAUBER) == 2
     assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
     # a projection reads the same probes: no call carries the target's four photons
     calls.clear()
-    fringe_scan(noncollinear(0.5, n_max=40), np.linspace(0.0, math.pi, 201),
-                Geometry.NONCOLLINEAR, PROJ_NON, theta_plus=0.3)
+    fringe_scan(noncollinear(0.5, n_max=40), np.linspace(0.0, math.pi, 201), PROJ_NON,
+                theta_plus=0.3)
     assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
     assert {photons for _, photons in calls} == {1}
 
@@ -581,8 +558,27 @@ def test_a_short_sweep_is_evaluated_point_by_point(monkeypatch, obs):
     calls = _count_channel_calls(monkeypatch)
     points = 2 * detection._fringe_degree(obs) + 2
     grid = np.linspace(0.1, 2.0, points)
-    fringe_scan(collinear(0.6, n_max=16), grid, Geometry.COLLINEAR, obs, theta_plus=0.3)
+    fringe_scan(collinear(0.6, n_max=16), grid, obs, theta_plus=0.3)
     assert _distinct_angles(calls) == list(grid)
+
+
+def test_every_source_reads_the_channel_through_one_probe_pair(monkeypatch):
+    # collinear and non-collinear PDC read T off the same two probes, whichever
+    # beams their photons fill
+    probes = detection._one_photon_probes()
+    seen = []
+
+    def recorded(state, medium):
+        seen.append(state)
+        return apply_mor(state, medium)
+
+    monkeypatch.setattr(detection, "apply_mor", recorded)
+    grid = np.linspace(0.0, math.pi, 5)
+    fringe_scan(collinear(0.5, n_max=8), grid, TWO_PHOTON)
+    fringe_scan(noncollinear(0.5, n_max=8), grid, PROJ_NON)
+    evaluate(collinear(0.5, n_max=8), MediumSpec(theta=0.3), GLAUBER)
+    assert len(seen) == 2 * (len(grid) + len(grid) + 1)
+    assert all(any(state is probe for probe in probes) for state in seen)
 
 
 def test_projection_builds_only_the_target_depth(monkeypatch):
@@ -601,8 +597,8 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
                         functools.cache(detection._one_photon_probes.__wrapped__))
     monkeypatch.setattr(detection, "build_state", recorded)
     grid = np.linspace(0.0, math.pi, 7)
-    deep = fringe_scan(noncollinear(0.5, n_max=200), grid, Geometry.NONCOLLINEAR, PROJ_NON)
-    default = fringe_scan(noncollinear(0.5), grid, Geometry.NONCOLLINEAR, PROJ_NON)
+    deep = fringe_scan(noncollinear(0.5, n_max=200), grid, PROJ_NON)
+    default = fringe_scan(noncollinear(0.5), grid, PROJ_NON)
     assert deep.values == default.values
     # (1,1,1,1) lies in sector (2, 2): two pairs, read off one-photon probes
     assert built == [2, 2]
@@ -610,15 +606,14 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
 
     # (2,2,0,0) lies in sector (4, 0): two collinear pairs, not four
     built.clear()
-    deep = fringe_scan(collinear(0.5, n_max=200), grid, Geometry.COLLINEAR, PROJ_COL)
-    default = fringe_scan(collinear(0.5), grid, Geometry.COLLINEAR, PROJ_COL)
+    deep = fringe_scan(collinear(0.5, n_max=200), grid, PROJ_COL)
+    default = fringe_scan(collinear(0.5), grid, PROJ_COL)
     assert built == [2, 2]
     assert deep.values == default.values
     # the Schroedinger reading off a four-pair state, to rounding
     four_pairs = build_state(collinear(0.5, n_max=4))
-    reference = [projection_probability(apply_mor(four_pairs, MediumSpec(theta=t),
-                                                  Geometry.COLLINEAR), PROJ_COL.target)
-                 for t in grid]
+    reference = [projection_probability(apply_mor(four_pairs, MediumSpec(theta=t)),
+                                        PROJ_COL.target) for t in grid]
     assert np.abs(np.subtract(default.values, reference)).max() <= 1e-15 * max(reference)
 
 
@@ -640,29 +635,28 @@ def _assert_close_to_the_reference(heisenberg, schroedinger):
 
 
 @PROPERTY_SETTINGS
-@given(PDC_PAIRINGS, st.floats(0.0, 1.2), st.integers(1, 16), NONZERO_ANGLES, NONZERO_ANGLES,
+@given(PDC_KINDS, st.floats(0.0, 1.2), st.integers(1, 16), NONZERO_ANGLES, NONZERO_ANGLES,
        st.lists(ANGLES, min_size=1, max_size=4))
-def test_heisenberg_moments_match_the_schroedinger_reference(pairing, r, n_max, theta_plus,
+def test_heisenberg_moments_match_the_schroedinger_reference(kind, r, n_max, theta_plus,
                                                              phi, thetas):
     # v^dag G v from the source's Gram matrices, and v . g from its vacuum
     # overlaps, with the channel's one-photon matrix against the readings of the
     # evolved state, at theta_plus, phi != 0
-    kind, geometry = pairing
     source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
     state = build_state(source)
     media = [MediumSpec(theta, theta_plus) for theta in thetas + TURN]
     _assert_close_to_the_reference(
-        detection._sample([source], geometry, EVERY_OBSERVABLE, media)[0],
-        [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
+        detection._sample([source], EVERY_OBSERVABLE, media)[0],
+        [[measure(apply_mor(state, medium), obs) for obs in EVERY_OBSERVABLE]
          for medium in media])
 
 
 @st.composite
-def normalized_superpositions(draw, geometry):
+def normalized_superpositions(draw, b_beam):
     """Up to six occupations with at most three photons per mode and random
-    complex amplitudes, normalized; the b beam stays empty in the collinear
-    geometry."""
-    n_b = 3 if geometry is Geometry.NONCOLLINEAR else 0
+    complex amplitudes, normalized; the b beam stays empty unless b_beam, as a
+    collinear source leaves it."""
+    n_b = 3 if b_beam else 0
     occ = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, n_b), st.integers(0, n_b))
     amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
     amps = draw(st.dictionaries(occ, amp, min_size=1, max_size=6))
@@ -670,27 +664,25 @@ def normalized_superpositions(draw, geometry):
     return state_from_amplitudes({k: a / norm for k, a in amps.items()})
 
 
-def _reference_and_heisenberg(state, geometry, media, transform=lambda t: t):
+def _reference_and_heisenberg(state, media, transform=lambda t: t):
     """Per medium, every observable read off the evolved state and in the Heisenberg
     picture from the channel's one-photon matrix, passed through ``transform`` first."""
-    ts = detection._one_photon_matrices(media, geometry)
-    reference = [[measure(apply_mor(state, medium, geometry), obs) for obs in EVERY_OBSERVABLE]
+    ts = detection._one_photon_matrices(media)
+    reference = [[measure(apply_mor(state, medium), obs) for obs in EVERY_OBSERVABLE]
                  for medium in media]
     heisenberg = detection._read(state, EVERY_OBSERVABLE, np.array([transform(t) for t in ts]))
     return reference, heisenberg
 
 
 @PROPERTY_SETTINGS
-@given(st.sampled_from(Geometry).flatmap(
-           lambda g: st.tuples(st.just(g), normalized_superpositions(g))),
+@given(st.sampled_from((False, True)).flatmap(normalized_superpositions),
        ANGLES, NONZERO_ANGLES)
 def test_heisenberg_moments_of_any_superposition_match_the_schroedinger_reference(
-        case, theta, theta_plus):
+        state, theta, theta_plus):
     # a superposition without the sources' symmetries sees which way T acts: its
     # single-mode intensities move with theta
-    geometry, state = case
     media = [MediumSpec(t, theta_plus) for t in [theta] + TURN]
-    reference, heisenberg = _reference_and_heisenberg(state, geometry, media)
+    reference, heisenberg = _reference_and_heisenberg(state, media)
     _assert_close_to_the_reference(heisenberg, reference)
 
 
@@ -701,11 +693,11 @@ def test_a_transposed_one_photon_matrix_misses_the_reference(variant):
     # normally ordered moment sees: it gives the reference values too
     state = state_from_amplitudes({(1, 0, 0, 0): 0.6, (0, 1, 0, 0): 0.48, (2, 0, 1, 0): 0.64})
     media = [MediumSpec(theta=t, theta_plus=0.4) for t in TURN]
-    reference, right = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media)
-    _, wrong = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media,
+    reference, right = _reference_and_heisenberg(state, media)
+    _, wrong = _reference_and_heisenberg(state, media,
                                          {"transpose": np.transpose,
                                           "adjoint": lambda t: t.conj().T}[variant])
-    _, conjugated = _reference_and_heisenberg(state, Geometry.NONCOLLINEAR, media, np.conj)
+    _, conjugated = _reference_and_heisenberg(state, media, np.conj)
     _assert_close_to_the_reference(right, reference)
     _assert_close_to_the_reference(conjugated, reference)
     intensities = [i for i, obs in enumerate(EVERY_OBSERVABLE)

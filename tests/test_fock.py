@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from morsim import (
-    Geometry,
     KetState,
     MediumSpec,
     Mode,
@@ -90,7 +89,7 @@ def test_inner_product_normalization_and_orthogonality():
 def test_amplitude_reads_every_entry_of_the_sector_blocks():
     # a rotated state fills its blocks densely; amplitude indexes the flat buffer
     out = apply_mor(build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=5)),
-                    MediumSpec(theta=0.7), Geometry.NONCOLLINEAR)
+                    MediumSpec(theta=0.7))
     for (n_a, n_b), x in sectors(out).items():
         for k_a in range(n_a + 1):
             for k_b in range(n_b + 1):
@@ -102,7 +101,7 @@ def test_amplitude_reads_every_entry_of_the_sector_blocks():
 def test_amplitude_finds_every_entry_of_a_deep_channel_output():
     # a binary search of sorted keys: every stored entry, and 0j off the state
     out = apply_mor(build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128)),
-                    MediumSpec(theta=0.7, theta_plus=0.2), Geometry.COLLINEAR)
+                    MediumSpec(theta=0.7, theta_plus=0.2))
     stored = amplitude_dict(out)
     assert len(stored) > 16_000
     assert all(out.amplitude(occ) == amp for occ, amp in stored.items())
@@ -187,20 +186,19 @@ def test_subspace_matrix_matches_generator_exponential(n):
 
 def test_apply_unitary_identity_is_noop():
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=6))
-    out = apply_mor(psi, MediumSpec(theta=0.0), Geometry.NONCOLLINEAR)
+    out = apply_mor(psi, MediumSpec(theta=0.0))
     assert max_difference(out, psi) < 1e-14
 
 
 def test_apply_unitary_half_turn_swaps_modes():
-    out = apply_mor(make_basis_state((1, 0, 0, 0)), MediumSpec(theta=math.pi),
-                    Geometry.COLLINEAR)
+    out = apply_mor(make_basis_state((1, 0, 0, 0)), MediumSpec(theta=math.pi))
     assert abs(abs(out.amplitude((0, 1, 0, 0))) - 1.0) < 1e-14
     assert abs(out.amplitude((1, 0, 0, 0))) < 1e-14
 
 
 def test_apply_unitary_preserves_norm_and_other_modes():
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.9, n_max=8))
-    out = apply_mor(psi, MediumSpec(theta=0.7, theta_plus=0.3), Geometry.NONCOLLINEAR)
+    out = apply_mor(psi, MediumSpec(theta=0.7, theta_plus=0.3))
     assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
     # photon numbers per beam unchanged per component
     def sector_weight(state, n_a, n_b):
@@ -213,9 +211,9 @@ def test_apply_unitary_preserves_norm_and_other_modes():
 
 def test_apply_unitary_sequential_composition():
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.6, n_max=5))
-    step = apply_mor(apply_mor(psi, MediumSpec(0.4, 1.2), Geometry.NONCOLLINEAR),
-                     MediumSpec(2.5, -0.3), Geometry.NONCOLLINEAR)
-    once = apply_mor(psi, MediumSpec(2.9, 0.9), Geometry.NONCOLLINEAR)
+    step = apply_mor(apply_mor(psi, MediumSpec(0.4, 1.2)),
+                     MediumSpec(2.5, -0.3))
+    once = apply_mor(psi, MediumSpec(2.9, 0.9))
     keys = amplitude_dict(step).keys() | amplitude_dict(once).keys()
     assert max(abs(step.amplitude(k) - once.amplitude(k)) for k in keys) < 1e-12
 
@@ -225,7 +223,7 @@ def test_state_occupations_amplitudes_and_blocks_are_read_only():
     # blocks it lays them out in may change; a channel output holds every entry of
     # the input's blocks, in buffer order
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.5, n_max=3))
-    out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.NONCOLLINEAR)
+    out = apply_mor(psi, MediumSpec(theta=0.3))
     assert psi.eigen_coefficients.shape == psi.buffer.shape
     assert np.array_equal(out.occupations, psi.layout.occupations)
     for state in (psi, out):
@@ -300,20 +298,20 @@ def test_strong_pumping_layout_builds_its_bases_in_one_pass(monkeypatch):
     step = fock._risbo_step
     monkeypatch.setattr(fock, "_risbo_step", lambda u, n: steps.append(n) or step(u, n))
     psi = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
-    apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    apply_mor(psi, MediumSpec(theta=0.3))
     assert steps == list(range(1, 257))
     assert [len(w_a) - 1 for w_a, _ in psi.layout.bases] == list(range(0, 257, 2))
-    apply_mor(psi, MediumSpec(theta=0.7), Geometry.COLLINEAR)
+    apply_mor(psi, MediumSpec(theta=0.7))
     assert steps == list(range(1, 257))
     # the bases live with the layout: a state with the same sectors makes its own pass
     apply_mor(build_state(SourceSpec(kind="collinear_pdc", r=0.4, n_max=128)),
-              MediumSpec(theta=0.3), Geometry.COLLINEAR)
+              MediumSpec(theta=0.3))
     assert steps == 2 * list(range(1, 257))
 
 
 def test_a_states_rotation_bases_are_freed_with_it():
     psi = build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=128))
-    out = apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+    out = apply_mor(psi, MediumSpec(theta=0.3))
     largest = weakref.ref(max((w_a for w_a, _ in psi.layout.bases), key=len))
     assert len(largest()) == 257
     del psi, out

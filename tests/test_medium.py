@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsim import (
-    Geometry,
     MediumSpec,
     Mode,
     ObservableKind,
@@ -48,10 +47,11 @@ def one_photon_matrix(theta, theta_plus=0.0):
 
 
 @st.composite
-def small_states(draw, geometry):
+def small_states(draw, b_beam):
     """Random superpositions of up to six occupations with at most three
-    photons per mode; the b beam stays empty in the collinear geometry."""
-    n_b = 3 if geometry is Geometry.NONCOLLINEAR else 0
+    photons per mode; the b beam stays empty unless b_beam, as a collinear
+    source leaves it."""
+    n_b = 3 if b_beam else 0
     occ = st.tuples(st.integers(0, 3), st.integers(0, 3),
                     st.integers(0, n_b), st.integers(0, n_b))
     amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -60,9 +60,9 @@ def small_states(draw, geometry):
     return state_from_amplitudes(amps, tail)
 
 
-def geometry_and_state():
-    return st.sampled_from(Geometry).flatmap(
-        lambda g: st.tuples(st.just(g), small_states(g)))
+def either_beam_states():
+    """States with an empty b beam, or with photons in it."""
+    return st.sampled_from((False, True)).flatmap(small_states)
 
 
 def test_rotation_matrix_theta_zero_is_identity():
@@ -116,7 +116,7 @@ def test_apply_mor_matches_two_photon_closed_form():
     worst = 0.0
     for theta in np.linspace(0.0, 2.0 * math.pi, 100):
         medium = MediumSpec(theta=float(theta), theta_plus=0.37)
-        out = apply_mor(pair_in, medium, Geometry.COLLINEAR)
+        out = apply_mor(pair_in, medium)
         got = [out.amplitude((2, 0, 0, 0)), out.amplitude((0, 2, 0, 0)),
                out.amplitude((1, 1, 0, 0))]
         expected = oracles.two_photon_pair_amplitudes(float(theta))
@@ -126,25 +126,19 @@ def test_apply_mor_matches_two_photon_closed_form():
 
 
 @PROPERTY_SETTINGS
-@given(geometry_and_state(), ANGLES, ANGLES)
-def test_apply_mor_preserves_norm(case, theta, theta_plus):
+@given(either_beam_states(), ANGLES, ANGLES)
+def test_apply_mor_preserves_norm(psi, theta, theta_plus):
     # the channel keeps every amplitude: norm and tail are both unchanged
-    geometry, psi = case
-    out = apply_mor(psi, MediumSpec(theta, theta_plus), geometry)
+    out = apply_mor(psi, MediumSpec(theta, theta_plus))
     assert out.truncation_tail == psi.truncation_tail
     assert abs(out.norm_squared() - psi.norm_squared()) < 1e-12
 
 
 def test_apply_mor_theta_zero_changes_no_observable():
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=8))
-    out = apply_mor(psi, MediumSpec(theta=0.0, theta_plus=0.6), Geometry.NONCOLLINEAR)
+    out = apply_mor(psi, MediumSpec(theta=0.0, theta_plus=0.6))
     for occ in [(1, 0, 0, 1), (1, 1, 1, 1), (2, 0, 0, 2)]:
         assert abs(abs(out.amplitude(occ)) - abs(psi.amplitude(occ))) < 1e-14
-
-
-def test_apply_mor_rejects_collinear_geometry_with_b_photons():
-    with pytest.raises(ValueError):
-        apply_mor(make_basis_state((1, 0, 1, 0)), MediumSpec(theta=0.1), Geometry.COLLINEAR)
 
 
 def test_apply_mor_refuses_a_whole_state_over_the_budget_before_building(monkeypatch):
@@ -160,7 +154,7 @@ def test_apply_mor_refuses_a_whole_state_over_the_budget_before_building(monkeyp
     psi = build_state(SourceSpec(kind="collinear_pdc", r=1.9, n_max=582))
     for _ in range(2):
         with pytest.raises(ValueError) as refused:
-            apply_mor(psi, MediumSpec(theta=0.3), Geometry.COLLINEAR)
+            apply_mor(psi, MediumSpec(theta=0.3))
         message = str(refused.value)
         assert message.startswith(f"a state of {583 ** 2} amplitudes needs 2.01 GiB")
         assert message.endswith("over the 2 GiB budget") and "\n" not in message
@@ -169,31 +163,29 @@ def test_apply_mor_refuses_a_whole_state_over_the_budget_before_building(monkeyp
 
 
 @PROPERTY_SETTINGS
-@given(geometry_and_state(), ANGLES, ANGLES)
-def test_apply_mor_matches_sequential_pair_unitaries(case, theta, theta_plus):
+@given(either_beam_states(), ANGLES, ANGLES)
+def test_apply_mor_matches_sequential_pair_unitaries(psi, theta, theta_plus):
     # the reference rotates the a pair, then the b pair with opposite angles
-    geometry, psi = case
     medium = MediumSpec(theta, theta_plus)
-    assert max_difference(apply_mor(psi, medium, geometry),
-                          reference_mor(psi, medium, geometry)) < 1e-12
+    assert max_difference(apply_mor(psi, medium),
+                          reference_mor(psi, medium)) < 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(geometry_and_state(), st.lists(st.tuples(ANGLES, ANGLES), min_size=2, max_size=6))
-def test_cached_eigen_coefficients_serve_angles_in_any_order(case, angles):
+@given(either_beam_states(), st.lists(st.tuples(ANGLES, ANGLES), min_size=2, max_size=6))
+def test_cached_eigen_coefficients_serve_angles_in_any_order(psi, angles):
     # one state, many angles: every output uses the same cached coefficients
-    geometry, psi = case
     for theta, theta_plus in angles:
         medium = MediumSpec(theta, theta_plus)
-        assert max_difference(apply_mor(psi, medium, geometry),
-                              reference_mor(psi, medium, geometry)) < 1e-12
+        assert max_difference(apply_mor(psi, medium),
+                              reference_mor(psi, medium)) < 1e-12
 
 
 def test_collinear_two_photon_fringe_matches_closed_form():
     r = 0.8
     psi = build_state(SourceSpec(kind="collinear_pdc", r=r, n_max=64))
     for theta in np.linspace(0.0, math.pi, 9):
-        out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.COLLINEAR)
+        out = apply_mor(psi, MediumSpec(theta=float(theta)))
         got = normally_ordered_moment(out, (1, 1, 0, 0))
         assert got == pytest.approx(oracles.collinear_two_photon(r, [float(theta)])[0],
                                     rel=1e-10)
@@ -203,7 +195,7 @@ def test_noncollinear_projection_matches_closed_form():
     r = 1.0
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=r, n_max=10))
     for theta in np.linspace(0.0, math.pi, 11):
-        out = apply_mor(psi, MediumSpec(theta=float(theta)), Geometry.NONCOLLINEAR)
+        out = apply_mor(psi, MediumSpec(theta=float(theta)))
         got = projection_probability(out, (1, 1, 1, 1))
         expected = oracles.noncollinear_four_photon_probability(r, [float(theta)])[0]
         assert abs(got - expected) <= max(1e-12, 1e-10 * expected)
@@ -213,8 +205,7 @@ def test_observables_invariant_under_global_phase_angle():
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.9, n_max=8))
     reference = None
     for theta_plus in (0.0, 0.7, math.pi):
-        out = apply_mor(psi, MediumSpec(theta=0.8, theta_plus=theta_plus),
-                        Geometry.NONCOLLINEAR)
+        out = apply_mor(psi, MediumSpec(theta=0.8, theta_plus=theta_plus))
         probe = (
             projection_probability(out, (1, 1, 1, 1)),
             normally_ordered_moment(out, (1, 1, 0, 0)),
@@ -227,17 +218,17 @@ def test_observables_invariant_under_global_phase_angle():
 
 
 @PROPERTY_SETTINGS
-@given(st.sampled_from(Geometry), st.floats(0.0, 1.2), st.floats(-math.pi, math.pi),
-       st.integers(1, 32), ANGLES, ANGLES)
-def test_observables_even_in_theta(geometry, r, phi, n_max, theta, theta_plus):
-    if geometry is Geometry.COLLINEAR:
+@given(st.sampled_from(["collinear_pdc", "noncollinear_pdc"]), st.floats(0.0, 1.2),
+       st.floats(-math.pi, math.pi), st.integers(1, 32), ANGLES, ANGLES)
+def test_observables_even_in_theta(kind, r, phi, n_max, theta, theta_plus):
+    if kind == "collinear_pdc":
         source, target = SourceSpec(kind="collinear_pdc", r=r, phi=phi, n_max=n_max), (2, 2, 0, 0)
     else:
         source = SourceSpec(kind="noncollinear_pdc", r=r, n_max=min(n_max, 8))
         target = (1, 1, 1, 1)
     psi = build_state(source)
-    plus = apply_mor(psi, MediumSpec(theta, theta_plus), geometry)
-    minus = apply_mor(psi, MediumSpec(-theta, theta_plus), geometry)
+    plus = apply_mor(psi, MediumSpec(theta, theta_plus))
+    minus = apply_mor(psi, MediumSpec(-theta, theta_plus))
     for powers in [(1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1)]:
         assert abs(normally_ordered_moment(plus, powers)
                    - normally_ordered_moment(minus, powers)) < 1e-12
@@ -250,8 +241,8 @@ def test_counter_propagation_sign_swap_leaves_projection_invariant():
     # coincidence projection depends on theta only through cos^2(2 theta)
     psi = build_state(SourceSpec(kind="noncollinear_pdc", r=0.8, n_max=8))
     for theta in (0.2, 0.9, 1.7):
-        forward = apply_mor(psi, MediumSpec(theta=theta), Geometry.NONCOLLINEAR)
-        swapped = apply_mor(psi, MediumSpec(theta=-theta), Geometry.NONCOLLINEAR)
+        forward = apply_mor(psi, MediumSpec(theta=theta))
+        swapped = apply_mor(psi, MediumSpec(theta=-theta))
         assert abs(projection_probability(forward, (1, 1, 1, 1))
                    - projection_probability(swapped, (1, 1, 1, 1))) < 1e-13
 
@@ -264,20 +255,18 @@ def test_medium_spec_rejects_non_finite():
 
 
 @PROPERTY_SETTINGS
-@given(geometry_and_state(), ANGLES, ANGLES, ANGLES, ANGLES)
-def test_apply_mor_composes_by_adding_angles(case, theta1, plus1, theta2, plus2):
-    geometry, psi = case
-    twice = apply_mor(apply_mor(psi, MediumSpec(theta1, plus1), geometry),
-                      MediumSpec(theta2, plus2), geometry)
-    once = apply_mor(psi, MediumSpec(theta1 + theta2, plus1 + plus2), geometry)
+@given(either_beam_states(), ANGLES, ANGLES, ANGLES, ANGLES)
+def test_apply_mor_composes_by_adding_angles(psi, theta1, plus1, theta2, plus2):
+    twice = apply_mor(apply_mor(psi, MediumSpec(theta1, plus1)),
+                      MediumSpec(theta2, plus2))
+    once = apply_mor(psi, MediumSpec(theta1 + theta2, plus1 + plus2))
     assert max_difference(twice, once) < 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(geometry_and_state(), st.tuples(*[st.integers(0, 3)] * 4),
+@given(either_beam_states(), st.tuples(*[st.integers(0, 3)] * 4),
        st.permutations(list(Mode)))
-def test_moments_and_variance_match_occupation_loops(case, powers, modes):
-    _, psi = case
+def test_moments_and_variance_match_occupation_loops(psi, powers, modes):
     assert normally_ordered_moment(psi, powers) == pytest.approx(
         reference_moment(psi, powers), rel=1e-12, abs=1e-12)
     pair = (modes[0], modes[1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morsim import Geometry, MediumSpec, apply_mor, detection, oracles, verify
+from morsim import MediumSpec, apply_mor, detection, oracles, verify
 from morsim.detection import ObservableKind
 from morsim.fock import KetState
 from morsim.sources import SourceSpec, build_state
@@ -16,13 +16,13 @@ from morsim.verify import (
 from reference_channel import measure, reference_channel
 
 
-def broken_apply_mor(state, medium, geometry):
+def broken_apply_mor(state, medium):
     """Channel with the counter-propagation sign error: the b beam sees
-    +theta instead of -theta.  Built from the reference channel; in the
-    collinear geometry the b beam is empty, so the mutant equals the engine
-    there and apply_mor stands in for the costly large-n reference."""
-    if Geometry(geometry) is Geometry.COLLINEAR:
-        return apply_mor(state, medium, geometry)
+    +theta instead of -theta.  Built from the reference channel; on a state
+    with an empty b beam the mutant equals the engine, so apply_mor stands in
+    there for the costly large-n reference."""
+    if not state.occupations[2:].any():
+        return apply_mor(state, medium)
     angles = (medium.theta, medium.theta_plus)
     return reference_channel(state, angles, angles)
 
@@ -112,28 +112,25 @@ def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
     deep, shallow = (build_state(SourceSpec(kind="collinear_pdc", r=1.3, n_max=n_max))
                      for n_max in (128, 2))
     media = [MediumSpec(theta=float(theta)) for theta in np.linspace(0.0, 2.0 * math.pi, 25)]
-    engine = detection._sample([source], Geometry.COLLINEAR, [verify.PROJECTION[verify.COLLINEAR]],
-                               media)[0]
+    engine = detection._sample([source], [verify.PROJECTION[verify.COLLINEAR]], media)[0]
     reference = []
     for medium in media:
-        reference.append(measure(apply_mor(deep, medium, Geometry.COLLINEAR),
-                                 verify.PROJECTION[verify.COLLINEAR]))
-        assert reference[-1] == measure(apply_mor(shallow, medium, Geometry.COLLINEAR),
+        reference.append(measure(apply_mor(deep, medium), verify.PROJECTION[verify.COLLINEAR]))
+        assert reference[-1] == measure(apply_mor(shallow, medium),
                                         verify.PROJECTION[verify.COLLINEAR])
     assert np.abs(np.subtract([value for value, in engine], reference)).max() \
         <= 1e-15 * max(reference)
 
 
 def test_run_all_reads_each_probe_once_per_check(monkeypatch):
-    # a check reads the channel once per (geometry, theta, theta_plus) for all of its
-    # sources; counted through the one channel detection holds
+    # a check reads each probe once per (theta, theta_plus) for all of its sources;
+    # counted through the one channel detection holds
     calls = []
     running = [None]
 
-    def counted(state, medium, geometry):
-        calls.append((running[0], Geometry(geometry), medium.theta, medium.theta_plus,
-                      state.occupations.tobytes()))
-        return apply_mor(state, medium, geometry)
+    def counted(state, medium):
+        calls.append((running[0], medium.theta, medium.theta_plus, state.occupations.tobytes()))
+        return apply_mor(state, medium)
 
     for name, check in list(vars(verify).items()):
         if name.startswith("check_"):
@@ -143,20 +140,28 @@ def test_run_all_reads_each_probe_once_per_check(monkeypatch):
             monkeypatch.setattr(verify, name, labelled)
     monkeypatch.setattr(detection, "apply_mor", counted)
     assert all(r.passed for r in run_all())
-    # 891 when each source read its own one-photon matrices
-    assert len(calls) <= 359
+    # 891 when each source read its own one-photon matrices, 357 with one probe set
+    # per geometry
+    assert len(calls) <= 289
     assert {call[0] for call in calls} == {
         "check_oracle_equivalence", "check_two_photon_closed_form", "check_fringe_frequencies",
         "check_visibility_curve", "check_glauber_vs_projection",
         "check_normalization_and_invariance"}
+    # two checks read through the public sweeps, the CLI's path
+    swept = {"check_visibility_curve", "check_fringe_frequencies"}
     # every other check reads each probe at each medium once
-    others = [call for call in calls if call[0] != "check_visibility_curve"]
+    others = [call for call in calls if call[0] not in swept]
     assert len(set(others)) == len(others)
-    # the visibility check scans each engine fringe through fringe_scan, the CLI's
-    # path: its six nodes once per source
+    # the visibility check scans each engine fringe through fringe_scan: its six
+    # nodes once per source
     scanned = [call for call in calls if call[0] == "check_visibility_curve"]
     assert len(scanned) == 2 * 6 * len(verify.ORACLE_R_VALUES)
     assert len(set(scanned)) == 2 * 6
+    # the K = 2 and K = 4 fringes of the 1:2:4 check each read their own nodes
+    # through dominant_frequency; 0 and pi are nodes of both
+    spectra = [call for call in calls if call[0] == "check_fringe_frequencies"]
+    assert len(spectra) == 2 * (6 + 10)
+    assert len(set(spectra)) == 2 * (6 + 10 - 2)
 
 
 CHANNEL_FREE_CHECKS = {"visibility_two_photon_monotone", "visibility_four_photon_weak_pumping",
@@ -165,8 +170,8 @@ CHANNEL_FREE_CHECKS = {"visibility_two_photon_monotone", "visibility_four_photon
 
 
 def test_a_nan_channel_fails_every_check_that_reads_it(monkeypatch):
-    def nan_apply_mor(state, medium, geometry):
-        out = apply_mor(state, medium, geometry)
+    def nan_apply_mor(state, medium):
+        out = apply_mor(state, medium)
         return KetState(out.occupations, np.full_like(out.amplitudes, np.nan),
                         out.truncation_tail)
 
