@@ -4,7 +4,6 @@ from .detection import (
     FringeSeries,
     ObservableKind,
     ObservableSpec,
-    VisibilityResult,
     closed_form_scan,
     dominant_frequency,
     evaluate,
@@ -41,7 +40,6 @@ __all__ = [
     "SourceKind",
     "SourceSpec",
     "TruncationError",
-    "VisibilityResult",
     "apply_mor",
     "build_state",
     "closed_form_scan",

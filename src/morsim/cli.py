@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import verify
+from . import detection, verify
 from .detection import (
     ObservableKind,
     ObservableSpec,
@@ -111,10 +111,9 @@ def _observable_from_args(args, source: SourceSpec) -> ObservableSpec:
     return ObservableSpec(kind=kind)
 
 
-def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace,
-          min_points: int = 2) -> np.ndarray:
-    if points < min_points:
-        raise ValueError(f"{name} grid needs at least {min_points} points, got {points}")
+def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> np.ndarray:
+    if points < 2:
+        raise ValueError(f"{name} grid needs at least 2 points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} grid bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
@@ -177,18 +176,13 @@ def cmd_visibility(args) -> int:
     r_grid = _grid(args.r_min, args.r_max, args.points, "r")
     if args.r_min <= 0:
         raise ValueError("visibility sweep needs r > 0")
-    # the fringes repeat after pi, so two points read one point of the fringe twice
-    thetas = _grid(0.0, math.pi, args.theta_points, "theta", min_points=3)
     obs = ObservableSpec(kind=OBSERVABLE_NAMES[args.observable])
+    # the samples at its nodes fix a fringe, and with it its exact extremes
+    nodes = detection._nodes(detection._fringe_degree(obs))
+    scan = closed_form_scan if args.mode == "exact" else fringe_scan
     sources = [SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
                for r in map(float, r_grid)]
-    rows = []
-    for source in sources:
-        if args.mode == "exact":
-            series = closed_form_scan(source, thetas, obs)
-        else:
-            series = fringe_scan(source, thetas, obs)
-        rows.append((source.r, visibility(series).v))
+    rows = [(source.r, visibility(scan(source, nodes, obs))) for source in sources]
     if args.mode != "exact":
         _warn_if_truncation_misses(sources, obs)
     _write_csv(args.out, "r,visibility", rows)
@@ -314,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     vis.add_argument("--r-min", type=float, default=0.01)
     vis.add_argument("--r-max", type=float, default=3.0)
     vis.add_argument("--points", type=int, default=60)
-    vis.add_argument("--theta-points", type=int, default=513,
-                     help="fringe samples per period used for the extremes")
     vis.add_argument("--n-max", type=int, default=None)
     vis.add_argument("--mode", choices=["numeric", "exact"], default="exact")
     vis.add_argument("--out", default=None)

@@ -113,13 +113,6 @@ class FringeSeries:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class VisibilityResult:
-    v: float
-    theta_at_max: float
-    theta_at_min: float
-
-
 # photons each detector of a moment observable absorbs: the intensity's one
 # mode, or both modes of the pair
 _MOMENT_POWERS = {
@@ -358,20 +351,33 @@ def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeS
     return FringeSeries(theta_grid=grid, values=values)
 
 
-def visibility(series: FringeSeries) -> VisibilityResult:
-    """(max - min) / (max + min) over the series; the grid must cover at
-    least one full period of the observable."""
-    # argmax and argmin take the first extreme, as max() and min() do, but a NaN wins
-    values = np.asarray(series.values)
-    top, bottom = int(values.argmax()), int(values.argmin())
-    vmax, vmin = series.values[top], series.values[bottom]
-    if vmax + vmin == 0.0:
+def visibility(series: FringeSeries) -> float:
+    """(max - min) / (max + min) of a fringe over all theta, from its samples at the
+    nodes of its degree K; NaN where a sample is.  A fringe is even, so it is p(cos theta)
+    with p = sum_m a_m T_m: its extremes lie at the nodes 0 and pi or at roots of p'.
+    Each root enters by its real part, clipped to [-1, 1]: a spare candidate lies between
+    the extremes, and a multiple root that rounding splits off the real axis still counts."""
+    degree = len(series.values) // 2 - 1
+    if degree < 1 or series.theta_grid != tuple(_nodes(degree)):
+        raise ValueError("visibility needs a fringe sampled at the nodes pi j / (K + 1)")
+    samples = np.asarray(series.values)
+    if not np.isfinite(samples).all():
+        return math.nan
+    # scaled to 1, a fringe of subnormal samples keeps the digits of its roots
+    samples = samples / (np.abs(samples).max() or 1.0)
+    a = _fourier(samples, degree).real
+    a[1:] *= 2.0
+    # T_0 .. T_K in ascending powers of x, from T_{m+1} = 2x T_m - T_{m-1}
+    chebyshev = list(np.eye(degree + 1)[:2])
+    while len(chebyshev) <= degree:
+        chebyshev.append(2.0 * np.roll(chebyshev[-1], 1) - chebyshev[-2])
+    p = (a @ chebyshev)[::-1]
+    x = np.clip(np.roots(np.polyder(p)).real, -1.0, 1.0)
+    candidates = np.concatenate([samples[[0, degree + 1]], np.polyval(p, x)])
+    top, bottom = float(candidates.max()), float(candidates.min())
+    if top + bottom == 0.0:
         raise ValueError("visibility undefined: fringe is identically zero")
-    return VisibilityResult(
-        v=(vmax - vmin) / (vmax + vmin),
-        theta_at_max=series.theta_grid[top],
-        theta_at_min=series.theta_grid[bottom],
-    )
+    return (top - bottom) / (top + bottom)
 
 
 def min_detectable_angle(source: SourceSpec) -> float:

@@ -145,10 +145,11 @@ def build_state(spec: SourceSpec) -> KetState:
     collinear = spec.kind is SourceKind.COLLINEAR_PDC
     _require_state_memory(spec.kind, n_max)
     t = math.tanh(spec.r)
-    if collinear:
-        term, ratio = complex(1.0 / math.cosh(spec.r)), -cmath.exp(1j * spec.phi) * t
-    else:
-        term, ratio = 1.0 / math.cosh(spec.r) ** 2, t
+    try:
+        vacuum = 1.0 / math.cosh(spec.r) if collinear else 1.0 / math.cosh(spec.r) ** 2
+    except OverflowError:  # every amplitude underflows: the state is empty, with tail 1
+        vacuum = 0.0
+    term, ratio = (complex(vacuum), -cmath.exp(1j * spec.phi) * t) if collinear else (vacuum, t)
     # the running product goes straight into the array it ends in, so nothing that grows
     # with n_max lies beside the counted arrays
     terms = np.empty(n_max + 1, dtype=complex if collinear else float)

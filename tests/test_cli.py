@@ -32,12 +32,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv):
-    """``python -m morsim`` in a child process, importing the morsim under test."""
+def run_python(*argv):
+    """A child Python process that imports the morsim under test."""
     src = str(Path(morsim.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "morsim", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(*argv):
+    """``python -m morsim`` in a child process, importing the morsim under test."""
+    return run_python("-m", "morsim", *argv)
 
 
 def read_rows(path):
@@ -190,10 +195,8 @@ def test_non_finite_input_exits_1(capsys, command):
     assert err.startswith(f"error: {NON_FINITE[command]} must be finite")
 
 
-# inputs that overflow a float in a source amplitude or a closed form
+# inputs that overflow a float in a closed form
 OVERFLOWING = (
-    "envelope --r-max 800 --points 5",
-    "fringe --source collinear --r 800 --n-max 4",
     "fringe --mode exact --r 400",
     "fringe --source coherent --alpha 1e200 --observable nd-variance",
 )
@@ -205,6 +208,42 @@ def test_overflow_exits_1_with_one_error_line(command):
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# command -> exit code and stderr.  Past r ~ 355 cosh^2 r overflows, and past r ~ 710
+# cosh r: every amplitude of the source underflows there, so its state is empty with
+# tail 1, and every value there reads 0
+PAST_COSH_OVERFLOW = {
+    "envelope --r-max 800 --points 5": (
+        1, "error: the envelope is 0 at every r in [0, 800]; it has no maximum to locate\n"),
+    "envelope --r-max 800 --points 801": (0, ""),
+    "fringe --source noncollinear --r 400 --n-max 4 --points 3 "
+    "--observable four-photon-projection": (0, ""),
+    "fringe --r 800 --n-max 4 --points 3": (
+        0, "warning: n_max=4 misses the truncation target at r=800: "
+           "tail*(n_max+4)^4 = 4.1e+03 > epsilon=1e-10\n"),
+}
+
+
+@pytest.mark.parametrize("command", PAST_COSH_OVERFLOW)
+def test_a_source_past_the_overflow_of_cosh_r_reads_0(capsys, command):
+    code, err = PAST_COSH_OVERFLOW[command]
+    argv = command.split()
+    assert run_cli(*argv) == code
+    out, captured_err = capsys.readouterr()
+    assert captured_err == err
+    if code == 1:
+        assert out == ""
+        return
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == int(argv[argv.index("--points") + 1])
+    assert all(value == "0" for x, value in rows if command.startswith("fringe")
+               or float(x) > 355)
+    if command.startswith("envelope"):
+        # the maximum near r = 0.88 is found as at the default range
+        assert run_cli("envelope") == 0
+        assert lines[-1] == capsys.readouterr().out.splitlines()[-1]
 
 
 # command -> the source and observable whose closed form overflows at r = 200
@@ -227,8 +266,7 @@ def test_a_closed_form_overflow_names_its_source_observable_and_r(capsys, comman
                    "overflows at r=200\n")
 
 
-@pytest.mark.parametrize("command", ["fringe --points 1000000000000 --mode exact",
-                                     "visibility --theta-points 1000000000000"])
+@pytest.mark.parametrize("command", ["fringe --points 1000000000000 --mode exact"])
 def test_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, command):
     # the grid builder refuses as numpy does when the OS cannot supply the
     # array, without asking the OS for it
@@ -474,7 +512,7 @@ def test_visibility_numeric_mode_spot_value(tmp_path):
     out = tmp_path / "visnum.csv"
     code = run_cli("visibility", "--observable", "two-photon", "--mode", "numeric",
                    "--r-min", "0.5", "--r-max", "1.0", "--points", "2",
-                   "--theta-points", "65", "--n-max", "96", "--out", str(out))
+                   "--n-max", "96", "--out", str(out))
     assert code == 0
     _, rows, _ = read_rows(out)
     assert rows[1][1] == pytest.approx(1.0 / (1.0 + 2.0 * math.tanh(1.0) ** 2), abs=1e-8)
@@ -540,12 +578,41 @@ def test_projection_n_max_below_its_target_depth_warns_on_stderr_only(capsys, so
     assert quiet == "" and deep != shallow
 
 
-@pytest.mark.parametrize("points", ["-3", "0", "1", "2"])
-def test_visibility_needs_three_theta_points(capsys, points):
-    assert run_cli("visibility", "--theta-points", points) == 1
+def test_visibility_takes_no_theta_points(capsys):
+    # each visibility is exact from the samples at its fringe's nodes: no grid to size
+    assert run_cli("visibility", "--theta-points", "5") == 1
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
-    assert err == f"error: theta grid needs at least 3 points, got {points}\n"
+    # argparse's usage line, then one error line
+    assert out == "" and len(err.splitlines()) == 2
+    assert err.splitlines()[1] == "morsim: error: unrecognized arguments: --theta-points 5"
+
+
+def four_photon_visibility(r):
+    """v4 of collinear PDC's Glauber counts I(g) = (g - 1)^2 s^4 c^4 + 4 (g + 1) s^6 c^2
+    + 4 s^8, g = 3 cos^2 theta in [0, 3] (README derives it).  I is convex in g: its
+    maximum is at g = 3, its minimum at g = 1 - 2 tanh^2 r while that is >= 0, else at 0."""
+    s, c = math.sinh(r), math.cosh(r)
+    top = 4 * s**4 * c**4 + 16 * s**6 * c**2 + 4 * s**8
+    if math.tanh(r) ** 2 <= 0.5:
+        bottom = 8 * s**6 * c**2
+    else:
+        bottom = s**4 * c**4 + 4 * s**6 * c**2 + 4 * s**8
+    return (top - bottom) / (top + bottom)
+
+
+@pytest.mark.parametrize("mode", ["numeric", "exact"])
+def test_four_photon_visibility_is_the_derived_curve(capsys, mode):
+    # the minimum lies off every fixed grid while tanh^2 r < 1/2: a 513-point grid
+    # missed it by up to 1.1e-5
+    assert run_cli("visibility", "--observable", "four-photon-glauber", "--r-min", "0.05",
+                   "--r-max", "1.3", "--points", "26", "--n-max", "128", "--mode", mode) == 0
+    rows = [tuple(map(float, line.split(",")))
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 26
+    assert max(abs(v - four_photon_visibility(r)) for r, v in rows) <= 1e-12
+    # the curve passes its triple root at tanh^2 r = 1/2 and runs toward 5/11
+    assert four_photon_visibility(math.atanh(math.sqrt(0.5))) == pytest.approx(9 / 17)
+    assert four_photon_visibility(20.0) == pytest.approx(5 / 11, rel=1e-15)
 
 
 def test_pdc_closed_form_ignores_the_coherent_amplitude(capsys):
@@ -663,6 +730,22 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert "[FAIL] stub_fail" in out and "1/2 checks passed" in out
 
 
+def _modules_loaded_by(statement):
+    """The modules a fresh interpreter holds after the statement."""
+    proc = run_python("-c", f"import sys; {statement}; print(*sys.modules, sep='\\n')")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_only_the_standard_library_beyond_numpy():
+    # every command pays its start-up: the CLI may add nothing numpy itself does not
+    # load (numpy.polynomial, say) but the standard library and morsim
+    extra = _modules_loaded_by("import morsim.cli") - _modules_loaded_by("import numpy")
+    assert "morsim.cli" in extra
+    assert sorted(name for name in extra if name.partition(".")[0]
+                  not in sys.stdlib_module_names | {"morsim"}) == []
+
+
 def test_module_entry_point():
     proc = run_module("fringe", "--source", "collinear", "--r", "0.2", "--points", "3",
                       "--mode", "exact")
@@ -723,7 +806,7 @@ def test_stdout_output(capsys):
 # each sweep: its command, the options of its two bounds, and the options it runs with
 SWEEPS = (
     ("fringe", "--theta-min", "--theta-max", ()),
-    ("visibility", "--r-min", "--r-max", ("--mode", "exact", "--theta-points", "3")),
+    ("visibility", "--r-min", "--r-max", ("--mode", "exact")),
     ("envelope", "--r-min", "--r-max", ("--mode", "exact")),
     ("sensitivity", "--mean-n-min", "--mean-n-max", ()),
 )

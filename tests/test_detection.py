@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -50,6 +51,17 @@ EVERY_OBSERVABLE = (
                     ObservableKind.ND_VARIANCE)]
     + [ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target)
        for target in ((2, 2, 0, 0), (1, 1, 1, 1), (2, 0, 0, 2))]
+)
+
+# all 75 observables: 4 intensities, the 3 pair kinds on the 12 ordered pairs, and the
+# 35 projection targets of 4 photons in 4 modes
+ALL_OBSERVABLES = (
+    [ObservableSpec(kind=ObservableKind.INTENSITY, mode=mode) for mode in Mode]
+    + [ObservableSpec(kind=kind, pair=(m1, m2)) for m1 in Mode for m2 in Mode if m1 != m2
+       for kind in (ObservableKind.TWO_PHOTON_COINCIDENCE, ObservableKind.FOUR_PHOTON_GLAUBER,
+                    ObservableKind.ND_VARIANCE)]
+    + [ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target)
+       for target in itertools.product(range(5), repeat=4) if sum(target) == 4]
 )
 
 
@@ -207,38 +219,58 @@ def test_fringe_periodicity_checks_out_numerically():
 
 
 def test_visibility_two_photon_closed_form():
-    # numeric fringe over one period; extremes land exactly on the grid
+    # numeric fringe at its six nodes; its minimum at pi/2 is not one of them
     src = collinear(1.0, n_max=96)
-    grid = np.linspace(0.0, math.pi, 65)
-    series = fringe_scan(src, grid, TWO_PHOTON)
-    res = visibility(series)
-    assert res.v == pytest.approx(oracles.two_photon_visibility_closed(1.0), rel=1e-8)
-    assert abs(res.v - 0.46295) < 1e-3
-    assert res.theta_at_max == 0.0
-    assert res.theta_at_min == pytest.approx(math.pi / 2, abs=1e-12)
+    v = visibility(fringe_scan(src, detection._nodes(2), TWO_PHOTON))
+    assert v == pytest.approx(oracles.two_photon_visibility_closed(1.0), rel=1e-8)
+    assert abs(v - 0.46295) < 1e-3
 
 
 def test_visibility_two_photon_approaches_one_at_weak_pumping():
     src = collinear(0.01, n_max=8)
-    series = fringe_scan(src, np.linspace(0.0, math.pi, 65), TWO_PHOTON)
-    assert visibility(series).v > 0.999
+    series = fringe_scan(src, detection._nodes(2), TWO_PHOTON)
+    assert visibility(series) > 0.999
 
 
 def test_visibility_four_photon_glauber_near_one_at_weak_pumping():
     src = collinear(0.01, n_max=8)
-    series = fringe_scan(src, np.linspace(0.0, math.pi, 513), GLAUBER)
-    assert visibility(series).v > 0.999
+    series = fringe_scan(src, detection._nodes(4), GLAUBER)
+    assert visibility(series) > 0.999
 
 
 def test_visibility_undefined_for_all_zero_series():
     with pytest.raises(ValueError):
-        visibility(FringeSeries(theta_grid=(0.0, 1.0), values=(0.0, 0.0)))
+        visibility(FringeSeries(theta_grid=detection._nodes(1), values=(0.0,) * 4))
 
 
-@pytest.mark.parametrize("values", [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5),
-                                    (1.0, 0.5, math.nan)])
+@pytest.mark.parametrize("values", [(math.nan, 1.0, 0.5, 1.0), (1.0, math.nan, 0.5, 1.0),
+                                    (1.0, 0.5, math.nan, 1.0), (1.0, 0.5, 1.0, math.nan)])
 def test_a_nan_anywhere_in_a_fringe_gives_a_nan_visibility(values):
-    assert math.isnan(visibility(FringeSeries((0.0, 1.0, 2.0), values)).v)
+    assert math.isnan(visibility(FringeSeries(detection._nodes(1), values)))
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.0, math.pi, 6), np.linspace(0.0, math.pi, 513),
+                                  detection._nodes(2)[:5], detection._nodes(2) + [6.5],
+                                  [0.0, math.pi]])
+def test_visibility_refuses_a_grid_other_than_the_nodes(grid):
+    with pytest.raises(ValueError, match="nodes"):
+        visibility(FringeSeries(grid, np.ones(len(grid))))
+
+
+# an even fringe p(cos theta), p in ascending powers of x, and its visibility
+OFF_NODE_EXTREMES = [
+    ((0.5, 0.0, 1.0), 0.5),  # x^2 + 1/2: its minimum at pi/2 lies between the nodes
+    ((0.19, -0.6, 1.0), 1.69 / 1.89),  # (x - 0.3)^2 + 0.1: a minimum off the symmetric points
+    ((1.0, -1.0, 0.0, 1.0), 2.0 / (3.0 * math.sqrt(3.0))),  # both extremes between nodes
+    ((1.0, 0.0, 0.0, 0.0, 1.0), 1.0 / 3.0),  # x^4 + 1: a triple root of p' at x = 0
+]
+
+
+@pytest.mark.parametrize("powers, expected", OFF_NODE_EXTREMES)
+def test_visibility_finds_extremes_between_the_nodes(powers, expected):
+    nodes = detection._nodes(len(powers) - 1)
+    values = np.polyval(powers[::-1], np.cos(nodes))
+    assert visibility(FringeSeries(nodes, values)) == pytest.approx(expected, rel=1e-13)
 
 
 def _nd_variance(source, theta):
@@ -470,6 +502,19 @@ def test_a_batch_of_media_reads_each_medium_with_the_bits_it_has_alone(kind, rs,
         assert batch.shape == alone.shape == (len(media), len(EVERY_OBSERVABLE))
         assert batch.tobytes() == alone.tobytes()
         assert shared[i].tobytes() == alone.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(PDC_KINDS, st.floats(0.0, 1.2), ANGLES, st.integers(1, 24), ANGLES, ANGLES)
+def test_every_observable_is_even_in_theta(kind, r, phi, n_max, theta, theta_plus):
+    # visibility reads each fringe as a polynomial in cos theta, which only an even one is
+    assert len(ALL_OBSERVABLES) == 75
+    source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
+    angles = [theta, -theta, *detection._nodes(4)]
+    values = detection._sample([source], ALL_OBSERVABLES,
+                               [MediumSpec(angle, theta_plus) for angle in angles])[0]
+    largest = np.abs(values).max(axis=0)
+    assert np.all(np.abs(values[0] - values[1]) <= 1e-13 * largest)
 
 
 def _node(j, degree):

@@ -92,6 +92,16 @@ def test_norm_plus_tail_is_one(kind, r, n_max):
     assert state.norm_squared() + state.truncation_tail == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, r", [("collinear_pdc", 800.0), ("collinear_pdc", 1e300),
+                                     ("noncollinear_pdc", 400.0), ("noncollinear_pdc", 800.0)])
+def test_a_source_whose_cosh_r_overflows_is_empty_with_tail_1(kind, r):
+    # 1 / cosh r (collinear) or 1 / cosh^2 r (non-collinear) is 0 to the last bit long
+    # before cosh r or its square overflows: no amplitude survives
+    state = build_state(SourceSpec(kind=kind, r=r, n_max=4))
+    assert state.amplitudes.size == 0 and state.occupations.shape == (4, 0)
+    assert state.truncation_tail == 1.0
+
+
 def test_pair_structure():
     col = build_state(SourceSpec(kind="collinear_pdc", r=1.2, n_max=15))
     for occ in amplitude_dict(col):
