@@ -6,7 +6,6 @@ from .detection import (
     ObservableSpec,
     closed_form_scan,
     dominant_frequency,
-    evaluate,
     fringe_scan,
     min_detectable_angle,
     sensitivity_curve,
@@ -44,7 +43,6 @@ __all__ = [
     "build_state",
     "closed_form_scan",
     "dominant_frequency",
-    "evaluate",
     "fringe_scan",
     "make_basis_state",
     "mean_photon_number",

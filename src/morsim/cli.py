@@ -22,14 +22,13 @@ from .detection import (
     ObservableSpec,
     _projection_depth,
     closed_form_scan,
-    evaluate,
     fringe_scan,
     sensitivity_curve,
     visibility,
 )
 from .fock import Mode, Occupation
 from .medium import MediumSpec
-from .sources import SourceKind, SourceSpec, truncation_bound
+from .sources import EPSILON, SourceKind, SourceSpec, truncation_bound
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,7 +57,6 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse defaults to exit code 2, which is reserved for verification failures
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -80,13 +78,8 @@ def _write_csv(path, header: str, rows, comments=()) -> None:
 
 
 def _source_from_args(args) -> SourceSpec:
-    kind = SOURCE_NAMES[args.source]
-    kwargs = {}
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    return SourceSpec(kind=kind, alpha=complex(args.alpha), r=args.r, phi=args.phi, **kwargs)
+    return SourceSpec(kind=SOURCE_NAMES[args.source], alpha=complex(args.alpha), r=args.r,
+                      phi=args.phi, n_max=args.n_max)
 
 
 def _default_target(kind: SourceKind) -> Occupation:
@@ -131,8 +124,8 @@ def _grid(lo: float, hi: float, points: int, name: str, spacing=np.linspace) -> 
 
 
 def _warn_if_truncation_misses(sources, obs: ObservableSpec) -> None:
-    """One stderr line when an explicit n_max leaves the moment bound above its
-    source's epsilon, naming the r where the bound is worst.  A projection reads
+    """One stderr line when an explicit n_max leaves the moment bound above
+    EPSILON, naming the r where the bound is worst.  A projection reads
     one sector, exactly at any n_max that reaches it, so it warns only when an
     n_max stops short of its target's sector and every value reads 0."""
     explicit = [s for s in sources if s.is_pdc and s.n_max is not None]
@@ -148,9 +141,9 @@ def _warn_if_truncation_misses(sources, obs: ObservableSpec) -> None:
         return
     worst = max(explicit, key=lambda s: truncation_bound(s.kind, s.r, s.n_max))
     bound = truncation_bound(worst.kind, worst.r, worst.n_max)
-    if bound > worst.epsilon:
+    if bound > EPSILON:
         print(f"warning: n_max={worst.n_max} misses the truncation target at r={worst.r:g}: "
-              f"tail*(n_max+4)^4 = {bound:.3g} > epsilon={worst.epsilon:g}", file=sys.stderr)
+              f"tail*(n_max+4)^4 = {bound:.3g} > epsilon={EPSILON:g}", file=sys.stderr)
 
 
 def cmd_fringe(args) -> int:
@@ -182,7 +175,13 @@ def cmd_visibility(args) -> int:
     scan = closed_form_scan if args.mode == "exact" else fringe_scan
     sources = [SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
                for r in map(float, r_grid)]
-    rows = [(source.r, visibility(scan(source, nodes, obs))) for source in sources]
+    rows = []
+    for source in sources:
+        series = scan(source, nodes, obs)
+        try:
+            rows.append((source.r, visibility(series)))
+        except ValueError as refused:
+            raise ValueError(f"r={source.r:g}: {refused}") from None
     if args.mode != "exact":
         _warn_if_truncation_misses(sources, obs)
     _write_csv(args.out, "r,visibility", rows)
@@ -215,14 +214,12 @@ def cmd_envelope(args) -> int:
     # the geometry names its source, and with it the target
     kind = SOURCE_NAMES[args.geometry]
     obs = ObservableSpec(kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=_default_target(kind))
+    # the projection only sees the four-photon sector, so the engine is exact at
+    # any r without a deep truncation
+    scan = closed_form_scan if args.mode == "exact" else fringe_scan
 
     def value_at(r: float) -> float:
-        source = SourceSpec(kind=kind, r=r)
-        if args.mode == "exact":
-            return closed_form_scan(source, (0.0,), obs).values[0]
-        # the projection only sees the four-photon sector, so this is exact
-        # at any r without a deep truncation
-        return evaluate(source, MediumSpec(theta=0.0), obs)
+        return scan(SourceSpec(kind=kind, r=r), (0.0,), obs).values[0]
 
     values = [value_at(float(r)) for r in r_grid]
     if not any(values):
@@ -274,9 +271,8 @@ def _add_source_flags(parser):
     parser.add_argument("--phi", type=float, default=0.0,
                         help="pump phase (collinear PDC only)")
     parser.add_argument("--n-max", type=int, default=None,
-                        help="retained photon pairs; default: automatic from --epsilon")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="target truncation bound for automatic n_max")
+                        help="retained photon pairs; default: automatic, to a "
+                             "truncation bound below 1e-10")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -151,12 +151,6 @@ def _projection_depth(kind: SourceKind, target: Occupation) -> int:
     return max(n_a // 2 if kind is SourceKind.COLLINEAR_PDC else max(n_a, n_b), 1)
 
 
-def evaluate(source: SourceSpec, medium: MediumSpec, obs: ObservableSpec) -> float:
-    """One observable value for a source evolved through the medium: what fringe_scan
-    samples, at one medium."""
-    return float(_sample([source], [obs], [medium])[0, 0, 0])
-
-
 @cache
 def _one_photon_probes() -> tuple[KetState, KetState]:
     """Probe j holds one photon in mode j of beam a and one in mode j of beam b,
@@ -352,19 +346,26 @@ def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeS
 
 
 def visibility(series: FringeSeries) -> float:
-    """(max - min) / (max + min) of a fringe over all theta, from its samples at the
-    nodes of its degree K; NaN where a sample is.  A fringe is even, so it is p(cos theta)
-    with p = sum_m a_m T_m: its extremes lie at the nodes 0 and pi or at roots of p'.
-    Each root enters by its real part, clipped to [-1, 1]: a spare candidate lies between
-    the extremes, and a multiple root that rounding splits off the real axis still counts."""
+    """(max - min) / (max + min) of a nonnegative fringe over all theta, from its samples
+    at the nodes of its degree K; NaN where a sample is.  A fringe is even, so it is
+    p(cos theta) with p = sum_m a_m T_m: its extremes lie at the nodes 0 and pi or at
+    roots of p'.  Each root enters by its real part, clipped to [-1, 1]: a spare candidate
+    lies between the extremes, and a multiple root that rounding splits off the real axis
+    still counts.  A minimum below 0 is rounding and reads as 0.  Raises ValueError for a
+    fringe that is identically zero or whose largest sample is subnormal, as such samples
+    have lost their digits."""
     degree = len(series.values) // 2 - 1
     if degree < 1 or series.theta_grid != tuple(_nodes(degree)):
         raise ValueError("visibility needs a fringe sampled at the nodes pi j / (K + 1)")
     samples = np.asarray(series.values)
     if not np.isfinite(samples).all():
         return math.nan
-    # scaled to 1, a fringe of subnormal samples keeps the digits of its roots
-    samples = samples / (np.abs(samples).max() or 1.0)
+    peak = np.abs(samples).max()
+    if 0.0 < peak < np.finfo(float).tiny:
+        raise ValueError(f"visibility undefined: the fringe's largest sample {peak:.3g} "
+                         "is subnormal")
+    # scaled to 1, a fringe of tiny samples keeps the digits of its roots
+    samples = samples / (peak or 1.0)
     a = _fourier(samples, degree).real
     a[1:] *= 2.0
     # T_0 .. T_K in ascending powers of x, from T_{m+1} = 2x T_m - T_{m-1}
@@ -374,7 +375,7 @@ def visibility(series: FringeSeries) -> float:
     p = (a @ chebyshev)[::-1]
     x = np.clip(np.roots(np.polyder(p)).real, -1.0, 1.0)
     candidates = np.concatenate([samples[[0, degree + 1]], np.polyval(p, x)])
-    top, bottom = float(candidates.max()), float(candidates.min())
+    top, bottom = float(candidates.max()), max(float(candidates.min()), 0.0)
     if top + bottom == 0.0:
         raise ValueError("visibility undefined: fringe is identically zero")
     return (top - bottom) / (top + bottom)

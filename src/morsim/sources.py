@@ -18,7 +18,7 @@ import numpy as np
 
 from .fock import KetState, require_memory
 
-DEFAULT_EPSILON = 1e-10
+EPSILON = 1e-10  # the tail target of every automatic n_max (select_n_max)
 # A state is its nonzero amplitudes: build_state counts 48 bytes for each, its
 # occupations and the amplitude, against fock.MEMORY_BUDGET_BYTES (n_max 44739241
 # collinear / 9457 non-collinear).  Each Gram kernel of a moment sweep counts its sparse
@@ -44,7 +44,7 @@ class SourceSpec:
 
     ``n_max`` is the maximum retained number of photon pairs per spatial
     arm; when None it is chosen automatically so that the fourth-moment
-    truncation bound stays below ``epsilon`` (see ``select_n_max``).
+    truncation bound stays below ``EPSILON`` (see ``select_n_max``).
     """
 
     kind: SourceKind
@@ -52,11 +52,10 @@ class SourceSpec:
     r: float = 0.0
     phi: float = 0.0
     n_max: int | None = None
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SourceKind(self.kind))
-        for name in ("alpha", "r", "phi", "epsilon"):
+        for name in ("alpha", "r", "phi"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # |alpha|^2 as a product, which overflows to inf where ** raises
@@ -67,8 +66,6 @@ class SourceSpec:
             raise ValueError("interaction parameter r must be nonnegative")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError("n_max must be a positive integer")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
     @property
     def is_pdc(self) -> bool:
@@ -79,7 +76,7 @@ class SourceSpec:
             raise ValueError("coherent sources have no Fock truncation")
         if self.n_max is not None:
             return self.n_max
-        return select_n_max(self.kind, self.r, self.epsilon)
+        return select_n_max(self.kind, self.r)
 
 
 def truncation_tail(kind, r: float, n_max: int) -> float:
@@ -102,8 +99,8 @@ def truncation_bound(kind, r: float, n_max: int) -> float:
     return truncation_tail(kind, r, n_max) * (n_max + 4) ** 4
 
 
-def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
-    """Smallest n_max = 8 * 2^k whose ``truncation_bound`` beats epsilon.
+def select_n_max(kind, r: float) -> int:
+    """Smallest n_max = 8 * 2^k whose ``truncation_bound`` beats ``EPSILON``.
 
     Raises TruncationError once the state ``build_state`` would build no longer fits the
     memory budget, as at r = 25, where tanh r rounds to 1 and the tail never shrinks.
@@ -112,12 +109,12 @@ def select_n_max(kind, r: float, epsilon: float = DEFAULT_EPSILON) -> int:
     if kind is SourceKind.COHERENT:
         return 1
     n = 8
-    while truncation_bound(kind, r, n) >= epsilon:
+    while truncation_bound(kind, r, n) >= EPSILON:
         n *= 2
         try:
             _require_state_memory(kind, n)
         except ValueError as refused:
-            raise TruncationError(f"no n_max reaches tail target epsilon={epsilon:g} at r={r:g} "
+            raise TruncationError(f"no n_max reaches tail target epsilon={EPSILON:g} at r={r:g} "
                                   f"within the memory budget: {refused}; pass an explicit "
                                   "n_max") from None
     return n

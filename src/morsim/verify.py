@@ -1,7 +1,7 @@
 """Self-verification suite: oracle equivalence and model invariants.
 
 Each check reads the numeric Fock engine through the function every CLI sweep
-prints from (``detection._sample``, behind ``evaluate`` and ``fringe_scan``),
+prints from (``detection._sample``, behind ``fringe_scan``),
 and the reference values through the closed-form table
 (``detection.closed_form_scan``), the code behind the CLI's exact mode; it
 compares the two (or asserts an invariant) and reports its worst observed

@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 
 import morsim
 from morsim import (
-    MediumSpec,
+    FringeSeries,
     ObservableKind,
     ObservableSpec,
     SourceSpec,
-    evaluate,
+    fringe_scan,
     verify,
 )
-from morsim.cli import OBSERVABLE_NAMES, main
-from morsim.sources import DEFAULT_EPSILON, truncation_tail
+from morsim.cli import OBSERVABLE_NAMES, build_parser, main
+from morsim.sources import EPSILON, truncation_tail
 from morsim.verify import CheckResult
 
 
@@ -178,7 +178,6 @@ NON_FINITE = {
     "fringe --r inf --n-max 4": "r",
     "fringe --r nan": "r",
     "fringe --phi=-inf --n-max 4": "phi",
-    "fringe --epsilon nan": "epsilon",
     "fringe --source coherent --observable intensity --alpha nan": "alpha",
     "fringe --theta-max inf": "theta grid bounds",
     "visibility --r-max nan": "r grid bounds",
@@ -456,6 +455,27 @@ def test_commands_build_only_small_bases_without_eigh(monkeypatch, capsys, comma
 def test_bad_flag_exits_1(capsys):
     assert run_cli("fringe", "--no-such-flag") == 1
     assert run_cli("no-such-command") == 1
+    assert run_cli("fringe", "-h") == 0 and "--theta-plus" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fringe --points x", "fringe --epsilon 1e-6",
+                                     "visibility --theta-points 5", "fringe --source bogus",
+                                     pytest.param("", id="no command")])
+def test_an_argparse_refusal_is_one_line(capsys, command):
+    # no usage block before the error line
+    assert run_cli(*command.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and ": error: " in err
+
+
+def test_every_option_is_in_the_readme():
+    # the options from "## Command line" on, so pip's --no-build-isolation is not one
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"--[a-z][a-z-]*", text.partition("## Command line")[2]))
+    subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+    defined = {option for parser in subparsers for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == defined
 
 
 @pytest.mark.parametrize("option, value", [("--theta-min", "-1e-3"), ("--theta-plus", "-2e-1"),
@@ -537,25 +557,24 @@ def test_numeric_visibility_sweep_at_deep_truncation(capsys):
     for (r, v), v_exact in zip(rows, exact):
         # the engine's own visibility, from its extremes at theta = 0 and pi/2
         source = SourceSpec(kind="collinear_pdc", r=r, n_max=128)
-        peak, dip = (evaluate(source, MediumSpec(theta=t), obs) for t in (0.0, math.pi / 2))
+        peak, dip = (fringe_scan(source, [t], obs).values[0] for t in (0.0, math.pi / 2))
         assert v == pytest.approx((peak - dip) / (peak + dip), rel=1e-12)
         # the closed form holds where n_max = 128 meets the default truncation
         # target; at r = 3 the truncated weight is 0.28 and v is 1% off
-        if truncation_tail("collinear_pdc", r, 128) * (128 + 4) ** 4 < DEFAULT_EPSILON:
+        if truncation_tail("collinear_pdc", r, 128) * (128 + 4) ** 4 < EPSILON:
             assert v == pytest.approx(v_exact, rel=1e-8)
 
 
 def test_explicit_n_max_that_misses_the_target_warns_on_stderr_only(capsys):
     argv = ["fringe", "--r", "0.5", "--n-max", "16", "--points", "9", "--mode", "both"]
     assert run_cli(*argv) == 0
-    warned, warning = capsys.readouterr()
+    warning = capsys.readouterr().err
     bound = truncation_tail("collinear_pdc", 0.5, 16) * (16 + 4) ** 4
     assert warning == (f"warning: n_max=16 misses the truncation target at r=0.5: "
                        f"tail*(n_max+4)^4 = {bound:.3g} > epsilon=1e-10\n")
-    # epsilon plays no part once n_max is given: a target the bound meets silences
-    # the warning and leaves the bytes on stdout as they were
-    assert run_cli(*argv, "--epsilon", "1e-6") == 0
-    assert capsys.readouterr() == (warned, "")
+    # an n_max deep enough to meet the target (bound ~1e-16) silences the warning
+    assert run_cli(*argv, "--n-max", "32") == 0
+    assert capsys.readouterr().err == ""
     # neither a closed form nor a projection, exact at this n_max, reads the truncation
     for extra in (["--mode", "exact"], ["--observable", "four-photon-projection"]):
         assert run_cli(*argv, *extra) == 0
@@ -582,9 +601,37 @@ def test_visibility_takes_no_theta_points(capsys):
     # each visibility is exact from the samples at its fringe's nodes: no grid to size
     assert run_cli("visibility", "--theta-points", "5") == 1
     out, err = capsys.readouterr()
-    # argparse's usage line, then one error line
-    assert out == "" and len(err.splitlines()) == 2
-    assert err.splitlines()[1] == "morsim: error: unrecognized arguments: --theta-points 5"
+    assert out == "" and err == "morsim: error: unrecognized arguments: --theta-points 5\n"
+
+
+# visibility commands at tiny r -> the r of the one error line, or None where every
+# visibility prints: the samples at r = 1e-160 (two-photon) and 1e-80 (Glauber) are
+# subnormal, and at 1e-60 and 1e-20 rounding puts the Glauber minimum just below 0
+TINY_R_VISIBILITY = {
+    "--r-min 1e-160 --r-max 1e-150 --points 3 --mode numeric": "1e-160",
+    "--r-min 1e-160 --r-max 1e-150 --points 3": "1e-160",
+    "--observable four-photon-glauber --r-min 1e-80 --r-max 1 --points 2": "1e-80",
+    "--observable four-photon-glauber --r-min 1e-80 --r-max 1 --points 2 --mode numeric "
+    "--n-max 16": "1e-80",
+    "--observable four-photon-glauber --r-min 1e-60 --r-max 1 --points 2 --mode numeric "
+    "--n-max 16": None,
+    "--observable four-photon-glauber --r-min 1e-20 --r-max 1 --points 2 --mode numeric "
+    "--n-max 16": None,
+}
+
+
+@pytest.mark.parametrize("command", TINY_R_VISIBILITY)
+def test_visibility_at_tiny_r_is_at_most_1_or_refused_naming_r(capsys, command):
+    code = run_cli("visibility", *command.split())
+    out, err = capsys.readouterr()
+    r = TINY_R_VISIBILITY[command]
+    if r is None:
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert rows[0][1] == 1.0 and all(0.0 <= v <= 1.0 for _, v in rows)
+    else:
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: r={r}: ") and "subnormal" in err
 
 
 def four_photon_visibility(r):
@@ -642,7 +689,7 @@ def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
     # objective must move neither the printed argmax nor the printed maximum
     from morsim import cli
 
-    exact = cli.evaluate
+    exact = cli.fringe_scan
     nudges = {
         "none": lambda r: 0.0,
         "up": lambda r: math.inf,
@@ -653,11 +700,14 @@ def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
     comments = {}
     for name, towards in nudges.items():
         def nudged(source, *args, towards=towards):
-            value = exact(source, *args)
+            series = exact(source, *args)
             direction = towards(source.r)
-            return value if direction == 0.0 else math.nextafter(value, direction)
+            if direction == 0.0:
+                return series
+            return FringeSeries(series.theta_grid,
+                                [math.nextafter(v, direction) for v in series.values])
 
-        monkeypatch.setattr(cli, "evaluate", nudged)
+        monkeypatch.setattr(cli, "fringe_scan", nudged)
         assert run_cli("envelope", "--geometry", geometry, "--points", "31") == 0
         comments[name] = capsys.readouterr().out.splitlines()[-1]
     assert set(comments.values()) == {comments["none"]}
@@ -853,6 +903,8 @@ def test_sweep_bounds_print_finite_csv_or_one_error_line(capsys, sweep, lo, hi, 
     out, err = capsys.readouterr()
     if code == 0:
         assert err == "" and all(map(math.isfinite, _csv_values(out)))
+        if command == "visibility":
+            assert all(0.0 <= float(row.split(",")[1]) <= 1.0 for row in out.splitlines()[1:])
     else:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -23,7 +23,6 @@ from morsim import (
     closed_form_scan,
     detection,
     dominant_frequency,
-    evaluate,
     fringe_scan,
     min_detectable_angle,
     oracles,
@@ -73,43 +72,47 @@ def noncollinear(r, **kw):
     return SourceSpec(kind="noncollinear_pdc", r=r, **kw)
 
 
+def at(source, theta, obs, theta_plus=0.0):
+    return fringe_scan(source, [theta], obs, theta_plus).values[0]
+
+
 def test_evaluate_two_photon_spot_values():
     src = collinear(0.5, n_max=48)
     s = math.sinh(0.5)
-    got = evaluate(src, MediumSpec(theta=0.0), TWO_PHOTON)
+    got = at(src, 0.0, TWO_PHOTON)
     expected = s * s * math.cosh(0.5) ** 2 + s**4
     assert got == pytest.approx(expected, rel=1e-10)
     assert abs(expected - 0.41901) < 1e-3
-    got = evaluate(src, MediumSpec(theta=math.pi / 2), TWO_PHOTON)
+    got = at(src, math.pi / 2, TWO_PHOTON)
     assert got == pytest.approx(s**4, rel=1e-10)
 
 
 def test_evaluate_projection_zero_at_quarter_turn():
-    got = evaluate(noncollinear(1.0), MediumSpec(theta=math.pi / 4), PROJ_NON)
+    got = at(noncollinear(1.0), math.pi / 4, PROJ_NON)
     assert got < 1e-12
 
 
 def test_evaluate_projection_is_exact_at_any_r():
     # only the four-photon sector contributes, so no truncation cap applies
     for r in (0.5, 1.3, 3.0):
-        got = evaluate(noncollinear(r), MediumSpec(theta=0.3), PROJ_NON)
+        got = at(noncollinear(r), 0.3, PROJ_NON)
         assert got == pytest.approx(oracles.noncollinear_four_photon_probability(r, [0.3])[0],
                                     rel=1e-12)
-        got = evaluate(collinear(r), MediumSpec(theta=0.3), PROJ_COL)
+        got = at(collinear(r), 0.3, PROJ_COL)
         assert got == pytest.approx(oracles.collinear_four_photon_probability(r, [0.3])[0],
                                     rel=1e-12)
 
 
 def test_evaluate_collinear_projection_quarter_turn_anchor():
     # (tanh^4(1)/cosh^2(1)) / 16 at cos(2 theta) = 0
-    got = evaluate(collinear(1.0), MediumSpec(theta=math.pi / 4), PROJ_COL)
+    got = at(collinear(1.0), math.pi / 4, PROJ_COL)
     expected = math.tanh(1.0) ** 4 / math.cosh(1.0) ** 2 / 16.0
     assert got == pytest.approx(expected, rel=1e-10)
     assert abs(expected - 0.0088) < 1e-4
 
 
 def test_evaluate_glauber_spot_value():
-    got = evaluate(collinear(1.0, n_max=96), MediumSpec(theta=0.0), GLAUBER)
+    got = at(collinear(1.0, n_max=96), 0.0, GLAUBER)
     s, c = math.sinh(1.0), math.cosh(1.0)
     expected = 4 * s**4 * c**4 + 16 * s**6 * c * c + 4 * s**8
     assert got == pytest.approx(expected, rel=1e-9)
@@ -127,14 +130,13 @@ def test_evaluate_coherent_dispatch():
     src = SourceSpec(kind="coherent", alpha=2.0)
     ih = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
     iv = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AV)
-    assert evaluate(src, MediumSpec(theta=0.0), ih) == 4.0
-    got = evaluate(src, MediumSpec(theta=math.pi / 3), iv)
+    assert at(src, 0.0, ih) == 4.0
+    got = at(src, math.pi / 3, iv)
     assert got == pytest.approx(4.0 * math.sin(math.pi / 6) ** 2, rel=1e-14)
     with pytest.raises(ValueError):
-        evaluate(src, MediumSpec(theta=0.1), TWO_PHOTON)
+        at(src, 0.1, TWO_PHOTON)
     with pytest.raises(ValueError):
-        evaluate(src, MediumSpec(theta=0.1),
-                 ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.BH))
+        at(src, 0.1, ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.BH))
 
 
 def test_observable_spec_validation():
@@ -153,7 +155,7 @@ def test_intensity_mode_given_as_an_integer_is_that_mode():
     obs = ObservableSpec(kind=ObservableKind.INTENSITY, mode=0)
     assert obs.mode is Mode.AH
     src = SourceSpec(kind="coherent", alpha=2.0)
-    assert evaluate(src, MediumSpec(theta=0.0), obs) == 4.0
+    assert at(src, 0.0, obs) == 4.0
     assert closed_form_scan(src, [0.0], obs).values == (4.0,)
 
 
@@ -182,8 +184,8 @@ def test_closed_forms_describe_the_ah_av_pair_only(source, kind):
             closed_form_scan(source, [0.3], obs)
         assert str(refused.value) == (f"closed forms describe the AH/AV detector pair, "
                                       f"not {pair[0].name}/{pair[1].name}")
-    assert evaluate(collinear(0.5, n_max=16), MediumSpec(theta=0.3),
-                    ObservableSpec(kind=kind, pair=(Mode.BH, Mode.BV))) == 0.0
+    assert at(collinear(0.5, n_max=16), 0.3,
+              ObservableSpec(kind=kind, pair=(Mode.BH, Mode.BV))) == 0.0
 
 
 def test_fringe_scan_pointwise_equals_evaluate():
@@ -191,7 +193,7 @@ def test_fringe_scan_pointwise_equals_evaluate():
     grid = np.linspace(0.0, math.pi, 7)
     series = fringe_scan(src, grid, PROJ_NON, theta_plus=0.5)
     for theta, value in zip(series.theta_grid, series.values):
-        direct = evaluate(src, MediumSpec(theta=theta, theta_plus=0.5), PROJ_NON)
+        direct = at(src, theta, PROJ_NON, theta_plus=0.5)
         assert value == direct
 
 
@@ -209,12 +211,12 @@ def test_fringe_series_validation():
 def test_fringe_periodicity_checks_out_numerically():
     # Eq-12-type fringes repeat after pi, projection fringes after pi/2
     src = collinear(0.6, n_max=32)
-    a = evaluate(src, MediumSpec(theta=0.4), TWO_PHOTON)
-    b = evaluate(src, MediumSpec(theta=0.4 + math.pi), TWO_PHOTON)
+    a = at(src, 0.4, TWO_PHOTON)
+    b = at(src, 0.4 + math.pi, TWO_PHOTON)
     assert a == pytest.approx(b, rel=1e-10)
     srcn = noncollinear(0.6, n_max=8)
-    a = evaluate(srcn, MediumSpec(theta=0.4), PROJ_NON)
-    b = evaluate(srcn, MediumSpec(theta=0.4 + math.pi / 2), PROJ_NON)
+    a = at(srcn, 0.4, PROJ_NON)
+    b = at(srcn, 0.4 + math.pi / 2, PROJ_NON)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -273,8 +275,25 @@ def test_visibility_finds_extremes_between_the_nodes(powers, expected):
     assert visibility(FringeSeries(nodes, values)) == pytest.approx(expected, rel=1e-13)
 
 
+def test_a_minimum_that_rounding_puts_below_0_reads_as_0():
+    # x^2 - 1e-3 dips below 0 between the nodes; as a count it would read (1, 0), not
+    # (1 - 1e-3, -1e-3), whose visibility 1 / (1 - 2e-3) passes 1
+    nodes = detection._nodes(2)
+    assert visibility(FringeSeries(nodes, np.cos(nodes) ** 2 - 1e-3)) == 1.0
+
+
+@pytest.mark.parametrize("peak", [5e-324, 1e-320, 2.2250738585072009e-308])
+def test_visibility_refuses_a_fringe_whose_largest_sample_is_subnormal(peak):
+    nodes = detection._nodes(1)
+    with pytest.raises(ValueError, match="subnormal"):
+        visibility(FringeSeries(nodes, [peak, peak / 2, 0.0, peak / 2]))
+    # the smallest normal float keeps its digits
+    tiny = np.finfo(float).tiny
+    assert visibility(FringeSeries(nodes, [tiny, tiny / 2, 0.0, tiny / 2])) == 1.0
+
+
 def _nd_variance(source, theta):
-    return evaluate(source, MediumSpec(theta=theta), ND_VAR)
+    return at(source, theta, ND_VAR)
 
 
 def test_nd_variance_zero_without_rotation():
@@ -326,11 +345,11 @@ def test_sensitivity_curve_slopes():
 @given(PDC_KINDS, st.floats(0.0, 1.5), st.integers(1, 48), ANGLES)
 def test_glauber_dominates_projection(kind, r, n_max, theta):
     # I_HHVV = sum |psi|^2 n_H(n_H-1) n_V(n_V-1) >= 2! 2! P(|2,2>), on either pair
-    source, medium = SourceSpec(kind=kind, r=r, n_max=n_max), MediumSpec(theta=theta)
+    source = SourceSpec(kind=kind, r=r, n_max=n_max)
     for pair, target in (((Mode.AH, Mode.AV), (2, 2, 0, 0)), ((Mode.AH, Mode.BV), (2, 0, 0, 2))):
-        glauber = evaluate(source, medium,
-                           ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER, pair=pair))
-        proj = evaluate(source, medium, ObservableSpec(
+        glauber = at(source, theta,
+                     ObservableSpec(kind=ObservableKind.FOUR_PHOTON_GLAUBER, pair=pair))
+        proj = at(source, theta, ObservableSpec(
             kind=ObservableKind.FOUR_PHOTON_PROJECTION, target=target))
         assert glauber >= 4.0 * proj - 1e-12
 
@@ -476,8 +495,7 @@ def test_observables_invariant_under_theta_plus_and_pump_phase(kind, r, n_max, t
     values = []
     for phi, theta_plus in (first, second):
         source = SourceSpec(kind=kind, r=r, phi=phi, n_max=n_max)
-        medium = MediumSpec(theta=theta, theta_plus=theta_plus)
-        values.append([evaluate(source, medium, obs) for obs in EVERY_OBSERVABLE])
+        values.append([at(source, theta, obs, theta_plus) for obs in EVERY_OBSERVABLE])
     assert values[0] == pytest.approx(values[1], rel=1e-12, abs=1e-12)
 
 
@@ -550,8 +568,7 @@ def test_fringe_scan_reconstructs_direct_evaluation(kind, r, n_max, theta_plus, 
     angles = st.one_of(st.floats(-3 * math.pi, 5 * math.pi), st.sampled_from(nodes))
     grid = sorted(data.draw(st.sets(angles, min_size=2 * degree + 3, max_size=2 * degree + 12)))
     series = fringe_scan(source, grid, obs, theta_plus=theta_plus)
-    direct = [evaluate(source, MediumSpec(theta=t, theta_plus=theta_plus), obs)
-              for t in grid]
+    direct = [at(source, t, obs, theta_plus=theta_plus) for t in grid]
     scale = max(map(abs, direct))
     for theta, value, expected in zip(grid, series.values, direct):
         if theta in nodes:
@@ -621,7 +638,7 @@ def test_every_source_reads_the_channel_through_one_probe_pair(monkeypatch):
     grid = np.linspace(0.0, math.pi, 5)
     fringe_scan(collinear(0.5, n_max=8), grid, TWO_PHOTON)
     fringe_scan(noncollinear(0.5, n_max=8), grid, PROJ_NON)
-    evaluate(collinear(0.5, n_max=8), MediumSpec(theta=0.3), GLAUBER)
+    at(collinear(0.5, n_max=8), 0.3, GLAUBER)
     assert len(seen) == 2 * (len(grid) + len(grid) + 1)
     assert all(any(state is probe for probe in probes) for state in seen)
 

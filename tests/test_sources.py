@@ -179,7 +179,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(kind="nonsense", r=0.5)
     for field, value in [("r", math.nan), ("r", math.inf), ("phi", -math.inf),
-                         ("epsilon", math.nan), ("alpha", complex(1.0, math.nan))]:
+                         ("alpha", complex(1.0, math.nan))]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SourceSpec(kind="coherent", **{field: value})
 
