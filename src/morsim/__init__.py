@@ -1,13 +1,13 @@
 """Magneto-optical rotation metrology with coherent and PDC photon sources."""
 
 from .detection import (
-    FringeSeries,
     ObservableKind,
     ObservableSpec,
     closed_form_scan,
     dominant_frequency,
     fringe_scan,
     min_detectable_angle,
+    node_samples,
     sensitivity_curve,
     visibility,
 )
@@ -30,7 +30,6 @@ from .sources import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FringeSeries",
     "KetState",
     "MediumSpec",
     "Mode",
@@ -47,6 +46,7 @@ __all__ = [
     "make_basis_state",
     "mean_photon_number",
     "min_detectable_angle",
+    "node_samples",
     "select_n_max",
     "sensitivity_curve",
     "truncation_tail",

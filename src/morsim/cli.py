@@ -16,13 +16,14 @@ import sys
 
 import numpy as np
 
-from . import detection, verify
+from . import verify
 from .detection import (
     ObservableKind,
     ObservableSpec,
     _projection_depth,
     closed_form_scan,
     fringe_scan,
+    node_samples,
     sensitivity_curve,
     visibility,
 )
@@ -155,9 +156,9 @@ def cmd_fringe(args) -> int:
 
     columns = [thetas]
     if args.mode in ("numeric", "both"):
-        columns.append(fringe_scan(source, thetas, obs, theta_plus=args.theta_plus).values)
+        columns.append(fringe_scan(source, thetas, obs, theta_plus=args.theta_plus))
     if args.mode in ("exact", "both"):
-        columns.append(closed_form_scan(source, thetas, obs).values)
+        columns.append(closed_form_scan(source, thetas, obs))
     header = "theta,value,value_exact" if args.mode == "both" else "theta,value"
     if args.mode != "exact":
         _warn_if_truncation_misses([source], obs)
@@ -170,16 +171,14 @@ def cmd_visibility(args) -> int:
     if args.r_min <= 0:
         raise ValueError("visibility sweep needs r > 0")
     obs = ObservableSpec(kind=OBSERVABLE_NAMES[args.observable])
-    # the samples at its nodes fix a fringe, and with it its exact extremes
-    nodes = detection._nodes(detection._fringe_degree(obs))
-    scan = closed_form_scan if args.mode == "exact" else fringe_scan
     sources = [SourceSpec(kind=SourceKind.COLLINEAR_PDC, r=r, n_max=args.n_max)
                for r in map(float, r_grid)]
+    # the samples at its nodes fix a fringe, and with it its exact extremes
+    samples = node_samples(sources, obs, exact=args.mode == "exact")
     rows = []
-    for source in sources:
-        series = scan(source, nodes, obs)
+    for source, fringe in zip(sources, samples):
         try:
-            rows.append((source.r, visibility(series)))
+            rows.append((source.r, visibility(fringe)))
         except ValueError as refused:
             raise ValueError(f"r={source.r:g}: {refused}") from None
     if args.mode != "exact":
@@ -219,7 +218,7 @@ def cmd_envelope(args) -> int:
     scan = closed_form_scan if args.mode == "exact" else fringe_scan
 
     def value_at(r: float) -> float:
-        return scan(SourceSpec(kind=kind, r=r), (0.0,), obs).values[0]
+        return scan(SourceSpec(kind=kind, r=r), (0.0,), obs)[0]
 
     values = [value_at(float(r)) for r in r_grid]
     if not any(values):

@@ -15,16 +15,18 @@ vacuum alone, so a projection onto |t> is
 
 ``_sample`` takes a batch of sources and media: it reads the stack of T for all
 the media once, then evaluates each observable on each source over the whole
-stack in one vectorised pass, with the bits each T gets alone.  Every sweep and
-every ``verify`` check reads the engine through it; a check shares one stack
-among the sources it compares at the same angles.
+stack in one vectorised pass, with the bits each T gets alone.  Every sweep reads
+the engine through it, and a ``verify`` check through it or its ``_read``,
+sharing one stack among the sources it compares at the same angles.  A fringe of
+degree K is fixed by its samples at 2K + 2 nodes: ``node_samples`` takes them for
+a batch of sources, and ``fringe_scan``, ``dominant_frequency`` and ``visibility``
+read every fringe off them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -91,26 +93,6 @@ class ObservableSpec:
             if sum(target) != 4:
                 raise ValueError("projection target must contain 4 photons total")
             object.__setattr__(self, "target", target)
-
-
-@dataclass(frozen=True)
-class FringeSeries:
-    """Observable values over a strictly increasing theta grid."""
-
-    theta_grid: tuple
-    values: tuple
-
-    def __post_init__(self):
-        grid = tuple(map(float, self.theta_grid))
-        vals = tuple(map(float, self.values))
-        if not grid:
-            raise ValueError("theta grid must be nonempty")
-        if len(grid) != len(vals):
-            raise ValueError("grid and values must have equal length")
-        if not all(map(operator.lt, grid, grid[1:])):
-            raise ValueError("theta grid must be strictly increasing")
-        object.__setattr__(self, "theta_grid", grid)
-        object.__setattr__(self, "values", vals)
 
 
 # photons each detector of a moment observable absorbs: the intensity's one
@@ -228,27 +210,29 @@ def _sample(sources, observables, media) -> np.ndarray:
     """(len(sources), len(media), len(observables)): the observables on each source
     passed through each medium.
 
-    Coherent light is read off its closed forms, one call per observable.  Each PDC
-    source's state is built once; projections alone build it only to the deepest
-    target's depth, so they are exact at any r.  The channel's one-photon matrices are
-    then read once per medium, in order, and serve every PDC source, and ``_read``
-    evaluates every observable over the whole stack in one vectorised pass.
+    Coherent light is read off its closed forms, one call per observable.  The
+    channel's one-photon matrices are read once per medium, in order, and serve every
+    PDC source.  Each PDC source's state is then built and read in turn, so a batch
+    holds one state at a time; projections alone build it only to the deepest target's
+    depth, so they are exact at any r.  ``_read`` evaluates every observable over the
+    whole stack in one vectorised pass.
     Tests substitute the channel at ``apply_mor``, which every read looks up at the call."""
     only_projections = all(obs.kind is ObservableKind.FOUR_PHOTON_PROJECTION
                            for obs in observables)
-    states = []
-    for source in sources:
-        if source.is_pdc and only_projections:
+
+    def built(source):
+        if only_projections:
             depth = max(_projection_depth(source.kind, obs.target) for obs in observables)
             source = dataclasses.replace(source, n_max=min(source.n_max or depth, depth))
-        states.append(build_state(source) if source.is_pdc else None)
-    if any(state is not None for state in states):
+        return build_state(source)
+
+    if any(source.is_pdc for source in sources):
         ts = _one_photon_matrices(media)
     thetas = [medium.theta for medium in media]
     return np.stack([
-        np.array([closed_form_scan(source, thetas, obs).values for obs in observables]).T
-        if state is None else _read(state, observables, ts)
-        for source, state in zip(sources, states)])
+        _read(built(source), observables, ts) if source.is_pdc
+        else np.array([closed_form_scan(source, thetas, obs) for obs in observables]).T
+        for source in sources])
 
 
 def _nodes(degree: int) -> list[float]:
@@ -256,10 +240,24 @@ def _nodes(degree: int) -> list[float]:
     return (np.pi * np.arange(2 * degree + 2) / (degree + 1)).tolist()
 
 
-def _fourier(samples: np.ndarray, degree: int) -> np.ndarray:
-    """The exact Fourier coefficients c_0..c_K of a fringe of degree K from its samples
-    at ``_nodes(degree)``: the fringe is c_0 + 2 Re sum_m c_m e^{i m theta}."""
-    return np.fft.rfft(samples)[:degree + 1] / len(samples)
+def node_samples(sources, obs: ObservableSpec, theta_plus: float = 0.0,
+                 exact: bool = False) -> np.ndarray:
+    """(len(sources), 2K + 2): the observable's fringe on each source at the nodes of its
+    degree K, which fix it.  Numeric samples come from one ``_sample`` call, which reads
+    the channel once per node for the whole batch; ``exact`` takes the closed forms at
+    the same nodes, which do not see theta_plus."""
+    nodes = _nodes(_fringe_degree(obs))
+    if exact:
+        return np.array([closed_form_scan(source, nodes, obs) for source in sources])
+    media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in nodes]
+    return _sample(sources, [obs], media)[:, :, 0]
+
+
+def _fourier(samples: np.ndarray) -> np.ndarray:
+    """The exact Fourier coefficients c_0..c_K of a fringe of degree K from its 2K + 2
+    samples at ``_nodes(K)``, along the last axis: the fringe is
+    c_0 + 2 Re sum_m c_m e^{i m theta}."""
+    return np.fft.rfft(samples)[..., :-1] / samples.shape[-1]
 
 
 def _finite_grid(thetas, theta_plus: float) -> tuple[float, ...]:
@@ -274,8 +272,8 @@ def _finite_grid(thetas, theta_plus: float) -> tuple[float, ...]:
 
 
 def fringe_scan(source: SourceSpec, thetas, obs: ObservableSpec,
-                theta_plus: float = 0.0) -> FringeSeries:
-    """Evaluate an observable over a theta grid.
+                theta_plus: float = 0.0) -> np.ndarray:
+    """The observable's values over a nonempty theta grid.
 
     Coherent sources are evaluated in closed form.  PDC sources use the
     truncated Fock state through ``_sample``: moments carry the source's
@@ -284,31 +282,26 @@ def fringe_scan(source: SourceSpec, thetas, obs: ObservableSpec,
 
     A PDC fringe is a trigonometric polynomial in theta of degree
     K = ``_fringe_degree(obs)`` (at most 4), so a grid longer than
-    N = 2K + 2 points costs N samples: the source is sampled at
-    the nodes 2 pi j / N, at the caller's ``theta_plus``, and the
-    polynomial through them, whose coefficients the DFT of the samples
-    gives exactly, is evaluated on the grid.  N is even so that 0 and pi
-    are nodes; a grid angle equal to a node takes that node's sample.
-    Shorter grids are evaluated point by point.  Either way ``_sample`` is
-    called once.
+    N = 2K + 2 points costs N samples: the ``node_samples`` at the
+    caller's ``theta_plus``, and the polynomial through them, whose
+    coefficients the DFT of the samples gives exactly, is evaluated on the
+    grid.  N is even so that 0 and pi are nodes; a grid angle equal to a
+    node takes that node's sample.  Shorter grids are evaluated point by
+    point.  Either way ``_sample`` is called once.
     """
     grid = _finite_grid(thetas, theta_plus)
     if not grid:
-        # refused by FringeSeries, before any sample
-        return FringeSeries(theta_grid=grid, values=())
-    degree = _fringe_degree(obs)
-    nodes = _nodes(degree)
-    direct = source.kind is SourceKind.COHERENT or len(grid) <= len(nodes)
-    media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in (grid if direct else nodes)]
-    samples = _sample([source], [obs], media)[0, :, 0]
-    if direct:
-        return FringeSeries(theta_grid=grid, values=samples)
-    coefficients = _fourier(samples, degree)
-    harmonics = np.exp(1j * np.outer(grid, np.arange(1, degree + 1)))
+        raise ValueError("theta grid must be nonempty")
+    nodes = _nodes(_fringe_degree(obs))
+    if source.kind is SourceKind.COHERENT or len(grid) <= len(nodes):
+        media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in grid]
+        return _sample([source], [obs], media)[0, :, 0]
+    samples = node_samples([source], obs, theta_plus)[0]
+    coefficients = _fourier(samples)
+    harmonics = np.exp(1j * np.outer(grid, np.arange(1, len(coefficients))))
     values = coefficients[0].real + 2.0 * (harmonics @ coefficients[1:]).real
     at_node = dict(zip(nodes, samples.tolist()))
-    return FringeSeries(theta_grid=grid,
-                        values=tuple(at_node.get(t, v) for t, v in zip(grid, values.tolist())))
+    return np.array([at_node.get(t, v) for t, v in zip(grid, values.tolist())])
 
 
 def dominant_frequency(source: SourceSpec, obs: ObservableSpec) -> int:
@@ -318,9 +311,7 @@ def dominant_frequency(source: SourceSpec, obs: ObservableSpec) -> int:
     1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
     The global phase theta_plus does not move the spectrum.  Raises ValueError
     where a coefficient is not finite."""
-    degree = _fringe_degree(obs)
-    media = [MediumSpec(theta=t) for t in _nodes(degree)]
-    magnitudes = np.abs(_fourier(_sample([source], [obs], media)[0, :, 0], degree))
+    magnitudes = np.abs(_fourier(node_samples([source], obs)[0]))
     if not np.isfinite(magnitudes).all():
         raise ValueError("the fringe's Fourier coefficients are not finite")
     if magnitudes[1:].max() <= 1e-13 * magnitudes.max():
@@ -328,7 +319,7 @@ def dominant_frequency(source: SourceSpec, obs: ObservableSpec) -> int:
     return int(np.argmax(magnitudes[1:]) + 1)
 
 
-def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeSeries:
+def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> np.ndarray:
     """The observable's closed form from ``oracles`` over a theta grid; raises
     ValueError where the table has none, and for a pair observable on any
     detector pair but aH/aV, the one pair the table's forms describe."""
@@ -340,24 +331,24 @@ def closed_form_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> FringeS
     detail = obs.mode.name if obs.kind is ObservableKind.INTENSITY else obs.target
     # only coherent forms take alpha; squaring it for PDC could overflow for nothing
     alpha_sq = abs(source.alpha) ** 2 if source.kind is SourceKind.COHERENT else None
-    values = oracles.closed_form(source.kind.value, obs.kind.value, detail, grid,
-                                 r=source.r, alpha_sq=alpha_sq)
-    return FringeSeries(theta_grid=grid, values=values)
+    return np.array(oracles.closed_form(source.kind.value, obs.kind.value, detail, grid,
+                                        r=source.r, alpha_sq=alpha_sq), dtype=float)
 
 
-def visibility(series: FringeSeries) -> float:
-    """(max - min) / (max + min) of a nonnegative fringe over all theta, from its samples
-    at the nodes of its degree K; NaN where a sample is.  A fringe is even, so it is
+def visibility(samples) -> float:
+    """(max - min) / (max + min) of a nonnegative fringe over all theta, from its 2K + 2
+    ``node_samples``; NaN where a sample is.  A fringe is even, so it is
     p(cos theta) with p = sum_m a_m T_m: its extremes lie at the nodes 0 and pi or at
     roots of p'.  Each root enters by its real part, clipped to [-1, 1]: a spare candidate
     lies between the extremes, and a multiple root that rounding splits off the real axis
     still counts.  A minimum below 0 is rounding and reads as 0.  Raises ValueError for a
     fringe that is identically zero or whose largest sample is subnormal, as such samples
     have lost their digits."""
-    degree = len(series.values) // 2 - 1
-    if degree < 1 or series.theta_grid != tuple(_nodes(degree)):
-        raise ValueError("visibility needs a fringe sampled at the nodes pi j / (K + 1)")
-    samples = np.asarray(series.values)
+    samples = np.asarray(samples, dtype=float)
+    degree = len(samples) // 2 - 1
+    if samples.shape != (2 * degree + 2,) or degree < 1:
+        raise ValueError(f"visibility needs the 2K + 2 node samples of a fringe of degree "
+                         f"K >= 1, got {samples.size}")
     if not np.isfinite(samples).all():
         return math.nan
     peak = np.abs(samples).max()
@@ -366,7 +357,7 @@ def visibility(series: FringeSeries) -> float:
                          "is subnormal")
     # scaled to 1, a fringe of tiny samples keeps the digits of its roots
     samples = samples / (peak or 1.0)
-    a = _fourier(samples, degree).real
+    a = _fourier(samples).real
     a[1:] *= 2.0
     # T_0 .. T_K in ascending powers of x, from T_{m+1} = 2x T_m - T_{m-1}
     chebyshev = list(np.eye(degree + 1)[:2])

@@ -70,6 +70,16 @@ def two_photon_visibility_closed(r: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.tanh(r) ** 2)
 
 
+def four_photon_visibility_closed(r: float) -> float:
+    """Visibility of ``collinear_four_photon_counts`` (README derives it): over s^4 c^4,
+    the top is 4 + 16 t + 4 t^2, t = tanh^2 r, and the bottom 8 t while t <= 1/2, else
+    1 + 4 t + 4 t^2."""
+    t = math.tanh(r) ** 2
+    if t <= 0.5:
+        return (1.0 + t) ** 2 / (1.0 + 6.0 * t + t * t)
+    return (3.0 + 12.0 * t) / (5.0 + 20.0 * t + 8.0 * t * t)
+
+
 # (source kind, observable kind, detector mode or projection target) ->
 # (closed form f(parameter, thetas) -> values, name of the source parameter it takes)
 _CLOSED_FORMS = {

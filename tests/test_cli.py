@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 import morsim
 from morsim import (
-    FringeSeries,
     ObservableKind,
     ObservableSpec,
     SourceSpec,
+    apply_mor,
+    detection,
     fringe_scan,
+    oracles,
     verify,
 )
 from morsim.cli import OBSERVABLE_NAMES, build_parser, main
@@ -557,7 +559,7 @@ def test_numeric_visibility_sweep_at_deep_truncation(capsys):
     for (r, v), v_exact in zip(rows, exact):
         # the engine's own visibility, from its extremes at theta = 0 and pi/2
         source = SourceSpec(kind="collinear_pdc", r=r, n_max=128)
-        peak, dip = (fringe_scan(source, [t], obs).values[0] for t in (0.0, math.pi / 2))
+        peak, dip = (fringe_scan(source, [t], obs)[0] for t in (0.0, math.pi / 2))
         assert v == pytest.approx((peak - dip) / (peak + dip), rel=1e-12)
         # the closed form holds where n_max = 128 meets the default truncation
         # target; at r = 3 the truncated weight is 0.28 and v is 1% off
@@ -634,32 +636,40 @@ def test_visibility_at_tiny_r_is_at_most_1_or_refused_naming_r(capsys, command):
         assert err.startswith(f"error: r={r}: ") and "subnormal" in err
 
 
-def four_photon_visibility(r):
-    """v4 of collinear PDC's Glauber counts I(g) = (g - 1)^2 s^4 c^4 + 4 (g + 1) s^6 c^2
-    + 4 s^8, g = 3 cos^2 theta in [0, 3] (README derives it).  I is convex in g: its
-    maximum is at g = 3, its minimum at g = 1 - 2 tanh^2 r while that is >= 0, else at 0."""
-    s, c = math.sinh(r), math.cosh(r)
-    top = 4 * s**4 * c**4 + 16 * s**6 * c**2 + 4 * s**8
-    if math.tanh(r) ** 2 <= 0.5:
-        bottom = 8 * s**6 * c**2
-    else:
-        bottom = s**4 * c**4 + 4 * s**6 * c**2 + 4 * s**8
-    return (top - bottom) / (top + bottom)
+FOUR_PHOTON_SWEEP = ("visibility --observable four-photon-glauber --r-min 0.05 --r-max 1.3 "
+                     "--points 26 --n-max 128")
 
 
 @pytest.mark.parametrize("mode", ["numeric", "exact"])
 def test_four_photon_visibility_is_the_derived_curve(capsys, mode):
     # the minimum lies off every fixed grid while tanh^2 r < 1/2: a 513-point grid
     # missed it by up to 1.1e-5
-    assert run_cli("visibility", "--observable", "four-photon-glauber", "--r-min", "0.05",
-                   "--r-max", "1.3", "--points", "26", "--n-max", "128", "--mode", mode) == 0
+    assert run_cli(*FOUR_PHOTON_SWEEP.split(), "--mode", mode) == 0
     rows = [tuple(map(float, line.split(",")))
             for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 26
-    assert max(abs(v - four_photon_visibility(r)) for r, v in rows) <= 1e-12
-    # the curve passes its triple root at tanh^2 r = 1/2 and runs toward 5/11
-    assert four_photon_visibility(math.atanh(math.sqrt(0.5))) == pytest.approx(9 / 17)
-    assert four_photon_visibility(20.0) == pytest.approx(5 / 11, rel=1e-15)
+    assert max(abs(v - oracles.four_photon_visibility_closed(r)) for r, v in rows) <= 1e-12
+
+
+# a numeric visibility sweep reads its fringes at the nodes in one batch: the 60
+# default r cost the 6 two-photon nodes, the 26 r of the Glauber sweep its 10 nodes,
+# at one channel call per probe; 720 and 520 when each r read the channel itself
+SWEEP_CHANNEL_CALLS = {"visibility --mode numeric": 2 * 6,
+                       FOUR_PHOTON_SWEEP + " --mode numeric": 2 * 10}
+
+
+@pytest.mark.parametrize("command", SWEEP_CHANNEL_CALLS)
+def test_a_visibility_sweep_reads_the_channel_once_per_node(monkeypatch, capsys, command):
+    calls = []
+
+    def counted(state, medium):
+        calls.append(medium.theta)
+        return apply_mor(state, medium)
+
+    monkeypatch.setattr(detection, "apply_mor", counted)
+    assert run_cli(*command.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == SWEEP_CHANNEL_CALLS[command]
 
 
 def test_pdc_closed_form_ignores_the_coherent_amplitude(capsys):
@@ -704,8 +714,7 @@ def test_envelope_argmax_unmoved_by_one_ulp(monkeypatch, capsys, geometry):
             direction = towards(source.r)
             if direction == 0.0:
                 return series
-            return FringeSeries(series.theta_grid,
-                                [math.nextafter(v, direction) for v in series.values])
+            return np.array([math.nextafter(v, direction) for v in series])
 
         monkeypatch.setattr(cli, "fringe_scan", nudged)
         assert run_cli("envelope", "--geometry", geometry, "--points", "31") == 0

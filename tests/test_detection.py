@@ -1,8 +1,9 @@
 import ast
-import dataclasses
 import functools
+import gc
 import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsim import (
-    FringeSeries,
     KetState,
     MediumSpec,
     Mode,
@@ -25,6 +25,7 @@ from morsim import (
     dominant_frequency,
     fringe_scan,
     min_detectable_angle,
+    node_samples,
     oracles,
     sensitivity_curve,
     visibility,
@@ -73,7 +74,7 @@ def noncollinear(r, **kw):
 
 
 def at(source, theta, obs, theta_plus=0.0):
-    return fringe_scan(source, [theta], obs, theta_plus).values[0]
+    return fringe_scan(source, [theta], obs, theta_plus)[0]
 
 
 def test_evaluate_two_photon_spot_values():
@@ -122,8 +123,8 @@ def test_evaluate_intensity_flat_for_pdc():
     src = collinear(0.7, n_max=40)
     obs = ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AH)
     series = fringe_scan(src, np.linspace(0.0, math.pi, 9), obs)
-    assert max(series.values) - min(series.values) < 1e-12
-    assert series.values[0] == pytest.approx(math.sinh(0.7) ** 2, rel=1e-9)
+    assert max(series) - min(series) < 1e-12
+    assert series[0] == pytest.approx(math.sinh(0.7) ** 2, rel=1e-9)
 
 
 def test_evaluate_coherent_dispatch():
@@ -156,14 +157,14 @@ def test_intensity_mode_given_as_an_integer_is_that_mode():
     assert obs.mode is Mode.AH
     src = SourceSpec(kind="coherent", alpha=2.0)
     assert at(src, 0.0, obs) == 4.0
-    assert closed_form_scan(src, [0.0], obs).values == (4.0,)
+    assert closed_form_scan(src, [0.0], obs).tolist() == [4.0]
 
 
 def test_closed_form_scan_is_the_table_at_each_angle():
     grid = np.linspace(0.0, math.pi, 9)
-    series = closed_form_scan(collinear(0.7, n_max=4), grid, GLAUBER)
-    assert series.theta_grid == tuple(grid)
-    assert series.values == tuple(oracles.collinear_four_photon_counts(0.7, grid))
+    values = closed_form_scan(collinear(0.7, n_max=4), grid, GLAUBER)
+    assert values.dtype == float
+    assert values.tolist() == oracles.collinear_four_photon_counts(0.7, grid)
     with pytest.raises(ValueError, match="no closed form"):
         closed_form_scan(noncollinear(0.7), grid, TWO_PHOTON)
 
@@ -176,8 +177,8 @@ def test_closed_forms_describe_the_ah_av_pair_only(source, kind):
     forward = ObservableSpec(kind=kind)
     backward = ObservableSpec(kind=kind, pair=(Mode.AV, Mode.AH))
     if source.is_pdc:
-        assert closed_form_scan(source, [0.3], backward) == closed_form_scan(source, [0.3],
-                                                                             forward)
+        assert closed_form_scan(source, [0.3], backward).tolist() \
+            == closed_form_scan(source, [0.3], forward).tolist()
     for pair in ((Mode.BH, Mode.BV), (Mode.AH, Mode.BV)):
         obs = ObservableSpec(kind=kind, pair=pair)
         with pytest.raises(ValueError) as refused:
@@ -191,21 +192,21 @@ def test_closed_forms_describe_the_ah_av_pair_only(source, kind):
 def test_fringe_scan_pointwise_equals_evaluate():
     src = noncollinear(0.8, n_max=8)
     grid = np.linspace(0.0, math.pi, 7)
-    series = fringe_scan(src, grid, PROJ_NON, theta_plus=0.5)
-    for theta, value in zip(series.theta_grid, series.values):
+    values = fringe_scan(src, grid, PROJ_NON, theta_plus=0.5)
+    for theta, value in zip(grid, values):
         direct = at(src, theta, PROJ_NON, theta_plus=0.5)
         assert value == direct
 
 
-def test_fringe_series_validation():
-    # the grid and its values only: no Fourier coefficients reach a CSV
-    assert [field.name for field in dataclasses.fields(FringeSeries)] == ["theta_grid", "values"]
-    with pytest.raises(ValueError):
-        FringeSeries(theta_grid=(), values=())
-    with pytest.raises(ValueError):
-        FringeSeries(theta_grid=(0.0, 0.0), values=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        FringeSeries(theta_grid=(0.0, 1.0), values=(1.0,))
+def test_fringe_scan_refuses_an_empty_grid_and_takes_any_order():
+    # a fringe is its values at the caller's angles; the CLI's grids alone must increase
+    with pytest.raises(ValueError, match="^theta grid must be nonempty$"):
+        fringe_scan(collinear(0.5, n_max=8), [], TWO_PHOTON)
+    for grid in ([2.0, 0.5, 2.0, -1.0], np.linspace(3.0, -3.0, 25)):
+        values = fringe_scan(collinear(0.5, n_max=8), grid, TWO_PHOTON)
+        assert values.shape == (len(grid),) and values.dtype == float
+        assert values == pytest.approx([at(collinear(0.5, n_max=8), t, TWO_PHOTON) for t in grid],
+                                       rel=1e-13)
 
 
 def test_fringe_periodicity_checks_out_numerically():
@@ -223,40 +224,38 @@ def test_fringe_periodicity_checks_out_numerically():
 def test_visibility_two_photon_closed_form():
     # numeric fringe at its six nodes; its minimum at pi/2 is not one of them
     src = collinear(1.0, n_max=96)
-    v = visibility(fringe_scan(src, detection._nodes(2), TWO_PHOTON))
+    v = visibility(node_samples([src], TWO_PHOTON)[0])
     assert v == pytest.approx(oracles.two_photon_visibility_closed(1.0), rel=1e-8)
     assert abs(v - 0.46295) < 1e-3
 
 
 def test_visibility_two_photon_approaches_one_at_weak_pumping():
     src = collinear(0.01, n_max=8)
-    series = fringe_scan(src, detection._nodes(2), TWO_PHOTON)
-    assert visibility(series) > 0.999
+    assert visibility(node_samples([src], TWO_PHOTON)[0]) > 0.999
 
 
 def test_visibility_four_photon_glauber_near_one_at_weak_pumping():
     src = collinear(0.01, n_max=8)
-    series = fringe_scan(src, detection._nodes(4), GLAUBER)
-    assert visibility(series) > 0.999
+    assert visibility(node_samples([src], GLAUBER)[0]) > 0.999
 
 
 def test_visibility_undefined_for_all_zero_series():
     with pytest.raises(ValueError):
-        visibility(FringeSeries(theta_grid=detection._nodes(1), values=(0.0,) * 4))
+        visibility((0.0,) * 4)
 
 
 @pytest.mark.parametrize("values", [(math.nan, 1.0, 0.5, 1.0), (1.0, math.nan, 0.5, 1.0),
                                     (1.0, 0.5, math.nan, 1.0), (1.0, 0.5, 1.0, math.nan)])
 def test_a_nan_anywhere_in_a_fringe_gives_a_nan_visibility(values):
-    assert math.isnan(visibility(FringeSeries(detection._nodes(1), values)))
+    assert math.isnan(visibility(values))
 
 
-@pytest.mark.parametrize("grid", [np.linspace(0.0, math.pi, 6), np.linspace(0.0, math.pi, 513),
-                                  detection._nodes(2)[:5], detection._nodes(2) + [6.5],
-                                  [0.0, math.pi]])
-def test_visibility_refuses_a_grid_other_than_the_nodes(grid):
-    with pytest.raises(ValueError, match="nodes"):
-        visibility(FringeSeries(grid, np.ones(len(grid))))
+@pytest.mark.parametrize("samples", [[], [1.0], [1.0, 0.5], np.ones(5), np.ones(513),
+                                     np.ones((2, 4)), np.ones((1, 6))])
+def test_visibility_refuses_a_sample_count_other_than_2k_plus_2(samples):
+    # the 2K + 2 node samples of one fringe, K >= 1: 4, 6, 8, ... of them in one row
+    with pytest.raises(ValueError, match="^visibility needs the 2K \\+ 2 node samples"):
+        visibility(samples)
 
 
 # an even fringe p(cos theta), p in ascending powers of x, and its visibility
@@ -272,24 +271,23 @@ OFF_NODE_EXTREMES = [
 def test_visibility_finds_extremes_between_the_nodes(powers, expected):
     nodes = detection._nodes(len(powers) - 1)
     values = np.polyval(powers[::-1], np.cos(nodes))
-    assert visibility(FringeSeries(nodes, values)) == pytest.approx(expected, rel=1e-13)
+    assert visibility(values) == pytest.approx(expected, rel=1e-13)
 
 
 def test_a_minimum_that_rounding_puts_below_0_reads_as_0():
     # x^2 - 1e-3 dips below 0 between the nodes; as a count it would read (1, 0), not
     # (1 - 1e-3, -1e-3), whose visibility 1 / (1 - 2e-3) passes 1
     nodes = detection._nodes(2)
-    assert visibility(FringeSeries(nodes, np.cos(nodes) ** 2 - 1e-3)) == 1.0
+    assert visibility(np.cos(nodes) ** 2 - 1e-3) == 1.0
 
 
 @pytest.mark.parametrize("peak", [5e-324, 1e-320, 2.2250738585072009e-308])
 def test_visibility_refuses_a_fringe_whose_largest_sample_is_subnormal(peak):
-    nodes = detection._nodes(1)
     with pytest.raises(ValueError, match="subnormal"):
-        visibility(FringeSeries(nodes, [peak, peak / 2, 0.0, peak / 2]))
+        visibility([peak, peak / 2, 0.0, peak / 2])
     # the smallest normal float keeps its digits
     tiny = np.finfo(float).tiny
-    assert visibility(FringeSeries(nodes, [tiny, tiny / 2, 0.0, tiny / 2])) == 1.0
+    assert visibility([tiny, tiny / 2, 0.0, tiny / 2]) == 1.0
 
 
 def _nd_variance(source, theta):
@@ -378,7 +376,7 @@ def _reference_dominant_frequency(source, obs):
     # the argmax of a 256-point FFT of direct samples over one turn
     thetas = 2.0 * math.pi * np.arange(256) / 256.0
     if source.kind is SourceKind.COHERENT:
-        samples = closed_form_scan(source, thetas, obs).values
+        samples = closed_form_scan(source, thetas, obs)
     else:
         state = build_state(source)
         samples = [measure(apply_mor(state, MediumSpec(theta=float(t))), obs)
@@ -483,7 +481,7 @@ def test_observables_independent_of_pump_phase():
     grid = np.linspace(0.0, math.pi, 9)
     base = fringe_scan(collinear(0.9, phi=0.0, n_max=48), grid, TWO_PHOTON)
     shifted = fringe_scan(collinear(0.9, phi=1.3, n_max=48), grid, TWO_PHOTON)
-    assert max(abs(a - b) for a, b in zip(base.values, shifted.values)) < 1e-12
+    assert max(abs(a - b) for a, b in zip(base, shifted)) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -520,6 +518,55 @@ def test_a_batch_of_media_reads_each_medium_with_the_bits_it_has_alone(kind, rs,
         assert batch.shape == alone.shape == (len(media), len(EVERY_OBSERVABLE))
         assert batch.tobytes() == alone.tobytes()
         assert shared[i].tobytes() == alone.tobytes()
+
+
+# one observable of each kind, of degrees 1, 2, 2, 4 and 4
+ONE_OF_EACH_DEGREE = [ObservableSpec(kind=ObservableKind.INTENSITY, mode=Mode.AV), TWO_PHOTON,
+                      ND_VAR, GLAUBER, PROJ_COL]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(PDC_KINDS, st.floats(0.0, 1.2), st.integers(1, 24)),
+                min_size=1, max_size=4), ANGLES)
+def test_a_batch_of_sources_reads_each_source_with_the_bits_it_has_alone(draws, theta_plus):
+    # one channel read at the nodes serves the whole batch, and each row is the
+    # row of that source sampled alone
+    sources = [SourceSpec(kind=kind, r=r, n_max=n_max) for kind, r, n_max in draws]
+    for obs in ONE_OF_EACH_DEGREE:
+        batch = node_samples(sources, obs, theta_plus)
+        assert batch.shape == (len(sources), 2 * detection._fringe_degree(obs) + 2)
+        for i, source in enumerate(sources):
+            assert batch[i].tobytes() == node_samples([source], obs, theta_plus)[0].tobytes()
+
+
+# the collinear closed forms: the table has no PDC intensity
+@pytest.mark.parametrize("obs", [TWO_PHOTON, ND_VAR, GLAUBER, PROJ_COL])
+def test_node_samples_are_the_fringe_at_its_nodes(obs):
+    sources = [collinear(r) for r in (0.3, 0.9)]
+    nodes = detection._nodes(detection._fringe_degree(obs))
+    numeric, exact = (node_samples(sources, obs, exact=exact) for exact in (False, True))
+    for source, engine, closed in zip(sources, numeric, exact):
+        assert engine.tobytes() == fringe_scan(source, nodes, obs).tobytes()
+        assert closed.tobytes() == closed_form_scan(source, nodes, obs).tobytes()
+        assert engine == pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
+def test_a_batch_holds_one_state_at_a_time(monkeypatch):
+    # each source is built and read before the next is built, so a long sweep's
+    # memory is one state and its Gram matrices, not all of them
+    built = []
+
+    def recorded(spec):
+        gc.collect()
+        assert all(ref() is None for ref in built)
+        state = build_state(spec)
+        built.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(detection, "build_state", recorded)
+    detection._sample([collinear(r, n_max=16) for r in (0.2, 0.6, 1.0)], [GLAUBER, TWO_PHOTON],
+                      [MediumSpec(theta=t) for t in (0.0, 0.4)])
+    assert len(built) == 3
 
 
 @PROPERTY_SETTINGS
@@ -567,10 +614,10 @@ def test_fringe_scan_reconstructs_direct_evaluation(kind, r, n_max, theta_plus, 
     nodes = [_node(j, degree) for j in range(2 * degree + 2)]
     angles = st.one_of(st.floats(-3 * math.pi, 5 * math.pi), st.sampled_from(nodes))
     grid = sorted(data.draw(st.sets(angles, min_size=2 * degree + 3, max_size=2 * degree + 12)))
-    series = fringe_scan(source, grid, obs, theta_plus=theta_plus)
+    values = fringe_scan(source, grid, obs, theta_plus=theta_plus)
     direct = [at(source, t, obs, theta_plus=theta_plus) for t in grid]
     scale = max(map(abs, direct))
-    for theta, value, expected in zip(grid, series.values, direct):
+    for theta, value, expected in zip(grid, values, direct):
         if theta in nodes:
             assert value == expected
         assert abs(value - expected) <= 1e-13 * scale
@@ -661,7 +708,7 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
     grid = np.linspace(0.0, math.pi, 7)
     deep = fringe_scan(noncollinear(0.5, n_max=200), grid, PROJ_NON)
     default = fringe_scan(noncollinear(0.5), grid, PROJ_NON)
-    assert deep.values == default.values
+    assert deep.tolist() == default.tolist()
     # (1,1,1,1) lies in sector (2, 2): two pairs, read off one-photon probes
     assert built == [2, 2]
     assert max(sizes) == 1
@@ -671,12 +718,12 @@ def test_projection_builds_only_the_target_depth(monkeypatch):
     deep = fringe_scan(collinear(0.5, n_max=200), grid, PROJ_COL)
     default = fringe_scan(collinear(0.5), grid, PROJ_COL)
     assert built == [2, 2]
-    assert deep.values == default.values
+    assert deep.tolist() == default.tolist()
     # the Schroedinger reading off a four-pair state, to rounding
     four_pairs = build_state(collinear(0.5, n_max=4))
     reference = [projection_probability(apply_mor(four_pairs, MediumSpec(theta=t)),
                                         PROJ_COL.target) for t in grid]
-    assert np.abs(np.subtract(default.values, reference)).max() <= 1e-15 * max(reference)
+    assert np.abs(np.subtract(default, reference)).max() <= 1e-15 * max(reference)
 
 
 NONZERO_ANGLES = st.floats(0.05, 2 * math.pi) | st.floats(-2 * math.pi, -0.05)

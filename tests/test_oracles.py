@@ -107,3 +107,22 @@ def test_oracles_import_only_the_standard_library():
     outside = [name for name in imported
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"oracles.py imports outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize("r", [0.01, 0.05, 0.3, 0.6, math.asinh(1.0), 1.0, 1.3, 2.0, 3.0])
+def test_v4_closed_is_the_visibility_of_the_four_photon_counts(r):
+    # extremes over a fine grid of the quarter turn that g = 3 cos^2 theta sweeps once;
+    # the grid misses the minimum off its points by at most ~1e-10
+    thetas = [math.pi / 2 * j / 100000 for j in range(100001)]
+    counts = oracles.collinear_four_photon_counts(r, thetas)
+    top, bottom = max(counts), min(counts)
+    assert oracles.four_photon_visibility_closed(r) == pytest.approx(
+        (top - bottom) / (top + bottom), abs=1e-9)
+
+
+def test_v4_closed_runs_through_9_17_to_5_11():
+    # the minimum leaves g = 1 - 2 tanh^2 r for g = 0 at tanh^2 r = 1/2
+    assert oracles.four_photon_visibility_closed(math.atanh(math.sqrt(0.5))) \
+        == pytest.approx(9 / 17, rel=1e-15)
+    assert oracles.four_photon_visibility_closed(20.0) == pytest.approx(5 / 11, rel=1e-15)
+    assert oracles.four_photon_visibility_closed(0.0) == 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from morsim import MediumSpec, apply_mor, detection, oracles, verify
 from morsim.detection import ObservableKind
-from morsim.fock import KetState
+from morsim.fock import KetState, annihilator_coefficients
 from morsim.sources import SourceSpec, build_state
 from morsim.verify import (
     check_two_photon_closed_form,
@@ -89,19 +89,34 @@ def test_a_wrong_glauber_power_fails_the_four_photon_check_only(monkeypatch):
     assert passed == {n: n != "oracle_four_photon_counts" for n in ENTRY_CHECKED_BY}
 
 
-def test_a_wrong_engine_visibility_fails_the_visibility_check_only(monkeypatch):
-    # lift every engine fringe that verify scans by the constant that scales
-    # its visibility by 1 + 1e-5; the 1:2:4 check reads Fourier coefficients,
-    # not a scanned fringe
-    def lifted(*args, **kwargs):
-        series = detection.fringe_scan(*args, **kwargs)
-        top, bottom = max(series.values), min(series.values)
-        shift = (top + bottom) / 2.0 * (1.0 / (1.0 + 1e-5) - 1.0)
-        return detection.FringeSeries(series.theta_grid, [v + shift for v in series.values])
+def test_a_wrong_engine_visibility_fails_the_visibility_checks_only(monkeypatch):
+    # lift every engine fringe that verify samples at its nodes by the constant that
+    # scales its visibility by about 1 + 1e-5; the closed-form fringes stay as they
+    # are, and the 1:2:4 check reads Fourier coefficients, not node samples
+    def lifted(sources, obs, exact=False):
+        samples = detection.node_samples(sources, obs, exact=exact)
+        if exact:
+            return samples
+        top, bottom = samples.max(axis=1), samples.min(axis=1)
+        return samples + ((top + bottom) / 2.0 * (1.0 / (1.0 + 1e-5) - 1.0))[:, None]
 
-    monkeypatch.setattr(verify, "fringe_scan", lifted)
+    monkeypatch.setattr(verify, "node_samples", lifted)
     failed = [r.name for r in run_all() if not r.passed]
-    assert failed == ["visibility_two_photon_closed_form"]
+    assert failed == ["visibility_two_photon_closed_form", "visibility_four_photon_closed_form"]
+
+
+def test_oracle_equivalence_reads_each_source_on_its_own_rows(monkeypatch):
+    # four collinear sources on three coefficient rows (the variance reads none) and
+    # four non-collinear ones on their projection; 32 when every source read all rows
+    calls = []
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return annihilator_coefficients(rows)
+
+    monkeypatch.setattr(detection, "annihilator_coefficients", counted)
+    assert all(r.passed for r in check_oracle_equivalence())
+    assert len(calls) == 3 * 4 + 4
 
 
 def test_collinear_projection_off_the_deep_state_has_the_shallow_state_bits():
@@ -141,8 +156,8 @@ def test_run_all_reads_each_probe_once_per_check(monkeypatch):
     monkeypatch.setattr(detection, "apply_mor", counted)
     assert all(r.passed for r in run_all())
     # 891 when each source read its own one-photon matrices, 357 with one probe set
-    # per geometry
-    assert len(calls) <= 289
+    # per geometry, 289 when each visibility r read its own nodes
+    assert len(calls) <= 273
     assert {call[0] for call in calls} == {
         "check_oracle_equivalence", "check_two_photon_closed_form", "check_fringe_frequencies",
         "check_visibility_curve", "check_glauber_vs_projection",
@@ -152,11 +167,12 @@ def test_run_all_reads_each_probe_once_per_check(monkeypatch):
     # every other check reads each probe at each medium once
     others = [call for call in calls if call[0] not in swept]
     assert len(set(others)) == len(others)
-    # the visibility check scans each engine fringe through fringe_scan: its six
-    # nodes once per source
+    # the visibility check samples its engine fringes in two batches, the two-photon
+    # one at its six nodes and the Glauber one at its ten, each node once; 0 and pi
+    # are nodes of both
     scanned = [call for call in calls if call[0] == "check_visibility_curve"]
-    assert len(scanned) == 2 * 6 * len(verify.ORACLE_R_VALUES)
-    assert len(set(scanned)) == 2 * 6
+    assert len(scanned) == 2 * (6 + 10)
+    assert len(set(scanned)) == 2 * (6 + 10 - 2)
     # the K = 2 and K = 4 fringes of the 1:2:4 check each read their own nodes
     # through dominant_frequency; 0 and pi are nodes of both
     spectra = [call for call in calls if call[0] == "check_fringe_frequencies"]
@@ -164,9 +180,8 @@ def test_run_all_reads_each_probe_once_per_check(monkeypatch):
     assert len(set(spectra)) == 2 * (6 + 10 - 2)
 
 
-CHANNEL_FREE_CHECKS = {"visibility_two_photon_monotone", "visibility_four_photon_weak_pumping",
-                       "sensitivity_slope_coherent", "sensitivity_slope_collinear",
-                       "source_norm_plus_tail"}
+CHANNEL_FREE_CHECKS = {"visibility_two_photon_monotone", "sensitivity_slope_coherent",
+                       "sensitivity_slope_collinear", "source_norm_plus_tail"}
 
 
 def test_a_nan_channel_fails_every_check_that_reads_it(monkeypatch):
