@@ -28,7 +28,6 @@ from .detection import (
     visibility,
 )
 from .fock import Mode, Occupation
-from .medium import MediumSpec
 from .sources import EPSILON, SourceKind, SourceSpec, truncation_bound
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,7 +79,7 @@ def _write_csv(path, header: str, rows, comments=()) -> None:
 
 def _source_from_args(args) -> SourceSpec:
     return SourceSpec(kind=SOURCE_NAMES[args.source], alpha=complex(args.alpha), r=args.r,
-                      phi=args.phi, n_max=args.n_max)
+                      n_max=args.n_max)
 
 
 def _default_target(kind: SourceKind) -> Occupation:
@@ -151,12 +150,10 @@ def cmd_fringe(args) -> int:
     source = _source_from_args(args)
     obs = _observable_from_args(args, source)
     thetas = _grid(args.theta_min, args.theta_max, args.points, "theta")
-    # closed forms ignore theta_plus, but a non-finite one is still bad input
-    MediumSpec(theta=0.0, theta_plus=args.theta_plus)
 
     columns = [thetas]
     if args.mode in ("numeric", "both"):
-        columns.append(fringe_scan(source, thetas, obs, theta_plus=args.theta_plus))
+        columns.append(fringe_scan(source, thetas, obs))
     if args.mode in ("exact", "both"):
         columns.append(closed_form_scan(source, thetas, obs))
     header = "theta,value,value_exact" if args.mode == "both" else "theta,value"
@@ -267,8 +264,6 @@ def _add_source_flags(parser):
                         help="coherent amplitude (coherent source only)")
     parser.add_argument("--r", type=float, default=0.5,
                         help="PDC interaction parameter")
-    parser.add_argument("--phi", type=float, default=0.0,
-                        help="pump phase (collinear PDC only)")
     parser.add_argument("--n-max", type=int, default=None,
                         help="retained photon pairs; default: automatic, to a "
                              "truncation bound below 1e-10")
@@ -288,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="detector mode for the intensity observable")
     fringe.add_argument("--target", default=None,
                         help="projection target occupation, e.g. 1,1,1,1")
-    fringe.add_argument("--theta-plus", type=float, default=0.0,
-                        help="global phase angle k*l*chi_plus")
     fringe.add_argument("--theta-min", type=float, default=0.0)
     fringe.add_argument("--theta-max", type=float, default=2.0 * math.pi)
     fringe.add_argument("--points", type=int, default=201)

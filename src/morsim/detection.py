@@ -229,10 +229,10 @@ def _sample(sources, observables, media) -> np.ndarray:
     if any(source.is_pdc for source in sources):
         ts = _one_photon_matrices(media)
     thetas = [medium.theta for medium in media]
-    return np.stack([
+    return np.reshape([
         _read(built(source), observables, ts) if source.is_pdc
         else np.array([closed_form_scan(source, thetas, obs) for obs in observables]).T
-        for source in sources])
+        for source in sources], (len(sources), len(media), len(observables)))
 
 
 def _nodes(degree: int) -> list[float]:
@@ -240,17 +240,15 @@ def _nodes(degree: int) -> list[float]:
     return (np.pi * np.arange(2 * degree + 2) / (degree + 1)).tolist()
 
 
-def node_samples(sources, obs: ObservableSpec, theta_plus: float = 0.0,
-                 exact: bool = False) -> np.ndarray:
+def node_samples(sources, obs: ObservableSpec, *, exact: bool = False) -> np.ndarray:
     """(len(sources), 2K + 2): the observable's fringe on each source at the nodes of its
     degree K, which fix it.  Numeric samples come from one ``_sample`` call, which reads
     the channel once per node for the whole batch; ``exact`` takes the closed forms at
-    the same nodes, which do not see theta_plus."""
+    the same nodes."""
     nodes = _nodes(_fringe_degree(obs))
-    if exact:
-        return np.array([closed_form_scan(source, nodes, obs) for source in sources])
-    media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in nodes]
-    return _sample(sources, [obs], media)[:, :, 0]
+    samples = ([closed_form_scan(source, nodes, obs) for source in sources] if exact
+               else _sample(sources, [obs], [MediumSpec(theta=t) for t in nodes]))
+    return np.reshape(samples, (len(sources), len(nodes)))
 
 
 def _fourier(samples: np.ndarray) -> np.ndarray:
@@ -260,19 +258,7 @@ def _fourier(samples: np.ndarray) -> np.ndarray:
     return np.fft.rfft(samples)[..., :-1] / samples.shape[-1]
 
 
-def _finite_grid(thetas, theta_plus: float) -> tuple[float, ...]:
-    """The grid as floats, refused with ``MediumSpec``'s message where a pass point by
-    point would refuse it: theta at the first point, then theta_plus, then theta."""
-    grid = tuple(map(float, thetas))
-    if grid:
-        MediumSpec(theta=grid[0], theta_plus=theta_plus)
-    if not all(map(math.isfinite, grid)):
-        MediumSpec(theta=next(t for t in grid if not math.isfinite(t)))
-    return grid
-
-
-def fringe_scan(source: SourceSpec, thetas, obs: ObservableSpec,
-                theta_plus: float = 0.0) -> np.ndarray:
+def fringe_scan(source: SourceSpec, thetas, obs: ObservableSpec) -> np.ndarray:
     """The observable's values over a nonempty theta grid.
 
     Coherent sources are evaluated in closed form.  PDC sources use the
@@ -282,21 +268,22 @@ def fringe_scan(source: SourceSpec, thetas, obs: ObservableSpec,
 
     A PDC fringe is a trigonometric polynomial in theta of degree
     K = ``_fringe_degree(obs)`` (at most 4), so a grid longer than
-    N = 2K + 2 points costs N samples: the ``node_samples`` at the
-    caller's ``theta_plus``, and the polynomial through them, whose
-    coefficients the DFT of the samples gives exactly, is evaluated on the
-    grid.  N is even so that 0 and pi are nodes; a grid angle equal to a
-    node takes that node's sample.  Shorter grids are evaluated point by
-    point.  Either way ``_sample`` is called once.
+    N = 2K + 2 points costs N samples: the ``node_samples``, and the
+    polynomial through them, whose coefficients the DFT of the samples gives
+    exactly, is evaluated on the grid.  N is even so that 0 and pi are
+    nodes; a grid angle equal to a node takes that node's sample.  Shorter
+    grids are evaluated point by point.  Either way ``_sample`` is called
+    once.
     """
-    grid = _finite_grid(thetas, theta_plus)
+    grid = tuple(map(float, thetas))
+    # the media refuse the first non-finite angle
+    media = [MediumSpec(theta=t) for t in grid]
     if not grid:
         raise ValueError("theta grid must be nonempty")
     nodes = _nodes(_fringe_degree(obs))
     if source.kind is SourceKind.COHERENT or len(grid) <= len(nodes):
-        media = [MediumSpec(theta=t, theta_plus=theta_plus) for t in grid]
         return _sample([source], [obs], media)[0, :, 0]
-    samples = node_samples([source], obs, theta_plus)[0]
+    samples = node_samples([source], obs)[0]
     coefficients = _fourier(samples)
     harmonics = np.exp(1j * np.outer(grid, np.arange(1, len(coefficients))))
     values = coefficients[0].real + 2.0 * (harmonics @ coefficients[1:]).real
@@ -309,8 +296,7 @@ def dominant_frequency(source: SourceSpec, obs: ObservableSpec) -> int:
     the harmonic m >= 1 with the largest exact Fourier coefficient |c_m|, or 0
     for a fringe that does not oscillate, where no |c_m| with m >= 1 exceeds
     1e-13 of the largest |c_m|, the rounding scale the band-limit tests allow.
-    The global phase theta_plus does not move the spectrum.  Raises ValueError
-    where a coefficient is not finite."""
+    Raises ValueError where a coefficient is not finite."""
     magnitudes = np.abs(_fourier(node_samples([source], obs)[0]))
     if not np.isfinite(magnitudes).all():
         raise ValueError("the fringe's Fourier coefficients are not finite")

@@ -14,9 +14,6 @@ the occupations against every multiset (or bilinear), with no Python loop over
 them, and ``_gram`` pairs the sorted sparse vectors only over the longest run
 of equal keys (at most 4 for the PDC sources, against up to 35 columns), so
 every bit of G is what a loop over the multisets gave.
-On a shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6) the K = 4 Gram of
-collinear n_max 128 takes 0.38-0.68 ms per call, against 1.56-2.45 ms for
-that loop.
 
 The channel alone lays a state out in blocks, when it first meets the state.
 The medium conserves the photon number of each beam, so it evolves one block

@@ -74,7 +74,8 @@ def noncollinear(r, **kw):
 
 
 def at(source, theta, obs, theta_plus=0.0):
-    return fringe_scan(source, [theta], obs, theta_plus)[0]
+    # the one-point read of fringe_scan, at any theta_plus
+    return detection._sample([source], [obs], [MediumSpec(theta, theta_plus)])[0, 0, 0]
 
 
 def test_evaluate_two_photon_spot_values():
@@ -192,9 +193,9 @@ def test_closed_forms_describe_the_ah_av_pair_only(source, kind):
 def test_fringe_scan_pointwise_equals_evaluate():
     src = noncollinear(0.8, n_max=8)
     grid = np.linspace(0.0, math.pi, 7)
-    values = fringe_scan(src, grid, PROJ_NON, theta_plus=0.5)
+    values = fringe_scan(src, grid, PROJ_NON)
     for theta, value in zip(grid, values):
-        direct = at(src, theta, PROJ_NON, theta_plus=0.5)
+        direct = at(src, theta, PROJ_NON)
         assert value == direct
 
 
@@ -533,10 +534,13 @@ def test_a_batch_of_sources_reads_each_source_with_the_bits_it_has_alone(draws, 
     # row of that source sampled alone
     sources = [SourceSpec(kind=kind, r=r, n_max=n_max) for kind, r, n_max in draws]
     for obs in ONE_OF_EACH_DEGREE:
-        batch = node_samples(sources, obs, theta_plus)
-        assert batch.shape == (len(sources), 2 * detection._fringe_degree(obs) + 2)
+        nodes = detection._nodes(detection._fringe_degree(obs))
+        media = [MediumSpec(theta, theta_plus) for theta in nodes]
+        batch = detection._sample(sources, [obs], media)[:, :, 0]
+        assert batch.shape == (len(sources), len(nodes))
         for i, source in enumerate(sources):
-            assert batch[i].tobytes() == node_samples([source], obs, theta_plus)[0].tobytes()
+            alone = detection._sample([source], [obs], media)[0, :, 0]
+            assert batch[i].tobytes() == alone.tobytes()
 
 
 # the collinear closed forms: the table has no PDC intensity
@@ -549,6 +553,28 @@ def test_node_samples_are_the_fringe_at_its_nodes(obs):
         assert engine.tobytes() == fringe_scan(source, nodes, obs).tobytes()
         assert closed.tobytes() == closed_form_scan(source, nodes, obs).tobytes()
         assert engine == pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_an_empty_batch_has_no_rows(exact):
+    for obs in ONE_OF_EACH_DEGREE:
+        samples = node_samples([], obs, exact=exact)
+        assert samples.shape == (0, 2 * detection._fringe_degree(obs) + 2)
+        assert samples.dtype == float
+    # a positional third argument is refused, not read as exact
+    with pytest.raises(TypeError):
+        node_samples([], TWO_PHOTON, exact)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("points", [4, 40])
+def test_fringe_scan_refuses_a_non_finite_angle(bad, points):
+    # a short grid is read point by point, a long one off the node samples
+    grid = np.linspace(0.0, math.pi, points)
+    grid[points // 2] = bad
+    with pytest.raises(ValueError) as refused:
+        fringe_scan(collinear(0.5, n_max=8), grid, TWO_PHOTON)
+    assert str(refused.value) == f"theta must be finite, got {bad}"
 
 
 def test_a_batch_holds_one_state_at_a_time(monkeypatch):
@@ -606,16 +632,16 @@ def test_fringes_have_no_harmonic_above_the_detected_photon_number(kind, r, n_ma
 
 
 @PROPERTY_SETTINGS
-@given(PDC_KINDS, st.floats(0.0, 1.5), st.integers(1, 24), ANGLES,
-       st.sampled_from(EVERY_OBSERVABLE), st.data())
-def test_fringe_scan_reconstructs_direct_evaluation(kind, r, n_max, theta_plus, obs, data):
+@given(PDC_KINDS, st.floats(0.0, 1.5), st.integers(1, 24), st.sampled_from(EVERY_OBSERVABLE),
+       st.data())
+def test_fringe_scan_reconstructs_direct_evaluation(kind, r, n_max, obs, data):
     source = SourceSpec(kind=kind, r=r, n_max=n_max)
     degree = detection._fringe_degree(obs)
     nodes = [_node(j, degree) for j in range(2 * degree + 2)]
     angles = st.one_of(st.floats(-3 * math.pi, 5 * math.pi), st.sampled_from(nodes))
     grid = sorted(data.draw(st.sets(angles, min_size=2 * degree + 3, max_size=2 * degree + 12)))
-    values = fringe_scan(source, grid, obs, theta_plus=theta_plus)
-    direct = [at(source, t, obs, theta_plus=theta_plus) for t in grid]
+    values = fringe_scan(source, grid, obs)
+    direct = [at(source, t, obs) for t in grid]
     scale = max(map(abs, direct))
     for theta, value, expected in zip(grid, values, direct):
         if theta in nodes:
@@ -655,8 +681,7 @@ def test_a_long_sweep_costs_2k_plus_2_channel_calls(monkeypatch, capsys):
     assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
     # a projection reads the same probes: no call carries the target's four photons
     calls.clear()
-    fringe_scan(noncollinear(0.5, n_max=40), np.linspace(0.0, math.pi, 201), PROJ_NON,
-                theta_plus=0.3)
+    fringe_scan(noncollinear(0.5, n_max=40), np.linspace(0.0, math.pi, 201), PROJ_NON)
     assert _distinct_angles(calls) == [_node(j, 4) for j in range(10)]
     assert {photons for _, photons in calls} == {1}
 
@@ -667,7 +692,7 @@ def test_a_short_sweep_is_evaluated_point_by_point(monkeypatch, obs):
     calls = _count_channel_calls(monkeypatch)
     points = 2 * detection._fringe_degree(obs) + 2
     grid = np.linspace(0.1, 2.0, points)
-    fringe_scan(collinear(0.6, n_max=16), grid, obs, theta_plus=0.3)
+    fringe_scan(collinear(0.6, n_max=16), grid, obs)
     assert _distinct_angles(calls) == list(grid)
 
 
